@@ -6,8 +6,10 @@ JSON files (see ``channels.load_channel``); CSV output uses a header row,
 
 Exit codes: 0 success, 2 usage, 3 channel file parse error, 4 trace
 preservation failure, 5 support-condition failure, 6 dimension cap,
-7 degenerate analysis parameter. Every failure prints one machine-parseable
-line ``covertq: error code=<name> msg="..."`` on stderr.
+7 degenerate analysis parameter, 8 failed internal self-check. Every failure
+but a usage error prints one machine-parseable line
+``covertq: error code=<name> msg="..."`` on stderr (argparse reports usage
+errors itself).
 
 The environment variable COVERTQ_THREADS caps the linear-algebra thread
 pool; it must be honored before numpy loads, which is why this module pins
@@ -60,6 +62,22 @@ EXIT_TP = 4
 EXIT_SUPPORT = 5
 EXIT_DIM = 6
 EXIT_DEGENERATE = 7
+EXIT_INTERNAL = 8
+
+# Exit code and error name per exception class. An exception takes the entry
+# of the first class along its MRO, so subclasses listed here override their
+# bases: EstimationFailureError is a RuntimeError but exits 7, while the
+# other RuntimeErrors are failed self-checks.
+_EXIT_TABLE = {
+    ChannelFormatError: (EXIT_PARSE, "channel-format"),
+    TracePreservationError: (EXIT_TP, "trace-preservation"),
+    SupportViolationError: (EXIT_SUPPORT, "support-violation"),
+    DimensionCapError: (EXIT_DIM, "dimension"),
+    DegenerateChannelError: (EXIT_DEGENERATE, "degenerate"),
+    EstimationFailureError: (EXIT_DEGENERATE, "degenerate"),
+    ValueError: (EXIT_PARSE, "invalid-input"),
+    RuntimeError: (EXIT_INTERNAL, "internal-check"),
+}
 
 
 class _CliError(Exception):
@@ -320,9 +338,10 @@ def cmd_detect_sim(args) -> int:
         )
     try:
         cfg = sparse.SparseSignalConfig(n=args.n_single, q=q, vartheta=args.vartheta)
-        chain = sparse.bound_chain(model, cfg)
-        report = sparse.decomposition_report(model, cfg)
-        res = detect.detection_at_n(model, cfg, args.delta)
+        states = sparse.WardenStates(model, cfg)
+        chain = sparse.bound_chain(model, cfg, states)
+        report = sparse.decomposition_report(model, cfg, states)
+        res = detect.detection_at_n(model, cfg, args.delta, states)
     except DimensionCapError as exc:
         raise _CliError(
             EXIT_DIM,
@@ -453,30 +472,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
-        sys.stderr.write(f'covertq: error code={exc.name} msg="{exc}"\n')
-        return exc.code
-    except ChannelFormatError as exc:
-        sys.stderr.write(f'covertq: error code=channel-format msg="{exc}"\n')
-        return EXIT_PARSE
-    except TracePreservationError as exc:
-        sys.stderr.write(f'covertq: error code=trace-preservation msg="{exc}"\n')
-        return EXIT_TP
-    except SupportViolationError as exc:
-        sys.stderr.write(f'covertq: error code=support-violation msg="{exc}"\n')
-        return EXIT_SUPPORT
-    except DimensionCapError as exc:
-        sys.stderr.write(f'covertq: error code=dimension msg="{exc}"\n')
-        return EXIT_DIM
-    except DegenerateChannelError as exc:
-        sys.stderr.write(f'covertq: error code=degenerate msg="{exc}"\n')
-        return EXIT_DEGENERATE
-    except EstimationFailureError as exc:
-        sys.stderr.write(f'covertq: error code=degenerate msg="{exc}"\n')
-        return EXIT_DEGENERATE
-    except ValueError as exc:
-        sys.stderr.write(f'covertq: error code=invalid-input msg="{exc}"\n')
-        return EXIT_PARSE
+    except (_CliError, *_EXIT_TABLE) as exc:
+        if isinstance(exc, _CliError):
+            code, name = exc.code, exc.name
+        else:
+            code, name = next(_EXIT_TABLE[c] for c in type(exc).__mro__ if c in _EXIT_TABLE)
+        sys.stderr.write(f'covertq: error code={name} msg="{exc}"\n')
+        return code
 
 
 if __name__ == "__main__":

@@ -39,16 +39,30 @@ LN2 = math.log(2.0)
 TAU_ENERGY = 1e-8
 
 
-def _spectrum(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = eig_hermitian(rho.mat)
-    return clip_spectrum(vals), vecs
+def _xlogx_bits(vals: np.ndarray) -> float:
+    """sum(x log2 x) over the positive clipped eigenvalues, with 0 log 0 = 0."""
+    pos = clip_spectrum(vals)
+    pos = pos[pos > 0.0]
+    return float(np.sum(pos * np.log2(pos)))
+
+
+def _in_frame(rho: DensityOperator, sigma: DensityOperator):
+    """rho seen in sigma's eigenbasis V: sigma's eigenvalues, its support
+    mask, the overlaps diag(V^dag rho V) and rho @ V. None when rho puts
+    mass on sigma's kernel."""
+    if rho.dim != sigma.dim:
+        raise ValueError("states must share a dimension")
+    b, v = sigma.eigh()
+    rv = rho.mat @ v
+    overlap = np.clip(np.real(np.sum(v.conj() * rv, axis=0)), 0.0, None)
+    if float(np.sum(overlap[sigma.kernel])) > SUPPORT_TOL:
+        return None
+    return b, ~sigma.kernel, overlap, rv
 
 
 def vn_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    vals, _ = _spectrum(rho)
-    pos = vals[vals > SUPPORT_TOL]
-    return float(-np.sum(pos * np.log2(pos)))
+    return -_xlogx_bits(rho.eigvals)
 
 
 def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -56,21 +70,12 @@ def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     Returns +inf when rho has support outside the support of sigma.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
-    a, _ = _spectrum(rho)
-    b, v = _spectrum(sigma)
-    # Mass of rho seen by each eigenvector of sigma.
-    overlap = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v))
-    overlap = np.clip(overlap, 0.0, None)
-    kernel = b <= SUPPORT_TOL
-    if float(np.sum(overlap[kernel])) > SUPPORT_TOL:
+    frame = _in_frame(rho, sigma)
+    if frame is None:
         return math.inf
-    pos = a[a > SUPPORT_TOL]
-    term_rho = float(np.sum(pos * np.log2(pos)))
-    live = ~kernel
+    b, live, overlap, _ = frame
     term_sigma = float(np.sum(overlap[live] * np.log2(b[live])))
-    return term_rho - term_sigma
+    return _xlogx_bits(rho.eigvals) - term_sigma
 
 
 def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -78,17 +83,12 @@ def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     Returns +inf when rho has support outside the support of sigma.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
-    b, v = _spectrum(sigma)
-    overlap = np.real(np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v))
-    overlap = np.clip(overlap, 0.0, None)
-    kernel = b <= SUPPORT_TOL
-    if float(np.sum(overlap[kernel])) > SUPPORT_TOL:
+    frame = _in_frame(rho, sigma)
+    if frame is None:
         return math.inf
-    inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, b))
-    pinv = (v * inv) @ v.conj().T
-    val = float(np.real(np.trace(rho.mat @ pinv @ rho.mat)))
+    b, live, _, rv = frame
+    # tr(rho^2 sigma^+) = sum over live eigenvectors v of |rho v|^2 / b.
+    val = float(np.sum(np.sum(np.abs(rv[:, live]) ** 2, axis=0) / b[live]))
     return max(0.0, val - 1.0)
 
 
@@ -99,8 +99,8 @@ def support_contained(
     in the span of sigma's eigenvectors with eigenvalue above ``tol``."""
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
-    a, u = eig_hermitian(rho.mat)
-    b, v = eig_hermitian(sigma.mat)
+    a, u = rho.eigh()
+    b, v = sigma.eigh()
     kernel = v[:, b <= tol]
     if kernel.shape[1] == 0:
         return True

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionCapError, EstimationFailureError
-from .linops import DIM_CAP, DensityOperator, tensor_power, trace_norm
+from .linops import DIM_CAP, trace_norm
 from .channels import QuantumChannel, WillieModel
-from .covert import qre
-from .sparse import SparseSignalConfig, willie_state_exact
+from .sparse import SparseSignalConfig, WardenStates, warden_states
 from .twirl import PauliDistribution, _twirl_branches
 
 
@@ -51,11 +51,15 @@ class DetectionResult:
 
 
 def detection_at_n(
-    model: WillieModel, cfg: SparseSignalConfig, delta_qre: float
+    model: WillieModel,
+    cfg: SparseSignalConfig,
+    delta_qre: float,
+    states: Optional[WardenStates] = None,
 ) -> DetectionResult:
     """Exact trace distance, optimal test error, and divergence of the
     warden's n-use state against the innocent product, with the covertness
-    flag for the given budget.
+    flag for the given budget. ``states`` shares the n-use states with other
+    callers.
 
     A support violation is reported through an infinite divergence (and a
     false flag) rather than an exception, since the trace-distance figures
@@ -69,10 +73,9 @@ def detection_at_n(
             f"exact detection with d={model.dim} outputs is capped at n={n_max}; "
             f"got n={cfg.n}"
         )
-    rho_n = willie_state_exact(model, cfg)
-    prod_inn = DensityOperator(tensor_power(model.rho0.mat, cfg.n))
-    td = trace_norm(rho_n.mat - prod_inn.mat)
-    d_exact = qre(rho_n, prod_inn)
+    st = warden_states(model, cfg, states)
+    td = trace_norm(st.rho_n.mat - st.prod_inn.mat)
+    d_exact = st.d_exact
     return DetectionResult(
         n=cfg.n,
         trace_distance=td,

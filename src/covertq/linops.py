@@ -9,6 +9,7 @@ sizes and are shared across the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,8 +20,11 @@ TAU_HERM = 1e-10
 TAU_TRACE = 1e-10
 TAU_PSD = 1e-9
 TAU_EIG = 1e-8
-# Eigenvalues at or below this are treated as zero for logs, inverses and
-# support tests, uniformly across the divergence chain.
+# Kernel threshold for one operator's eigenvalues: at or below it an
+# eigenvalue counts as zero in support tests, logs and inverses. It is
+# absolute, so it is applied to single-site states only; the kernel of a
+# tensor power is decided site by site (see ``DensityOperator.power``),
+# because n-fold products legitimately have eigenvalues far below it.
 SUPPORT_TOL = 1e-10
 # Dense-storage cap: 2**10.
 DIM_CAP = 1024
@@ -138,6 +142,23 @@ def clip_spectrum(vals: np.ndarray, tol: float = TAU_PSD) -> np.ndarray:
     return out
 
 
+class _PowerSpectrum(NamedTuple):
+    """Exact spectrum of a k-fold tensor power, ascending: eigenvalue,
+    kernel flag, and the permutation that sorts the Kronecker-power
+    eigenvectors of ``site`` into the same order."""
+
+    vals: np.ndarray
+    kernel: np.ndarray
+    site: "DensityOperator"
+    k: int
+    order: np.ndarray
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace complex matrix.
@@ -145,9 +166,21 @@ class DensityOperator:
     Validation happens on construction: Hermiticity within ``TAU_HERM``,
     eigenvalues >= -``TAU_PSD``, trace within ``TAU_TRACE`` of 1, and the
     dense dimension cap.
+
+    The spectrum is cached. The eigenvalues that validation computes are
+    kept (``eigvals``), and the eigenvectors are computed on first use
+    (``eigh``), which only a reference state of a divergence needs.
+    ``power`` supplies the spectrum of a tensor power exactly, from the
+    single-site one: outer-product eigenvalues, Kronecker-power
+    eigenvectors and a site-wise kernel, with no eigensolve.
     """
 
     mat: np.ndarray = field(repr=False)
+    # Set by ``power`` only.
+    _power: Optional[_PowerSpectrum] = field(default=None, repr=False, compare=False)
+    _vals: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _vecs: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         a = as_complex_matrix(self.mat)
@@ -164,12 +197,57 @@ class DensityOperator:
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > TAU_TRACE:
             raise ValueError(f"density operator must have unit trace, got {tr}")
-        lo = float(np.min(np.linalg.eigvalsh(a)))
+        if self._power is None:
+            vals = np.linalg.eigvalsh(a)
+            kernel = vals <= SUPPORT_TOL
+        else:
+            vals, kernel = self._power.vals, self._power.kernel
+        lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "mat", a)
+        object.__setattr__(self, "mat", _frozen(a.copy()))
+        object.__setattr__(self, "_vals", _frozen(vals))
+        object.__setattr__(self, "_kernel", _frozen(kernel))
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        """Ascending eigenvalues, as validated (not clipped)."""
+        return self._vals
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Mask over ``eigvals`` of the eigenvectors spanning the kernel:
+        eigenvalues at or below ``SUPPORT_TOL``, or for a tensor power the
+        products with a kernel factor."""
+        return self._kernel
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigvals`` and orthonormal eigenvectors (columns) in the same
+        order; the eigenvectors are computed on the first call and kept."""
+        if self._vecs is None:
+            p = self._power
+            if p is None:
+                vecs = np.linalg.eigh(self.mat)[1]
+            else:
+                vecs = tensor_power(p.site.eigh()[1], p.k)[:, p.order]
+            object.__setattr__(self, "_vecs", _frozen(vecs))
+        return self._vals, self._vecs
+
+    def power(self, k: int) -> "DensityOperator":
+        """k-fold tensor power, with its spectrum taken from this state's.
+
+        A product eigenvector lies in the kernel exactly when one of its
+        site factors does, whatever the size of the product eigenvalue.
+        """
+        mat = tensor_power(self.mat, k)
+        vals, kernel = self._vals, self._kernel
+        for _ in range(k - 1):
+            vals = np.multiply.outer(vals, self._vals).ravel()
+            kernel = np.logical_or.outer(kernel, self._kernel).ravel()
+        order = np.argsort(vals, kind="stable")
+        return DensityOperator(
+            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order)
+        )
 
     @property
     def dim(self) -> int:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
-from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, eig_hermitian, trace_norm, tensor_power
+from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, trace_norm
 from .channels import WillieModel
 from .covert import LN2, chi2, qre, support_contained, vn_entropy
 
@@ -180,7 +181,66 @@ def _mixed_single_use(model: WillieModel, q: float) -> DensityOperator:
     return DensityOperator((1.0 - q) * model.rho0.mat + q * model.rho_pi.mat)
 
 
-def bound_chain(model: WillieModel, cfg: SparseSignalConfig) -> BoundChain:
+class WardenStates:
+    """The n-use states of one configuration and the two n-use divergences,
+    each built on first use and then shared: the exact warden state, the
+    n-fold power of the single-use mixture, and the innocent product.
+
+    ``bound_chain``, ``decomposition_report`` and ``detect.detection_at_n``
+    accept one instance, so a caller that needs all three builds each state
+    and runs each divergence once.
+    """
+
+    def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
+        self.model = model
+        self.cfg = cfg
+
+    @cached_property
+    def rho_n(self) -> DensityOperator:
+        return willie_state_exact(self.model, self.cfg)
+
+    @cached_property
+    def mix(self) -> DensityOperator:
+        return _mixed_single_use(self.model, self.cfg.q)
+
+    @cached_property
+    def prod_mix(self) -> DensityOperator:
+        return self.mix.power(self.cfg.n)
+
+    @cached_property
+    def prod_inn(self) -> DensityOperator:
+        return self.model.rho0.power(self.cfg.n)
+
+    @cached_property
+    def d_exact(self) -> float:
+        return qre(self.rho_n, self.prod_inn)
+
+    @cached_property
+    def d_product(self) -> float:
+        return qre(self.prod_mix, self.prod_inn)
+
+
+def warden_states(
+    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
+) -> WardenStates:
+    """``states``, checked to belong to ``model`` and ``cfg``, or new states."""
+    if states is None:
+        return WardenStates(model, cfg)
+    if states.model is not model or states.cfg is not cfg:
+        raise ValueError("warden states belong to another model or configuration")
+    return states
+
+
+def _require_support(model: WillieModel) -> None:
+    if not support_contained(model.rho_pi, model.rho0):
+        raise SupportViolationError(
+            "support(rho_pi) is not contained in support(rho0)"
+        )
+
+
+def bound_chain(
+    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
+) -> BoundChain:
     """Evaluate the covertness bound chain at one configuration.
 
     d_exact is the divergence of the exact warden state from the innocent
@@ -188,19 +248,12 @@ def bound_chain(model: WillieModel, cfg: SparseSignalConfig) -> BoundChain:
     the single-use mixture; d_single_scaled is n times the single-use
     divergence (equal to d_product by additivity); d_chi2_bound is
     q^2 n chi2(rho_pi || rho0) converted to bits, which upper-bounds both
-    product forms.
+    product forms. ``states`` shares the n-use states with other callers.
     """
-    if not support_contained(model.rho_pi, model.rho0):
-        raise SupportViolationError(
-            "support(rho_pi) is not contained in support(rho0)"
-        )
-    mix = _mixed_single_use(model, cfg.q)
-    rho_n = willie_state_exact(model, cfg)
-    prod_mix = DensityOperator(tensor_power(mix.mat, cfg.n))
-    prod_inn = DensityOperator(tensor_power(model.rho0.mat, cfg.n))
-    d_exact = qre(rho_n, prod_inn)
-    d_product = qre(prod_mix, prod_inn)
-    d_single = cfg.n * qre(mix, model.rho0)
+    _require_support(model)
+    st = warden_states(model, cfg, states)
+    d_exact, d_product = st.d_exact, st.d_product
+    d_single = cfg.n * qre(st.mix, model.rho0)
     d_bound = cfg.q**2 * cfg.n * chi2(model.rho_pi, model.rho0) / LN2
     if abs(d_product - d_single) > 1e-9 * max(1.0, abs(d_single)):
         raise RuntimeError(
@@ -245,50 +298,48 @@ class DecompositionReport:
     holder_bound: Optional[float] = field(default=None)
 
 
-def _log2_on_support(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = eig_hermitian(rho)
-    safe = np.where(vals > SUPPORT_TOL, vals, 1.0)
-    logs = np.where(vals > SUPPORT_TOL, np.log2(safe), 0.0)
+def _log2_on_support(rho: DensityOperator) -> np.ndarray:
+    vals, vecs = rho.eigh()
+    live = ~rho.kernel
+    logs = np.where(live, np.log2(np.where(live, vals, 1.0)), 0.0)
     return (vecs * logs) @ vecs.conj().T
 
 
-def decomposition_report(model: WillieModel, cfg: SparseSignalConfig) -> DecompositionReport:
+def decomposition_report(
+    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
+) -> DecompositionReport:
     """Compute the decomposition terms exactly and check each bound.
 
     Raises ``RuntimeError`` if any mathematically guaranteed relation fails
     beyond round-off slack, since that indicates an implementation bug
-    rather than a property of the model.
+    rather than a property of the model. ``states`` shares the n-use
+    states with other callers.
     """
-    if not support_contained(model.rho_pi, model.rho0):
-        raise SupportViolationError(
-            "support(rho_pi) is not contained in support(rho0)"
-        )
+    _require_support(model)
     n, d = cfg.n, model.dim
-    mix = _mixed_single_use(model, cfg.q)
-    rho_n = willie_state_exact(model, cfg)
-    prod_mix = DensityOperator(tensor_power(mix.mat, n))
-    prod_inn = DensityOperator(tensor_power(model.rho0.mat, n))
+    st = warden_states(model, cfg, states)
 
-    qre_total = qre(rho_n, prod_inn)
-    term_product = qre(prod_mix, prod_inn)
-    term_entropy = vn_entropy(prod_mix) - vn_entropy(rho_n)
+    qre_total = st.d_exact
+    term_product = st.d_product
+    term_entropy = vn_entropy(st.prod_mix) - vn_entropy(st.rho_n)
     # Cross term against log of the innocent product, built as the sum of
-    # single-site log terms.
-    log_site = _log2_on_support(model.rho0.mat)
+    # single-site log terms, independently of the overlaps behind qre.
+    log_site = _log2_on_support(model.rho0)
     log_prod = log_site
     eye = np.eye(d, dtype=np.complex128)
     for _ in range(n - 1):
         log_prod = np.kron(log_prod, eye) + np.kron(
             np.eye(log_prod.shape[0], dtype=np.complex128), log_site
         )
-    delta = prod_mix.mat - rho_n.mat
-    term_cross = float(np.real(np.trace(delta @ log_prod)))
+    delta = st.prod_mix.mat - st.rho_n.mat
+    # tr(delta log_prod) with log_prod Hermitian.
+    term_cross = float(np.real(np.vdot(log_prod, delta)))
 
     epsilon = 0.5 * trace_norm(delta)
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)
     fannes = epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon))
-    lam_min = float(np.min(np.linalg.eigvalsh(model.rho0.mat)))
+    lam_min = float(model.rho0.eigvals[0])
     holder = (
         2.0 * epsilon * n * math.log2(1.0 / lam_min)
         if lam_min > SUPPORT_TOL

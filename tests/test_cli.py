@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from covertq import channels, cli, covert, rates, twirl
+from covertq import channels, cli, covert, detect, rates, sparse, twirl
+from covertq.errors import EstimationFailureError
 from covertq.linops import DensityOperator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -231,6 +234,89 @@ class TestDetectSim:
         assert "code=degenerate" in err
 
 
+    def test_small_innocent_eigenvalue_is_in_support(self, capsys, tmp_path):
+        # gamma**n = 2.6e-14 lies below the kernel threshold of one operator;
+        # the innocent product still has full support.
+        gamma, n = 0.02, 8
+        spec = tmp_path / "ad.json"
+        channels.save_channel(channels.amplitude_damping(gamma), spec)
+        code, out, err = run_cli(
+            ["detect-sim", "--channel", spec, "--innocent", "1", "--delta", "0.02",
+             "--vartheta", "0.5", "--n", n],
+            capsys,
+        )
+        assert code == 0, err
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        # Warden outputs are diag(1 - gamma, gamma) and diag(1 - gamma/2, gamma/2).
+        expect = _type_class_divergence(
+            (1 - gamma, gamma), (1 - gamma / 2, gamma / 2), n, float(vals["q"]), 0.5
+        )
+        assert float(vals["d_exact"]) == pytest.approx(expect, rel=1e-9)
+
+    def test_single_spectral_pass(self, capsys, monkeypatch):
+        solves = Counter()
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _orig=getattr(np.linalg, name), **kwargs):
+                solves[np.shape(a)[0]] += 1
+                return _orig(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        builds = []
+        orig = sparse.willie_state_exact
+
+        def counted_state(*args, **kwargs):
+            builds.append(args)
+            return orig(*args, **kwargs)
+
+        for mod in (cli, sparse, detect):
+            if getattr(mod, "willie_state_exact", None) is orig:
+                monkeypatch.setattr(mod, "willie_state_exact", counted_state)
+        code, _, _ = run_cli(["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"], capsys)
+        assert code == 0
+        assert solves[64] <= 3
+        assert len(builds) == 1
+
+
+def _type_class_divergence(a, b, n, q, vartheta):
+    """D(rho_n || rho0^n) in bits for diagonal rho0 = diag(a), rho_pi =
+    diag(b), summed over the number k of ones in the output string."""
+    ws = [w for w in range(n + 1) if abs(q - w / n) <= vartheta + 1e-15]
+    p_set = sum(math.comb(n, w) * q**w * (1 - q) ** (n - w) for w in ws)
+    d = 0.0
+    for k in range(n + 1):
+        sig = 0.0
+        for w in ws:
+            for j in range(max(0, w - (n - k)), min(k, w) + 1):
+                sig += q**w * (1 - q) ** (n - w) * (
+                    math.comb(k, j) * math.comb(n - k, w - j)
+                    * b[1] ** j * a[1] ** (k - j) * b[0] ** (w - j) * a[0] ** (n - k - w + j)
+                )
+        sig /= p_set
+        d += math.comb(n, k) * sig * math.log2(sig / (a[1] ** k * a[0] ** (n - k)))
+    return d
+
+
+class TestExitTable:
+    def test_failed_self_check_is_coded(self, capsys, monkeypatch):
+        monkeypatch.setattr(sparse, "chernoff_epsilon", lambda cfg: -1.0)
+        code, _, err = run_cli(["detect-sim", *BASE, "--vartheta", "0.5", "--n", "4"], capsys)
+        assert code == cli.EXIT_INTERNAL == 8
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith('covertq: error code=internal-check msg="tail bound failed')
+        assert "Traceback" not in err
+
+    def test_estimation_failure_keeps_degenerate_code(self, capsys, monkeypatch):
+        def fail(*args):
+            raise EstimationFailureError("no samples")
+
+        monkeypatch.setattr(twirl, "monte_carlo_twirl", fail)
+        code, _, err = run_cli(["twirl-check", "--channel", AD_SPEC, "--samples", "10"], capsys)
+        assert code == cli.EXIT_DEGENERATE
+        assert err == 'covertq: error code=degenerate msg="no samples"\n'
+
+
 class TestTwirlCheck:
     def test_summary_fields(self, capsys):
         code, out, _ = run_cli(
@@ -262,7 +348,9 @@ class TestDeterminism:
 
 
 def test_console_entry_point_with_thread_cap(tmp_path):
-    env = dict(os.environ, COVERTQ_THREADS="1")
+    # The child imports this checkout's package, whether or not it is installed.
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COVERTQ_THREADS="1", PYTHONPATH=path)
     out = subprocess.run(
         [
             sys.executable,

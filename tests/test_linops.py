@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from covertq.covert import qre
 from covertq.errors import DimensionCapError
 from covertq.linops import (
+    SUPPORT_TOL,
     TAU_EIG,
     DensityOperator,
     eig_hermitian,
@@ -11,7 +15,7 @@ from covertq.linops import (
     tensor_power,
     trace_norm,
 )
-from conftest import random_density
+from conftest import random_density, random_pure
 
 
 def _rand_hermitian(dim, rng):
@@ -172,3 +176,71 @@ def test_tensor_marginals_consistent(rng):
     back = tensor(partial_trace(joint, [2, 2], [0]), sigma)
     np.testing.assert_allclose(np.trace(back), np.trace(joint), atol=1e-12)
     np.testing.assert_allclose(back, joint, atol=1e-12)
+
+
+def _rank_two_qutrit(rng, weight=0.6):
+    a, b = random_pure(3, rng).mat, random_pure(3, rng).mat
+    return a, b, DensityOperator(weight * a + (1 - weight) * b)
+
+
+def _site_factor_in_kernel(vec, site_state, k):
+    """Whether any site factor of the product vector lies in the kernel of
+    the site state, read off the one-site marginals of the vector."""
+    d = site_state.dim
+    amp = vec.reshape((d,) * k)
+    for t in range(k):
+        m = np.moveaxis(amp, t, 0).reshape(d, -1)
+        if np.real(np.trace(site_state.mat @ m @ m.conj().T)) <= SUPPORT_TOL:
+            return True
+    return False
+
+
+class TestPower:
+    def _cases(self, rng):
+        _, _, qutrit = _rank_two_qutrit(rng)
+        return [(random_density(2, rng), 6), (qutrit, 4)]
+
+    def test_spectrum_matches_dense_power(self, rng):
+        for rho, k in self._cases(rng):
+            p = rho.power(k)
+            dense = np.linalg.eigvalsh(tensor_power(rho.mat, k))
+            np.testing.assert_allclose(p.eigvals, np.sort(dense), rtol=0, atol=1e-12)
+            vals, vecs = p.eigh()
+            np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, p.mat, atol=1e-12)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(p.dim), atol=1e-12)
+
+    def test_kernel_marks_products_with_a_kernel_factor(self, rng):
+        for rho, k in self._cases(rng):
+            p = rho.power(k)
+            _, vecs = p.eigh()
+            expect = [_site_factor_in_kernel(vecs[:, i], rho, k) for i in range(p.dim)]
+            np.testing.assert_array_equal(p.kernel, expect)
+            np.testing.assert_allclose(p.mat @ vecs[:, p.kernel], 0.0, atol=1e-12)
+            rank = np.count_nonzero(~rho.kernel)
+            assert np.count_nonzero(p.kernel) == rho.dim**k - rank**k
+
+    def test_small_product_eigenvalues_stay_in_support(self, rng):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        rho = DensityOperator(u @ np.diag([0.98, 0.02]) @ u.conj().T)
+        p = rho.power(8)
+        assert p.eigvals[0] < SUPPORT_TOL
+        assert not p.kernel.any()
+
+    def test_qre_of_powers_is_additive(self, rng):
+        a, b, sigma3 = _rank_two_qutrit(rng)
+        inside = DensityOperator(0.3 * a + 0.7 * b)
+        pairs = [
+            (random_density(2, rng), random_density(2, rng), 6),
+            (inside, sigma3, 4),
+            (sigma3, random_density(3, rng, floor=0.1), 4),
+        ]
+        for rho, sigma, k in pairs:
+            single = qre(rho, sigma)
+            assert math.isfinite(single)
+            assert qre(rho.power(k), sigma.power(k)) == pytest.approx(k * single, rel=1e-9)
+        full = random_density(3, rng, floor=0.1)
+        assert qre(full.power(4), sigma3.power(4)) == math.inf
+
+    def test_power_respects_cap(self, rng):
+        with pytest.raises(DimensionCapError):
+            random_density(2, rng).power(11)

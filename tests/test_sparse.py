@@ -8,8 +8,10 @@ from covertq.channels import WillieModel
 from covertq.covert import qre
 from covertq.errors import DimensionCapError, SupportViolationError
 from covertq.linops import DensityOperator, tensor_all, tensor_power
+from covertq.detect import detection_at_n
 from covertq.sparse import (
     SparseSignalConfig,
+    WardenStates,
     decomposition_report,
     binary_entropy,
     bound_chain,
@@ -317,3 +319,17 @@ def test_exact_state_agrees_with_qre_paths(rng):
         DensityOperator(tensor_power(model.rho0.mat, 3)),
     )
     assert chain.d_exact == pytest.approx(direct, abs=1e-10)
+
+
+def test_shared_states_match_fresh_ones(rng):
+    model = random_willie_model(rng)
+    cfg = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
+    states = WardenStates(model, cfg)
+    assert bound_chain(model, cfg, states) == bound_chain(model, cfg)
+    shared = decomposition_report(model, cfg, states)
+    assert shared.qre_total == states.d_exact
+    assert shared == decomposition_report(model, cfg)
+    assert detection_at_n(model, cfg, 0.05, states) == detection_at_n(model, cfg, 0.05)
+    other = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
+    with pytest.raises(ValueError):
+        bound_chain(model, other, states)
