@@ -6,10 +6,9 @@ JSON files (see ``channels.load_channel``); CSV output uses a header row,
 
 Exit codes: 0 success, 2 usage, 3 channel file parse error, 4 trace
 preservation failure, 5 support-condition failure, 6 dimension cap,
-7 degenerate analysis parameter, 8 failed internal self-check. Every failure
-but a usage error prints one machine-parseable line
-``covertq: error code=<name> msg="..."`` on stderr (argparse reports usage
-errors itself).
+7 degenerate analysis parameter, 8 failed internal self-check or any other
+unexpected error. Every failure prints one machine-parseable line
+``covertq: error code=<name> msg="..."`` on stderr, and never a traceback.
 
 The environment variable COVERTQ_THREADS caps the linear-algebra thread
 pool; it must be honored before numpy loads, which is why this module pins
@@ -57,6 +56,7 @@ from .errors import (  # noqa: E402
 )
 from .linops import DensityOperator  # noqa: E402
 
+EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_TP = 4
 EXIT_SUPPORT = 5
@@ -67,7 +67,8 @@ EXIT_INTERNAL = 8
 # Exit code and error name per exception class. An exception takes the entry
 # of the first class along its MRO, so subclasses listed here override their
 # bases: EstimationFailureError is a RuntimeError but exits 7, while the
-# other RuntimeErrors are failed self-checks.
+# other RuntimeErrors are failed self-checks. Any other exception is a bug;
+# its message carries its class name.
 _EXIT_TABLE = {
     ChannelFormatError: (EXIT_PARSE, "channel-format"),
     TracePreservationError: (EXIT_TP, "trace-preservation"),
@@ -77,6 +78,7 @@ _EXIT_TABLE = {
     EstimationFailureError: (EXIT_DEGENERATE, "degenerate"),
     ValueError: (EXIT_PARSE, "invalid-input"),
     RuntimeError: (EXIT_INTERNAL, "internal-check"),
+    Exception: (EXIT_INTERNAL, "internal-check"),
 }
 
 
@@ -170,20 +172,11 @@ class ChannelReport:
     bounds: tuple
 
 
-def _load_channel(path: str) -> channels.QuantumChannel:
-    try:
-        return channels.load_channel(path)
-    except ChannelFormatError as exc:
-        raise _CliError(EXIT_PARSE, "channel-format", str(exc)) from exc
-    except TracePreservationError as exc:
-        raise _CliError(EXIT_TP, "trace-preservation", str(exc)) from exc
-
-
 def _build_model(args) -> tuple[channels.QuantumChannel, channels.QuantumChannel, str, channels.WillieModel]:
     """Returns (receiver channel, warden channel, mode, warden model)."""
-    bob = _load_channel(args.channel)
+    bob = channels.load_channel(args.channel)
     if args.willie_file:
-        willie = _load_channel(args.willie_file)
+        willie = channels.load_channel(args.willie_file)
         mode = "direct"
         if willie.d_in != bob.d_in:
             raise _CliError(
@@ -317,10 +310,7 @@ def cmd_srl_curve(args) -> int:
 
 def cmd_detect_sim(args) -> int:
     _, _, mode, model = _build_model(args)
-    try:
-        c_q = covert.covert_constant(model)
-    except SupportViolationError as exc:
-        raise _CliError(EXIT_SUPPORT, "support-violation", str(exc)) from exc
+    c_q = covert.covert_constant(model)
     if math.isinf(c_q):
         raise _CliError(
             EXIT_DEGENERATE,
@@ -349,8 +339,6 @@ def cmd_detect_sim(args) -> int:
             f"{exc}; keep d**n at or below 1024 (n <= {detect.max_exact_block(model.dim)} "
             f"for d={model.dim})",
         ) from exc
-    except SupportViolationError as exc:
-        raise _CliError(EXIT_SUPPORT, "support-violation", str(exc)) from exc
     header = "n,q,vartheta,d_exact,d_product,d_chi2_bound,epsilon,chernoff,fannes,holder"
     holder = "" if report.holder_bound is None else _fmt(report.holder_bound)
     row = ",".join(
@@ -380,17 +368,14 @@ def cmd_detect_sim(args) -> int:
 
 
 def cmd_twirl_check(args) -> int:
-    ch = _load_channel(args.channel)
+    ch = channels.load_channel(args.channel)
     if ch.d_in != 2:
         raise _CliError(
             EXIT_DIM,
             "dimension",
             f"twirl analysis needs a qubit-input channel, got d_in={ch.d_in}",
         )
-    try:
-        stats = twirl.projection_stats(ch)
-    except DegenerateChannelError as exc:
-        raise _CliError(EXIT_DEGENERATE, "degenerate", str(exc)) from exc
+    stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
     empirical = twirl.monte_carlo_twirl(ch, args.samples, args.seed)
     gap = float(np.max(np.abs(analytic.as_array() - empirical.as_array())))
@@ -423,8 +408,16 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a coded line instead of argparse's own text;
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise _CliError(EXIT_USAGE, "usage", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="covertq",
         description="Covert qubit signaling analysis over noisy channels",
     )
@@ -469,15 +462,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (_CliError, *_EXIT_TABLE) as exc:
+    except Exception as exc:
         if isinstance(exc, _CliError):
-            code, name = exc.code, exc.name
+            code, name, msg = exc.code, exc.name, exc
         else:
-            code, name = next(_EXIT_TABLE[c] for c in type(exc).__mro__ if c in _EXIT_TABLE)
-        sys.stderr.write(f'covertq: error code={name} msg="{exc}"\n')
+            cls = next(c for c in type(exc).__mro__ if c in _EXIT_TABLE)
+            code, name = _EXIT_TABLE[cls]
+            msg = f"{type(exc).__name__}: {exc}" if cls is Exception else exc
+        sys.stderr.write(f'covertq: error code={name} msg="{msg}"\n')
         return code
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SupportViolationError
 from .linops import (
@@ -208,8 +207,9 @@ def _gibbs_weights(vals: np.ndarray, beta: float) -> np.ndarray:
 def _solve_beta(vals: np.ndarray, energy: float) -> float:
     """Inverse temperature at which the thermal mean energy hits the target.
 
-    Bracketed root finding on the strictly decreasing mean-energy curve;
-    negative beta covers targets above the maximally mixed energy.
+    Bisection on the strictly decreasing mean-energy curve, run until the
+    bracket has no double between its ends; negative beta covers targets
+    above the maximally mixed energy.
     """
     lo, hi = float(vals[0]), float(vals[-1])
     if not lo < energy < hi:
@@ -237,7 +237,9 @@ def _solve_beta(vals: np.ndarray, energy: float) -> float:
             a *= 2.0
             if a < -1e12 * step:
                 raise ValueError("energy target too close to the spectral edge")
-    return float(brentq(residual, a, b, xtol=1e-15, rtol=1e-15))
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        a, b = (mid, b) if residual(mid) > 0 else (a, mid)
+    return mid
 
 
 def gibbs_state(hamiltonian, energy: float) -> DensityOperator:

@@ -15,11 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionCapError, EstimationFailureError
+from .errors import DimensionCapError
 from .linops import DIM_CAP, trace_norm
 from .channels import QuantumChannel, WillieModel
 from .sparse import SparseSignalConfig, WardenStates, warden_states
-from .twirl import PauliDistribution, _twirl_branches
+from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
 
 
 def max_exact_block(d: int) -> int:
@@ -97,19 +97,9 @@ def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDis
     weights are concentrated on the identity. Deterministic for a fixed
     seed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     succ, outcome = _twirl_branches(ch)
-    rng = np.random.default_rng(seed)
-    js = rng.integers(0, 4, size=samples)
-    fail = rng.random(samples) >= succ[js]
     # Replacement with the maximally mixed qubit makes the failure-branch
     # Bell outcome exactly uniform, whatever the reference side holds.
-    rows = np.where(fail[:, None], 0.25, outcome[js])
-    cdf = np.cumsum(rows, axis=1)
-    r = rng.random(samples)
-    m = (r[:, None] > cdf[:, :3]).sum(axis=1)
-    counts = np.bincount(m, minlength=4).astype(float)
-    if counts.sum() == 0:
-        raise EstimationFailureError("no tomography samples recorded")
+    probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0
+    counts = _categorical_counts(probs, samples, seed)
     return PauliDistribution.from_array(counts / counts.sum())

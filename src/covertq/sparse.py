@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
 from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, trace_norm
@@ -54,24 +53,28 @@ class SparseSignalConfig:
         ]
 
 
-def _log_binom_pmf(n: int, w: np.ndarray, q: float) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    return (
-        gammaln(n + 1)
-        - gammaln(w + 1)
-        - gammaln(n - w + 1)
-        + w * math.log(q)
-        + (n - w) * math.log1p(-q)
-    )
-
-
 def weight_set_prob(cfg: SparseSignalConfig) -> float:
     """Exact probability that an i.i.d. Bernoulli(q) pattern lands in the
-    weight set, via log-space binomial terms."""
-    ws = np.array(cfg.weight_set())
-    logs = _log_binom_pmf(cfg.n, ws, cfg.q)
-    peak = np.max(logs)
-    return float(min(1.0, math.exp(peak) * np.sum(np.exp(logs - peak))))
+    weight set, as a compensated sum of the binomial terms.
+
+    From n = 1024 on, C(n, w) can leave the double range. Each term is then
+    taken relative to the mode through the ratio of neighbouring terms, those
+    below 1e-30 of it dropped, and divided by the sum of all terms, which is 1
+    for the exact law; unlike log-gamma differences, this loses no digits to
+    cancellation."""
+    n, q, ws = cfg.n, cfg.q, cfg.weight_set()
+    if n < 1024:
+        total = math.fsum(math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws)
+        return min(1.0, total)
+    mode, odds = int((n + 1) * q), q / (1.0 - q)
+    rel = {mode: 1.0}
+    for step in (1, -1):
+        w, t = mode, 1.0
+        while t > 1e-30 and 0 <= w + step <= n:
+            t *= (n - w) * odds / (w + 1) if step == 1 else w / ((n - w + 1) * odds)
+            w += step
+            rel[w] = t
+    return min(1.0, math.fsum(rel.get(w, 0.0) for w in ws) / math.fsum(rel.values()))
 
 
 def chernoff_epsilon(cfg: SparseSignalConfig) -> float:

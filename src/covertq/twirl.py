@@ -192,24 +192,27 @@ def _twirl_branches(ch: QuantumChannel):
     return succ, outcome
 
 
+def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
+    """Counts of ``samples`` i.i.d. draws from ``probs`` as one multinomial
+    draw, in memory independent of ``samples``; round-off above a total of 1
+    is normalized away. Deterministic for a fixed seed."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
+    return np.random.default_rng(seed).multinomial(samples, p / max(1.0, p.sum()))
+
+
 def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
     """Empirical estimate of the twirled Pauli weights.
 
-    Each sample draws one of the four twirl branches uniformly, runs the
+    Each shot draws one of the four twirl branches uniformly, runs the
     single-shot projection experiment (discarding failures), and records the
-    Bell-basis outcome. Deterministic for a fixed seed.
+    Bell-basis outcome. Shots are i.i.d., so their counts are one multinomial
+    draw. Deterministic for a fixed seed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     succ, outcome = _twirl_branches(ch)
-    rng = np.random.default_rng(seed)
-    js = rng.integers(0, 4, size=samples)
-    keep = rng.random(samples) < succ[js]
-    js = js[keep]
-    if js.size == 0:
+    bell = succ @ outcome / 4.0
+    counts = _categorical_counts([*bell, 1.0 - bell.sum()], samples, seed)[:4]
+    if counts.sum() == 0:
         raise EstimationFailureError("every sample failed the qubit projection")
-    cdf = np.cumsum(outcome, axis=1)
-    r = rng.random(js.size)
-    m = (r[:, None] > cdf[js][:, :3]).sum(axis=1)
-    counts = np.bincount(m, minlength=4).astype(float)
     return PauliDistribution.from_array(counts / counts.sum())

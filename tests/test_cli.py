@@ -316,6 +316,67 @@ class TestExitTable:
         assert code == cli.EXIT_DEGENERATE
         assert err == 'covertq: error code=degenerate msg="no samples"\n'
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect-sim", *BASE, "--n", "6"],
+            ["twirl-check", "--channel", AD_SPEC, "--samples", "many"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_usage_error_is_coded(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith('covertq: error code=usage msg="')
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("missing")])
+    def test_unexpected_exception_is_coded(self, exc, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(sparse, "bound_chain", fail)
+        code, _, err = run_cli(["detect-sim", *BASE, "--vartheta", "0.5", "--n", "4"], capsys)
+        assert code == cli.EXIT_INTERNAL == 8
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f'covertq: error code=internal-check msg="{type(exc).__name__}: '
+        )
+        assert "Traceback" not in err
+
+
+def test_no_scipy_module_is_imported(tmp_path):
+    # Import the CLI and run every subcommand in one fresh interpreter.
+    script = f"""
+import sys
+from covertq import cli
+base = ["--channel", {str(AD_SPEC)!r}, "--innocent", "1", "--delta", "0.05"]
+out = {str(tmp_path / "out")!r}
+for argv in (
+    ["report", *base, "--vartheta", "0.1", "--n", "1000"],
+    ["srl-curve", *base, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"],
+    ["detect-sim", *base, "--vartheta", "0.5", "--n", "6"],
+    ["twirl-check", "--channel", {str(AD_SPEC)!r}, "--samples", "1000"],
+):
+    assert cli.main([*argv, "--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestTwirlCheck:
     def test_summary_fields(self, capsys):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from covertq.channels import WillieModel, amplitude_damping, complementary, willie_model
 from covertq.covert import (
     LN2,
+    TAU_ENERGY,
+    _solve_beta,
     CovertnessBudget,
     chi2,
     covert_constant,
@@ -278,6 +281,31 @@ class TestGibbs:
             assert np.real(np.trace(mix.mat @ h)) == pytest.approx(e0, abs=1e-10)
             assert vn_entropy(mix) <= s_star + 1e-8
             found += 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bisection_matches_brentq(self, seed):
+        rng = np.random.default_rng(seed)
+        vals = np.sort(rng.normal(size=rng.integers(2, 9)) * rng.uniform(0.1, 10.0))
+        span = vals[-1] - vals[0]
+
+        def residual(beta):
+            w = np.exp(-beta * (vals - vals[0]) if beta >= 0 else -beta * (vals - vals[-1]))
+            return float(np.sum(w * (vals - energy)) / np.sum(w))
+
+        for frac in (0.05, 0.3, 0.7, 0.95):
+            energy = vals[0] + frac * span
+            lo, hi = -1.0 / span, 1.0 / span
+            while residual(lo) < 0:
+                lo *= 2.0
+            while residual(hi) > 0:
+                hi *= 2.0
+            expect = brentq(residual, lo, hi, xtol=1e-15, rtol=1e-15)
+            beta = _solve_beta(vals, energy)
+            assert (beta > 0) == (energy < vals.mean())
+            assert beta == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            g = gibbs_state(np.diag(vals), energy)
+            assert abs(np.real(np.trace(g.mat)) - 1.0) < 1e-12
+            assert abs(float(np.real(np.sum(np.diag(g.mat) * vals))) - energy) <= TAU_ENERGY
 
     def test_tail_ratio_diagnostics(self):
         h = np.diag([0.0, 1.0, 2.0, 3.0])

@@ -148,6 +148,14 @@ class TestPipelineTomography:
         est = pipeline_tomography(ch, 100000, seed=3)
         assert np.max(np.abs(est.as_array() - expect.as_array())) <= 0.01
 
+    def test_sample_count_beyond_memory(self):
+        ch = qubit_leak(0.25)
+        stats = projection_stats(ch)
+        q_tw = twirl_parameters(stats).as_array()
+        est = pipeline_tomography(ch, 10**12, seed=4)
+        expect = (1 - stats.p_f) * q_tw + stats.p_f / 4
+        assert np.max(np.abs(est.as_array() - expect)) <= 1e-5
+
     def test_seed_reproducible_bit_for_bit(self):
         a = pipeline_tomography(qubit_leak(0.3), 5000, seed=99)
         b = pipeline_tomography(qubit_leak(0.3), 5000, seed=99)

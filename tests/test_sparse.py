@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import chisquare
 
 from covertq.channels import WillieModel
@@ -69,6 +72,56 @@ class TestWeightSetProb:
             allowed[w], 0.3 ** w.astype(float) * 0.7 ** (20.0 - w), 0.0
         ).sum()
         assert weight_set_prob(cfg) == pytest.approx(float(mass), rel=1e-12)
+
+
+GOLDEN_DETECT = Path(__file__).resolve().parent / "golden" / "detect_amplitude_damping.csv"
+
+
+def _log_gamma_prob(cfg):
+    """P(A) from scipy's log-gamma binomial terms, summed in log space."""
+    ws = np.array(cfg.weight_set(), dtype=float)
+    n, q = cfg.n, cfg.q
+    logs = (
+        gammaln(n + 1) - gammaln(ws + 1) - gammaln(n - ws + 1)
+        + ws * math.log(q) + (n - ws) * math.log1p(-q)
+    )
+    peak = np.max(logs)
+    return float(min(1.0, math.exp(peak) * np.sum(np.exp(logs - peak))))
+
+
+def _decimal_prob(cfg):
+    """P(A) in 50-digit decimal arithmetic: the exact C(n, w) for the first
+    admissible weight, then the ratio of neighbouring terms."""
+    ws = cfg.weight_set()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(cfg.q)
+        n, w0 = cfg.n, ws[0]
+        t = Decimal(math.comb(n, w0)) * q**w0 * (1 - q) ** (n - w0)
+        total = Decimal(0)
+        for w in range(w0, ws[-1] + 1):
+            total += t
+            t = t * (n - w) * q / ((w + 1) * (1 - q))
+        return float(total)
+
+
+class TestWeightSetProbWithoutScipy:
+    def test_golden_config_bit_for_bit(self):
+        header, row = GOLDEN_DETECT.read_text().strip().splitlines()
+        f = dict(zip(header.split(","), row.split(",")))
+        cfg = SparseSignalConfig(int(f["n"]), float(f["q"]), float(f["vartheta"]))
+        assert weight_set_prob(cfg) == _log_gamma_prob(cfg)
+
+    # n = 1023 and 1024 straddle the switch from C(n, w) to ratios from the mode.
+    @pytest.mark.parametrize("n", [1000, 1023, 1024, 1100, 10**4, 10**5])
+    @pytest.mark.parametrize("q,vartheta", [(0.3, 0.01), (0.5, 0.002), (0.05, 0.003)])
+    def test_large_n(self, n, q, vartheta):
+        cfg = SparseSignalConfig(n, q, vartheta)
+        p = weight_set_prob(cfg)
+        assert p == pytest.approx(_decimal_prob(cfg), rel=1e-12)
+        # The log-gamma form carries a few ulps of log((n + 1)!) ~ n log n of
+        # absolute error in each log term.
+        assert p == pytest.approx(_log_gamma_prob(cfg), rel=1e-12 + 8 * np.spacing(n * math.log(n)))
 
 
 class TestChernoff:

@@ -14,6 +14,7 @@ from covertq.errors import DegenerateChannelError
 from covertq.twirl import (
     PauliDistribution,
     ProjectionStats,
+    _categorical_counts,
     average_input_state,
     bell_vectors,
     compose_with_failure,
@@ -188,6 +189,19 @@ class TestMonteCarlo:
         analytic = twirl_parameters(projection_stats(qubit_leak(0.25)))
         est = monte_carlo_twirl(qubit_leak(0.25), 100000, seed=5)
         assert np.max(np.abs(est.as_array() - analytic.as_array())) <= 0.01
+
+    def test_sample_count_beyond_memory(self):
+        # One multinomial draw: 10**12 shots would need terabytes as
+        # per-shot arrays.
+        analytic = twirl_parameters(projection_stats(qubit_leak(0.25)))
+        est = monte_carlo_twirl(qubit_leak(0.25), 10**12, seed=5)
+        assert np.max(np.abs(est.as_array() - analytic.as_array())) <= 1e-5
+
+    def test_counts_keep_round_off_above_one(self):
+        counts = _categorical_counts([0.6, 0.4 + 1e-9, 0.0], 1000, seed=0)
+        assert counts.sum() == 1000 and counts[2] == 0
+        with pytest.raises(ValueError):
+            _categorical_counts([1.0], 0, seed=0)
 
     def test_all_samples_failing_raises(self):
         from covertq.errors import EstimationFailureError
