@@ -1,4 +1,4 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 Subcommands: report, srl-curve, detect-sim, twirl-check. Channel specs are
 JSON files (see ``channels.load_channel``); CSV output uses a header row,
@@ -9,6 +9,8 @@ preservation failure, 5 support-condition failure, 6 dimension cap,
 7 degenerate analysis parameter, 8 failed internal self-check or any other
 unexpected error. Every failure prints one machine-parseable line
 ``covertq: error code=<name> msg="..."`` on stderr, and never a traceback.
+Inside the quotes, backslash, double quote, line feed and carriage return
+are escaped as ``\\``, ``\"``, ``\n`` and ``\r``.
 
 The environment variable COVERTQ_THREADS caps the linear-algebra thread
 pool; it must be honored before numpy loads, which is why this module pins
@@ -82,6 +84,10 @@ _EXIT_TABLE = {
 }
 
 
+# Escapes that keep a message inside one quoted field on one line.
+_MSG_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 class _CliError(Exception):
     def __init__(self, code: int, name: str, msg: str):
         super().__init__(msg)
@@ -146,8 +152,7 @@ def _parse_n_list(spec: str) -> list[int]:
             raise _CliError(
                 EXIT_PARSE, "n-format", f"bad log grid spec {spec!r}: {exc}"
             ) from exc
-        out = sorted({int(round(g)) for g in grid})
-        return out
+        return sorted({int(round(g)) for g in grid})
     try:
         return [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
@@ -161,7 +166,6 @@ class ChannelReport:
     channel_id: str
     willie_mode: str
     tp_residual: float
-    support_ok: bool
     trivially_covert: bool
     p_f: float
     q_tw: twirl.PauliDistribution
@@ -172,43 +176,34 @@ class ChannelReport:
     bounds: tuple
 
 
-def _build_model(args) -> tuple[channels.QuantumChannel, channels.QuantumChannel, str, channels.WillieModel]:
-    """Returns (receiver channel, warden channel, mode, warden model)."""
+def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieModel]:
+    """Returns (receiver channel, warden mode, warden model)."""
     bob = channels.load_channel(args.channel)
     if args.willie_file:
         willie = channels.load_channel(args.willie_file)
         mode = "direct"
         if willie.d_in != bob.d_in:
-            raise _CliError(
-                EXIT_PARSE,
-                "channel-format",
-                "receiver and warden channels must share the input dimension",
+            raise ChannelFormatError(
+                "receiver and warden channels must share the input dimension"
             )
     else:
         willie = channels.complementary(bob)
         mode = "complementary"
     innocent = _parse_innocent(args.innocent, willie.d_in)
     model = channels.willie_model(willie, innocent)
-    return bob, willie, mode, model
+    return bob, mode, model
+
+
+def _require_qubit_input(ch: channels.QuantumChannel) -> None:
+    if ch.d_in != 2:
+        raise DimensionCapError(
+            f"twirl analysis needs a qubit-input channel, got d_in={ch.d_in}"
+        )
 
 
 def _analyze(args) -> ChannelReport:
-    bob, willie, mode, model = _build_model(args)
-    if bob.d_in != 2:
-        raise _CliError(
-            EXIT_DIM,
-            "dimension",
-            f"twirl analysis needs a qubit-input channel, got d_in={bob.d_in}",
-        )
-    support_ok = covert.support_contained(model.rho_pi, model.rho0)
-    if not support_ok:
-        raise _CliError(
-            EXIT_SUPPORT,
-            "support-violation",
-            "support(rho_pi) is not contained in support(rho0): "
-            "the non-innocent output leaks outside the innocent output support, "
-            "so no covert scheme exists for this channel and innocent input",
-        )
+    bob, mode, model = _build_model(args)
+    _require_qubit_input(bob)
     c_q = covert.covert_constant(model)
     stats = twirl.projection_stats(bob)
     q_tw = twirl.twirl_parameters(stats)
@@ -225,7 +220,6 @@ def _analyze(args) -> ChannelReport:
         channel_id=_channel_id(bob),
         willie_mode=mode,
         tp_residual=channels.tp_residual(bob),
-        support_ok=True,
         trivially_covert=math.isinf(c_q),
         p_f=stats.p_f,
         q_tw=q_tw,
@@ -247,7 +241,7 @@ def _report_text(rep: ChannelReport) -> str:
         f"channel-id: {rep.channel_id}",
         f"willie-mode: {rep.willie_mode}",
         f"tp-residual: {_fmt(rep.tp_residual)}",
-        f"support-ok: {'true' if rep.support_ok else 'false'}",
+        "support-ok: true",
         f"trivially-covert: {'true' if rep.trivially_covert else 'false'}",
         f"p_f: {_fmt(rep.p_f)}",
         f"q_tw: {_pauli_line(rep.q_tw)}",
@@ -278,12 +272,6 @@ def _write_out(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _summary_stream(out: Optional[str]):
-    # Keep the CSV stream byte-clean: the summary goes to stdout only when
-    # the CSV goes to a file.
-    return sys.stdout if out else sys.stderr
-
-
 def cmd_report(args) -> int:
     rep = _analyze(args)
     _write_out(_report_text(rep), args.out)
@@ -293,11 +281,9 @@ def cmd_report(args) -> int:
 def cmd_srl_curve(args) -> int:
     rep = _analyze(args)
     if rep.trivially_covert:
-        raise _CliError(
-            EXIT_DEGENERATE,
-            "degenerate",
+        raise DegenerateChannelError(
             "trivially covert channel: qubit count bounds are unbounded, "
-            "no finite curve to emit",
+            "no finite curve to emit"
         )
     rows = ["n,m_lower_unassisted,m_lower_assisted,classical_bits_upper"]
     for n, b1, b2 in rep.bounds:
@@ -309,36 +295,24 @@ def cmd_srl_curve(args) -> int:
 
 
 def cmd_detect_sim(args) -> int:
-    _, _, mode, model = _build_model(args)
+    _, mode, model = _build_model(args)
     c_q = covert.covert_constant(model)
     if math.isinf(c_q):
-        raise _CliError(
-            EXIT_DEGENERATE,
-            "degenerate",
+        raise DegenerateChannelError(
             "warden outputs are identical (trivially covert); any density is "
-            "covert and the detection figures are degenerate",
+            "covert and the detection figures are degenerate"
         )
     q = covert.q_for_budget(c_q, args.delta, args.n_single)
     if q >= 1.0:
-        raise _CliError(
-            EXIT_DEGENERATE,
-            "degenerate",
+        raise DegenerateChannelError(
             f"budget saturates the signal density (q=1) at n={args.n_single}; "
-            "sparse signaling needs q < 1, raise n or lower the budget",
+            "sparse signaling needs q < 1, raise n or lower the budget"
         )
-    try:
-        cfg = sparse.SparseSignalConfig(n=args.n_single, q=q, vartheta=args.vartheta)
-        states = sparse.WardenStates(model, cfg)
-        chain = sparse.bound_chain(model, cfg, states)
-        report = sparse.decomposition_report(model, cfg, states)
-        res = detect.detection_at_n(model, cfg, args.delta, states)
-    except DimensionCapError as exc:
-        raise _CliError(
-            EXIT_DIM,
-            "dimension",
-            f"{exc}; keep d**n at or below 1024 (n <= {detect.max_exact_block(model.dim)} "
-            f"for d={model.dim})",
-        ) from exc
+    cfg = sparse.SparseSignalConfig(n=args.n_single, q=q, vartheta=args.vartheta)
+    states = sparse.WardenStates(model, cfg)
+    chain = sparse.bound_chain(states)
+    report = sparse.decomposition_report(states)
+    res = detect.detection_at_n(states, args.delta)
     header = "n,q,vartheta,d_exact,d_product,d_chi2_bound,epsilon,chernoff,fannes,holder"
     holder = "" if report.holder_bound is None else _fmt(report.holder_bound)
     row = ",".join(
@@ -356,9 +330,11 @@ def cmd_detect_sim(args) -> int:
         ]
     )
     _write_out(header + "\n" + row + "\n", args.out)
-    s = _summary_stream(args.out)
+    # Keep the CSV stream byte-clean: the summary goes to stdout only when
+    # the CSV goes to a file.
+    s = sys.stdout if args.out else sys.stderr
     s.write(f"willie-mode: {mode}\n")
-    s.write(f"c_q: {'inf' if math.isinf(c_q) else _fmt(c_q)}\n")
+    s.write(f"c_q: {_fmt(c_q)}\n")
     s.write(f"trace-distance: {_fmt(res.trace_distance)}\n")
     s.write(f"p_e_willie: {_fmt(res.p_e_willie)}\n")
     s.write(f"qre-exact: {_fmt(res.qre_exact)}\n")
@@ -369,12 +345,7 @@ def cmd_detect_sim(args) -> int:
 
 def cmd_twirl_check(args) -> int:
     ch = channels.load_channel(args.channel)
-    if ch.d_in != 2:
-        raise _CliError(
-            EXIT_DIM,
-            "dimension",
-            f"twirl analysis needs a qubit-input channel, got d_in={ch.d_in}",
-        )
+    _require_qubit_input(ch)
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
     empirical = twirl.monte_carlo_twirl(ch, args.samples, args.seed)
@@ -467,11 +438,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except Exception as exc:
         if isinstance(exc, _CliError):
-            code, name, msg = exc.code, exc.name, exc
+            code, name, msg = exc.code, exc.name, str(exc)
         else:
             cls = next(c for c in type(exc).__mro__ if c in _EXIT_TABLE)
             code, name = _EXIT_TABLE[cls]
-            msg = f"{type(exc).__name__}: {exc}" if cls is Exception else exc
+            msg = f"{type(exc).__name__}: {exc}" if cls is Exception else str(exc)
+        msg = msg.translate(_MSG_ESCAPES)
         sys.stderr.write(f'covertq: error code={name} msg="{msg}"\n')
         return code
 

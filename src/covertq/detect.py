@@ -9,26 +9,14 @@ desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionCapError
-from .linops import DIM_CAP, trace_norm
-from .channels import QuantumChannel, WillieModel
-from .sparse import SparseSignalConfig, WardenStates, warden_states
+from .linops import trace_norm
+from .channels import QuantumChannel
+from .sparse import WardenStates, max_exact_block  # noqa: F401  (re-exported)
 from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
-
-
-def max_exact_block(d: int) -> int:
-    """Largest block length with d**n inside the dense cap (10 for qubit
-    outputs, 6 for qutrits)."""
-    if d < 2:
-        raise ValueError(f"output dimension must be at least 2, got {d}")
-    n = int(math.floor(math.log(DIM_CAP) / math.log(d) + 1e-9))
-    return max(n, 1)
 
 
 @dataclass(frozen=True)
@@ -50,16 +38,11 @@ class DetectionResult:
             raise ValueError("covertness flag inconsistent with divergences")
 
 
-def detection_at_n(
-    model: WillieModel,
-    cfg: SparseSignalConfig,
-    delta_qre: float,
-    states: Optional[WardenStates] = None,
-) -> DetectionResult:
+def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     """Exact trace distance, optimal test error, and divergence of the
     warden's n-use state against the innocent product, with the covertness
-    flag for the given budget. ``states`` shares the n-use states with other
-    callers.
+    flag for the given budget. Block lengths past ``max_exact_block`` raise
+    ``DimensionCapError`` when the warden state is built.
 
     A support violation is reported through an infinite divergence (and a
     false flag) rather than an exception, since the trace-distance figures
@@ -67,17 +50,10 @@ def detection_at_n(
     """
     if delta_qre < 0:
         raise ValueError("budget must be nonnegative")
-    n_max = max_exact_block(model.dim)
-    if cfg.n > n_max:
-        raise DimensionCapError(
-            f"exact detection with d={model.dim} outputs is capped at n={n_max}; "
-            f"got n={cfg.n}"
-        )
-    st = warden_states(model, cfg, states)
     td = trace_norm(st.rho_n.mat - st.prod_inn.mat)
     d_exact = st.d_exact
     return DetectionResult(
-        n=cfg.n,
+        n=st.cfg.n,
         trace_distance=td,
         p_e_willie=0.5 - 0.25 * td,
         qre_exact=d_exact,

@@ -19,12 +19,13 @@ class SupportViolationError(ValueError):
 
 
 class DimensionCapError(ValueError):
-    """Requested operator size exceeds the dense-computation cap."""
+    """Requested operator size exceeds the dense-computation cap, or an input
+    dimension is one the analysis does not support (twirling needs a qubit)."""
 
 
 class DegenerateChannelError(ValueError):
     """Channel has no overlap with the qubit subspace (projection always
-    fails) or an analysis parameter degenerates (signal density reaches 1)."""
+    fails) or an analysis degenerates (infinite c_q, or signal density 1)."""
 
 
 class EstimationFailureError(RuntimeError):

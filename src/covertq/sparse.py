@@ -39,18 +39,36 @@ class SparseSignalConfig:
             raise ValueError(f"signal density must lie in (0, 1), got {self.q}")
         if not 0.0 < self.vartheta <= 1.0:
             raise ValueError(f"weight tolerance must lie in (0, 1], got {self.vartheta}")
-        if not self.weight_set():
+        if not self.weight_range():
             raise ValueError(
                 f"weight set is empty for n={self.n}, q={self.q}, vartheta={self.vartheta}"
             )
 
+    def weight_range(self) -> range:
+        """Admissible weights: w with |q - w/n| <= vartheta. |q - w/n| falls
+        and then rises with w, so they form an interval; its ends start at
+        n(q -/+ vartheta), within a weight of the exact ones, and are settled
+        by the membership test itself."""
+        n, q, v = self.n, self.q, self.vartheta
+
+        def ok(w: int) -> bool:
+            return abs(q - w / n) <= v + 1e-15
+
+        lo = min(max(math.ceil(n * (q - v)), 0), n)
+        hi = min(max(math.floor(n * (q + v)), 0), n)
+        while lo > 0 and ok(lo - 1):
+            lo -= 1
+        while hi < n and ok(hi + 1):
+            hi += 1
+        while lo <= hi and not ok(lo):
+            lo += 1
+        while hi >= lo and not ok(hi):
+            hi -= 1
+        return range(lo, hi + 1)
+
     def weight_set(self) -> list[int]:
-        """Admissible weights: w with |q - w/n| <= vartheta."""
-        return [
-            w
-            for w in range(self.n + 1)
-            if abs(self.q - w / self.n) <= self.vartheta + 1e-15
-        ]
+        """The admissible weights as a list."""
+        return list(self.weight_range())
 
 
 def weight_set_prob(cfg: SparseSignalConfig) -> float:
@@ -62,7 +80,7 @@ def weight_set_prob(cfg: SparseSignalConfig) -> float:
     below 1e-30 of it dropped, and divided by the sum of all terms, which is 1
     for the exact law; unlike log-gamma differences, this loses no digits to
     cancellation."""
-    n, q, ws = cfg.n, cfg.q, cfg.weight_set()
+    n, q, ws = cfg.n, cfg.q, cfg.weight_range()
     if n < 1024:
         total = math.fsum(math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws)
         return min(1.0, total)
@@ -74,7 +92,8 @@ def weight_set_prob(cfg: SparseSignalConfig) -> float:
             t *= (n - w) * odds / (w + 1) if step == 1 else w / ((n - w + 1) * odds)
             w += step
             rel[w] = t
-    return min(1.0, math.fsum(rel.get(w, 0.0) for w in ws) / math.fsum(rel.values()))
+    inside = math.fsum(t for w, t in rel.items() if w in ws)
+    return min(1.0, inside / math.fsum(rel.values()))
 
 
 def chernoff_epsilon(cfg: SparseSignalConfig) -> float:
@@ -94,8 +113,9 @@ def sample_patterns(cfg: SparseSignalConfig, seed: int, count: int) -> np.ndarra
         raise EstimationFailureError(
             f"weight set has probability {p_a:.3e}; rejection sampling is hopeless"
         )
+    ws = cfg.weight_range()
     allowed = np.zeros(cfg.n + 1, dtype=bool)
-    allowed[cfg.weight_set()] = True
+    allowed[ws.start : ws.stop] = True
     rng = np.random.default_rng(seed)
     out = np.empty((count, cfg.n), dtype=np.uint8)
     got = 0
@@ -125,6 +145,15 @@ def sample_pattern(cfg: SparseSignalConfig, seed: int) -> tuple[np.ndarray, int]
 # ---------------------------------------------------------------------------
 
 
+def max_exact_block(d: int) -> int:
+    """Largest block length with d**n inside the dense cap (10 for qubit
+    outputs, 6 for qutrits)."""
+    if d < 2:
+        raise ValueError(f"output dimension must be at least 2, got {d}")
+    n = int(math.floor(math.log(DIM_CAP) / math.log(d) + 1e-9))
+    return max(n, 1)
+
+
 def _weight_class_sums(rho0: np.ndarray, rho_pi: np.ndarray, n: int) -> list[np.ndarray]:
     """Unweighted sums over all weight-w patterns of the n-fold products,
     indexed by w. Built with the two-term recursion that appends one slot at
@@ -132,7 +161,8 @@ def _weight_class_sums(rho0: np.ndarray, rho_pi: np.ndarray, n: int) -> list[np.
     d = rho0.shape[0]
     if d**n > DIM_CAP:
         raise DimensionCapError(
-            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}"
+            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
+            f"keep d**n at or below {DIM_CAP} (n <= {max_exact_block(d)} for d={d})"
         )
     level = [np.ones((1, 1), dtype=np.complex128)]
     for _ in range(n):
@@ -153,7 +183,7 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     sums = _weight_class_sums(model.rho0.mat, model.rho_pi.mat, cfg.n)
     p_a = weight_set_prob(cfg)
     out = np.zeros_like(sums[0])
-    for w in cfg.weight_set():
+    for w in cfg.weight_range():
         out += cfg.q**w * (1.0 - cfg.q) ** (cfg.n - w) * sums[w]
     return out / p_a
 
@@ -180,17 +210,13 @@ class BoundChain(NamedTuple):
     d_chi2_bound: float
 
 
-def _mixed_single_use(model: WillieModel, q: float) -> DensityOperator:
-    return DensityOperator((1.0 - q) * model.rho0.mat + q * model.rho_pi.mat)
-
-
 class WardenStates:
     """The n-use states of one configuration and the two n-use divergences,
     each built on first use and then shared: the exact warden state, the
     n-fold power of the single-use mixture, and the innocent product.
 
     ``bound_chain``, ``decomposition_report`` and ``detect.detection_at_n``
-    accept one instance, so a caller that needs all three builds each state
+    take one instance, so a caller that needs all three builds each state
     and runs each divergence once.
     """
 
@@ -204,7 +230,8 @@ class WardenStates:
 
     @cached_property
     def mix(self) -> DensityOperator:
-        return _mixed_single_use(self.model, self.cfg.q)
+        q, m = self.cfg.q, self.model
+        return DensityOperator((1.0 - q) * m.rho0.mat + q * m.rho_pi.mat)
 
     @cached_property
     def prod_mix(self) -> DensityOperator:
@@ -223,17 +250,6 @@ class WardenStates:
         return qre(self.prod_mix, self.prod_inn)
 
 
-def warden_states(
-    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
-) -> WardenStates:
-    """``states``, checked to belong to ``model`` and ``cfg``, or new states."""
-    if states is None:
-        return WardenStates(model, cfg)
-    if states.model is not model or states.cfg is not cfg:
-        raise ValueError("warden states belong to another model or configuration")
-    return states
-
-
 def _require_support(model: WillieModel) -> None:
     if not support_contained(model.rho_pi, model.rho0):
         raise SupportViolationError(
@@ -241,9 +257,7 @@ def _require_support(model: WillieModel) -> None:
         )
 
 
-def bound_chain(
-    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
-) -> BoundChain:
+def bound_chain(st: WardenStates) -> BoundChain:
     """Evaluate the covertness bound chain at one configuration.
 
     d_exact is the divergence of the exact warden state from the innocent
@@ -251,10 +265,10 @@ def bound_chain(
     the single-use mixture; d_single_scaled is n times the single-use
     divergence (equal to d_product by additivity); d_chi2_bound is
     q^2 n chi2(rho_pi || rho0) converted to bits, which upper-bounds both
-    product forms. ``states`` shares the n-use states with other callers.
+    product forms.
     """
+    model, cfg = st.model, st.cfg
     _require_support(model)
-    st = warden_states(model, cfg, states)
     d_exact, d_product = st.d_exact, st.d_product
     d_single = cfg.n * qre(st.mix, model.rho0)
     d_bound = cfg.q**2 * cfg.n * chi2(model.rho_pi, model.rho0) / LN2
@@ -308,19 +322,16 @@ def _log2_on_support(rho: DensityOperator) -> np.ndarray:
     return (vecs * logs) @ vecs.conj().T
 
 
-def decomposition_report(
-    model: WillieModel, cfg: SparseSignalConfig, states: Optional[WardenStates] = None
-) -> DecompositionReport:
+def decomposition_report(st: WardenStates) -> DecompositionReport:
     """Compute the decomposition terms exactly and check each bound.
 
     Raises ``RuntimeError`` if any mathematically guaranteed relation fails
     beyond round-off slack, since that indicates an implementation bug
-    rather than a property of the model. ``states`` shares the n-use
-    states with other callers.
+    rather than a property of the model.
     """
+    model, cfg = st.model, st.cfg
     _require_support(model)
     n, d = cfg.n, model.dim
-    st = warden_states(model, cfg, states)
 
     qre_total = st.d_exact
     term_product = st.d_product

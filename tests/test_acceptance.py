@@ -30,6 +30,7 @@ from covertq.linops import DensityOperator, tensor_power, trace_norm
 from covertq.rates import _entropy_bits, distillation_rate, entropy4, hashing_rate
 from covertq.sparse import (
     SparseSignalConfig,
+    WardenStates,
     _willie_state_matrix,
     decomposition_report,
     bound_chain,
@@ -86,7 +87,7 @@ def _report_suite():
     for model in _model_suite():
         for n in range(2, 7):
             cfg = SparseSignalConfig(n=n, q=0.3, vartheta=0.25)
-            out.append((model, cfg, decomposition_report(model, cfg)))
+            out.append((model, cfg, decomposition_report(WardenStates(model, cfg))))
     return tuple(out)
 
 
@@ -114,7 +115,9 @@ def test_criterion_2_bound_chain():
     worst_add = 0.0
     for _ in range(500):
         model = random_willie_model(gen, floor=0.05)
-        chain = bound_chain(model, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        chain = bound_chain(
+            WardenStates(model, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        )
         worst_add = max(worst_add, abs(chain.d_product - chain.d_single_scaled))
         assert abs(chain.d_product - chain.d_single_scaled) <= 1e-9
         d_chi = chi2(model.rho_pi, model.rho0)
@@ -325,7 +328,9 @@ def test_criterion_9_worked_covert_number():
     assert c_q == pytest.approx(0.75, abs=1e-13)
     delta, n = 0.05, 6
     q = q_for_budget(c_q, delta, n)
-    res = detection_at_n(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5), delta)
+    res = detection_at_n(
+        WardenStates(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5)), delta
+    )
     assert res.covert_ok
     floor = 0.5 - math.sqrt(delta / 8)
     assert res.p_e_willie >= floor

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from covertq import channels, cli, covert, detect, rates, sparse, twirl
 from covertq.errors import EstimationFailureError
 from covertq.linops import DensityOperator
+from conftest import random_channel
 
 REPO = Path(__file__).resolve().parent.parent
 AD_SPEC = REPO / "data" / "amplitude_damping.json"
@@ -348,6 +350,76 @@ class TestExitTable:
             f'covertq: error code=internal-check msg="{type(exc).__name__}: '
         )
         assert "Traceback" not in err
+
+
+ERROR_LINE = re.compile(r'^covertq: error code=[a-z0-9-]+ msg="((?:[^"\\]|\\.)*)"$')
+
+
+def _unescape(msg):
+    return re.sub(r"\\(.)", lambda m: {"n": "\n", "r": "\r"}.get(m[1], m[1]), msg)
+
+
+class TestErrorLine:
+    @pytest.mark.parametrize("name", ['x"y.json', "x\ny.json", "back\\slash\r.json"])
+    def test_message_is_escaped(self, name, capsys, tmp_path):
+        path = tmp_path / name
+        with pytest.raises(channels.ChannelFormatError) as info:
+            channels.load_channel(path)
+        code, out, err = run_cli(["twirl-check", "--channel", path], capsys)
+        assert code == cli.EXIT_PARSE
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+        m = ERROR_LINE.match(err[:-1])
+        assert m is not None, err
+        assert _unescape(m[1]) == str(info.value)
+
+    def test_refusals_map_through_exit_table(self, capsys, tmp_path, ident_spec, depol_spec):
+        qutrit = tmp_path / "qutrit.json"
+        channels.save_channel(channels.identity_channel(3), qutrit)
+        args = ["--innocent", "0", "--delta", "0.05", "--vartheta", "0.5", "--n"]
+        cases = [
+            (["report", "--channel", ident_spec, "--willie-file", qutrit, *args, "100"],
+             cli.EXIT_PARSE, "channel-format"),
+            (["report", "--channel", qutrit, *args, "100"], cli.EXIT_DIM, "dimension"),
+            (["twirl-check", "--channel", qutrit], cli.EXIT_DIM, "dimension"),
+            (["srl-curve", "--channel", ident_spec, "--willie-file", ident_spec, *args, "100"],
+             cli.EXIT_SUPPORT, "support-violation"),
+            (["srl-curve", "--channel", ident_spec, "--willie-file", depol_spec, *args, "100"],
+             cli.EXIT_DEGENERATE, "degenerate"),
+            (["detect-sim", "--channel", ident_spec, "--willie-file", depol_spec, *args, "4"],
+             cli.EXIT_DEGENERATE, "degenerate"),
+        ]
+        for argv, code, name in cases:
+            got, out, err = run_cli(argv, capsys)
+            assert (got, out) == (code, ""), argv
+            assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+            assert err.startswith(f"covertq: error code={name} ")
+
+
+def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
+    # Every outcome is a CSV or one coded line, whatever the model.
+    rng = np.random.default_rng(4)
+    header = "n,q,vartheta,d_exact,d_product,d_chi2_bound,epsilon,chernoff,fannes,holder"
+    codes = Counter()
+    for i in range(6):
+        spec = tmp_path / f"ch{i}.json"
+        channels.save_channel(random_channel(2, 2, 2, rng), spec)
+        for innocent in ("0", "1"):
+            for n in (2, 4, 6, 11):
+                delta = float(rng.choice([1e-3, 0.05, 0.5, 20.0]))
+                code, out, err = run_cli(
+                    ["detect-sim", "--channel", spec, "--innocent", innocent,
+                     "--delta", delta, "--vartheta", "0.5", "--n", n],
+                    capsys,
+                )
+                codes[code] += 1
+                assert "Traceback" not in err
+                if code == 0:
+                    assert out.splitlines()[0] == header
+                else:
+                    assert 3 <= code <= 8 and out == ""
+                    assert err.count("\n") == 1 and ERROR_LINE.match(err[:-1]), err
+    # The seeded draws reach success, the cap and a saturated density.
+    assert codes[0] and codes[cli.EXIT_DIM] and codes[cli.EXIT_DEGENERATE]
 
 
 def test_no_scipy_module_is_imported(tmp_path):

@@ -19,7 +19,7 @@ from covertq.detect import (
 )
 from covertq.errors import DimensionCapError
 from covertq.linops import DensityOperator
-from covertq.sparse import SparseSignalConfig, bound_chain
+from covertq.sparse import SparseSignalConfig, WardenStates, bound_chain
 from covertq.twirl import compose_with_failure, projection_stats, twirl_parameters
 from conftest import random_density, random_willie_model
 
@@ -37,15 +37,18 @@ class TestCaps:
 
     def test_cap_enforced(self, rng):
         model = random_willie_model(rng, dim=3)
-        with pytest.raises(DimensionCapError):
-            detection_at_n(model, SparseSignalConfig(n=7, q=0.3, vartheta=0.3), 0.05)
+        cfg = SparseSignalConfig(n=7, q=0.3, vartheta=0.3)
+        with pytest.raises(DimensionCapError, match="n <= 6"):
+            detection_at_n(WardenStates(model, cfg), 0.05)
 
 
 class TestDetection:
     def test_identical_outputs_blind_the_warden(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        res = detection_at_n(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3), 0.05)
+        res = detection_at_n(
+            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3)), 0.05
+        )
         assert res.trace_distance == pytest.approx(0.0, abs=1e-10)
         assert res.p_e_willie == pytest.approx(0.5, abs=1e-10)
         assert res.covert_ok
@@ -53,7 +56,7 @@ class TestDetection:
     def test_single_use_reduces_to_helstrom(self):
         cfg = SparseSignalConfig(n=1, q=0.9, vartheta=0.15)
         assert cfg.weight_set() == [1]
-        res = detection_at_n(WORKED, cfg, 0.5)
+        res = detection_at_n(WardenStates(WORKED, cfg), 0.5)
         assert res.p_e_willie == pytest.approx(
             helstrom_error(WORKED.rho_pi, WORKED.rho0), abs=1e-12
         )
@@ -62,7 +65,9 @@ class TestDetection:
         delta, n = 0.05, 6
         c_q = covert_constant(WORKED)
         q = q_for_budget(c_q, delta, n)
-        res = detection_at_n(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5), delta)
+        res = detection_at_n(
+            WardenStates(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5)), delta
+        )
         assert res.covert_ok
         assert res.p_e_willie >= 0.5 - math.sqrt(delta / 8)
 
@@ -70,7 +75,7 @@ class TestDetection:
         for _ in range(10):
             model = random_willie_model(rng)
             cfg = SparseSignalConfig(n=3, q=0.3, vartheta=0.4)
-            res = detection_at_n(model, cfg, 0.05)
+            res = detection_at_n(WardenStates(model, cfg), 0.05)
             if math.isinf(res.qre_exact):
                 continue
             floor = 0.5 - math.sqrt(LN2 * res.qre_exact / 8)
@@ -81,7 +86,9 @@ class TestDetection:
             rho0=DensityOperator.basis_state(2, 0),
             rho_pi=DensityOperator.maximally_mixed(2),
         )
-        res = detection_at_n(model, SparseSignalConfig(n=2, q=0.4, vartheta=0.3), 0.1)
+        res = detection_at_n(
+            WardenStates(model, SparseSignalConfig(n=2, q=0.4, vartheta=0.3)), 0.1
+        )
         assert math.isinf(res.qre_exact)
         assert not res.covert_ok
         assert res.trace_distance > 0
@@ -102,8 +109,8 @@ class TestDetection:
                 if q >= 1.0:
                     continue
                 cfg = SparseSignalConfig(n=n, q=q, vartheta=0.75)
-                chain = bound_chain(model, cfg)
-                res = detection_at_n(model, cfg, delta)
+                chain = bound_chain(WardenStates(model, cfg))
+                res = detection_at_n(WardenStates(model, cfg), delta)
                 if chain.d_chi2_bound <= delta:
                     exercised += 1
                     assert res.covert_ok

@@ -1,4 +1,5 @@
 import math
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -26,6 +27,11 @@ from covertq.sparse import (
 )
 from conftest import random_density, random_willie_model
 
+def _near(x):
+    """x and its neighbours one ulp away on each side."""
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
 WORKED = WillieModel(
     rho0=DensityOperator(np.diag([0.9, 0.1]).astype(complex)),
     rho_pi=DensityOperator(np.diag([0.5, 0.5]).astype(complex)),
@@ -40,6 +46,47 @@ class TestConfig:
     def test_empty_weight_set_rejected(self):
         with pytest.raises(ValueError):
             SparseSignalConfig(n=5, q=0.5, vartheta=0.01)
+
+    def test_weight_range_matches_full_scan(self):
+        # q and vartheta sit on multiples of 1/n and one ulp off them,
+        # where the 1e-15 slack decides membership at both ends.
+        cases = 0
+        for n in range(1, 26):
+            w = np.arange(n + 1)
+            for k in range(1, n):
+                for j in range(1, n + 1):
+                    for q in _near(k / n):
+                        for v in _near(j / n):
+                            if not (0.0 < q < 1.0 and 0.0 < v <= 1.0):
+                                continue
+                            scan = w[np.abs(q - w / n) <= v + 1e-15].tolist()
+                            cases += 1
+                            if not scan:
+                                with pytest.raises(ValueError):
+                                    SparseSignalConfig(n=n, q=q, vartheta=v)
+                                continue
+                            cfg = SparseSignalConfig(n=n, q=q, vartheta=v)
+                            assert cfg.weight_set() == scan, (n, q, v)
+        rng = np.random.default_rng(11)
+        for n in rng.integers(26, 10**5, size=200):
+            n = int(n)
+            q, v = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5) ** 3
+            w = np.arange(n + 1)
+            scan = np.flatnonzero(np.abs(q - w / n) <= v + 1e-15)
+            if len(scan):
+                r = SparseSignalConfig(n=n, q=q, vartheta=v).weight_range()
+                assert (r.start, r.stop) == (scan[0], scan[-1] + 1), (n, q, v)
+                assert len(r) == len(scan)
+                cases += 1
+        assert cases > 40000
+
+    def test_large_block_config_is_cheap(self):
+        start = time.perf_counter()
+        cfg = SparseSignalConfig(n=10**7, q=0.01, vartheta=0.005)
+        p = weight_set_prob(cfg)
+        assert time.perf_counter() - start < 0.1
+        assert cfg.weight_range() == range(50000, 150001)
+        assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
@@ -235,13 +282,15 @@ class TestBoundChain:
     def test_identical_outputs_vanish(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        chain = bound_chain(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        chain = bound_chain(
+            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        )
         for v in chain:
             assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_worked_model_chain(self):
         cfg = SparseSignalConfig(n=4, q=0.25, vartheta=0.3)
-        chain = bound_chain(WORKED, cfg)
+        chain = bound_chain(WardenStates(WORKED, cfg))
         assert chain.d_product == pytest.approx(chain.d_single_scaled, abs=1e-9)
         assert chain.d_single_scaled <= chain.d_chi2_bound + 1e-12
         # Exact enumeration oracle for d_exact on the commuting model.
@@ -271,7 +320,7 @@ class TestBoundChain:
 
     def test_full_coverage_collapses_gap(self):
         cfg = SparseSignalConfig(n=4, q=0.25, vartheta=1.0)
-        chain = bound_chain(WORKED, cfg)
+        chain = bound_chain(WardenStates(WORKED, cfg))
         assert chain.d_exact == pytest.approx(chain.d_product, abs=1e-10)
 
     def test_gap_vanishes_with_tail(self):
@@ -281,8 +330,8 @@ class TestBoundChain:
         bounds, gaps = [], []
         for vth in (0.15, 0.3, 0.5, 0.75):
             cfg = SparseSignalConfig(n=6, q=0.25, vartheta=vth)
-            chain = bound_chain(WORKED, cfg)
-            rep = decomposition_report(WORKED, cfg)
+            chain = bound_chain(WardenStates(WORKED, cfg))
+            rep = decomposition_report(WardenStates(WORKED, cfg))
             gaps.append(abs(chain.d_exact - chain.d_product))
             bounds.append(rep.fannes_bound + rep.holder_bound)
             assert gaps[-1] <= bounds[-1] + 1e-9
@@ -295,14 +344,18 @@ class TestBoundChain:
             rho_pi=DensityOperator.maximally_mixed(2),
         )
         with pytest.raises(SupportViolationError):
-            bound_chain(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+            bound_chain(
+                WardenStates(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+            )
 
 
 class TestDecompositionReport:
     def test_identical_outputs_vanish(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        rep = decomposition_report(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        rep = decomposition_report(
+            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        )
         assert rep.qre_total == pytest.approx(0.0, abs=1e-9)
         assert rep.term_product == pytest.approx(0.0, abs=1e-9)
         assert rep.term_entropy == pytest.approx(0.0, abs=1e-9)
@@ -311,14 +364,18 @@ class TestDecompositionReport:
         assert rep.chernoff_bound >= 0 and rep.fannes_bound >= 0
 
     def test_decomposition_identity_worked_model(self):
-        rep = decomposition_report(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        rep = decomposition_report(
+            WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        )
         recon = rep.term_product + rep.term_entropy + rep.term_cross
         assert rep.qre_total == pytest.approx(recon, abs=1e-7)
 
     def test_terms_within_bounds(self, rng):
         for _ in range(5):
             model = random_willie_model(rng)
-            rep = decomposition_report(model, SparseSignalConfig(n=4, q=0.3, vartheta=0.25))
+            rep = decomposition_report(
+                WardenStates(model, SparseSignalConfig(n=4, q=0.3, vartheta=0.25))
+            )
             assert abs(rep.term_entropy) <= rep.fannes_bound + 1e-9
             assert rep.holder_bound is not None
             assert abs(rep.term_cross) <= rep.holder_bound + 1e-9
@@ -328,7 +385,7 @@ class TestDecompositionReport:
         for _ in range(5):
             model = random_willie_model(rng)
             cfg = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
-            rep = decomposition_report(model, cfg)
+            rep = decomposition_report(WardenStates(model, cfg))
             assert rep.qre_total <= (
                 rep.term_product + abs(rep.term_entropy) + abs(rep.term_cross) + 1e-9
             )
@@ -339,7 +396,9 @@ class TestDecompositionReport:
         rho0 = DensityOperator(np.diag([0.7, 0.3, 0.0]).astype(complex))
         rho_pi = DensityOperator(np.diag([0.4, 0.6, 0.0]).astype(complex))
         model = WillieModel(rho0=rho0, rho_pi=rho_pi)
-        rep = decomposition_report(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+        rep = decomposition_report(
+            WardenStates(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+        )
         assert rep.holder_bound is None
         assert rep.qre_total == pytest.approx(
             rep.term_product + rep.term_entropy + rep.term_cross, abs=1e-7
@@ -351,7 +410,9 @@ class TestDecompositionReport:
             rho_pi=DensityOperator.maximally_mixed(2),
         )
         with pytest.raises(SupportViolationError):
-            decomposition_report(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+            decomposition_report(
+                WardenStates(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+            )
 
 
 def test_binary_entropy_edges():
@@ -366,7 +427,7 @@ def test_exact_state_agrees_with_qre_paths(rng):
     # Divergence of the exact state computed through two library paths.
     model = random_willie_model(rng)
     cfg = SparseSignalConfig(n=3, q=0.4, vartheta=0.35)
-    chain = bound_chain(model, cfg)
+    chain = bound_chain(WardenStates(model, cfg))
     direct = qre(
         willie_state_exact(model, cfg),
         DensityOperator(tensor_power(model.rho0.mat, 3)),
@@ -378,11 +439,10 @@ def test_shared_states_match_fresh_ones(rng):
     model = random_willie_model(rng)
     cfg = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
     states = WardenStates(model, cfg)
-    assert bound_chain(model, cfg, states) == bound_chain(model, cfg)
-    shared = decomposition_report(model, cfg, states)
+    assert bound_chain(states) == bound_chain(WardenStates(model, cfg))
+    shared = decomposition_report(states)
     assert shared.qre_total == states.d_exact
-    assert shared == decomposition_report(model, cfg)
-    assert detection_at_n(model, cfg, 0.05, states) == detection_at_n(model, cfg, 0.05)
-    other = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
-    with pytest.raises(ValueError):
-        bound_chain(model, other, states)
+    assert shared == decomposition_report(WardenStates(model, cfg))
+    assert detection_at_n(states, 0.05) == detection_at_n(
+        WardenStates(model, cfg), 0.05
+    )
