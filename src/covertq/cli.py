@@ -144,19 +144,18 @@ def _parse_innocent(spec: str, dim: int) -> DensityOperator:
 
 def _parse_n_list(spec: str) -> list[int]:
     spec = spec.strip()
-    if spec.startswith("log:"):
-        try:
-            _, lo, hi, count = spec.split(":")
-            grid = np.geomspace(float(lo), float(hi), int(count))
-        except ValueError as exc:
-            raise _CliError(
-                EXIT_PARSE, "n-format", f"bad log grid spec {spec!r}: {exc}"
-            ) from exc
-        return sorted({int(round(g)) for g in grid})
     try:
-        return [int(tok) for tok in spec.split(",") if tok]
+        if spec.startswith("log:"):
+            _, lo, hi, count = spec.split(":")
+            ns = sorted({int(round(g)) for g in np.geomspace(float(lo), float(hi), int(count))})
+        else:
+            ns = [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
-        raise _CliError(EXIT_PARSE, "n-format", f"bad n list {spec!r}: {exc}") from exc
+        kind = "log grid spec" if spec.startswith("log:") else "n list"
+        raise _CliError(EXIT_PARSE, "n-format", f"bad {kind} {spec!r}: {exc}") from exc
+    if not ns:
+        raise _CliError(EXIT_PARSE, "n-format", f"n list {spec!r} holds no block length")
+    return ns
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .linops import (
     DensityOperator,
     clip_spectrum,
     eig_hermitian,
-    trace_norm,
+    trace_norm_diff,
 )
 from .channels import WillieModel
 
@@ -115,7 +115,7 @@ def helstrom_error(rho1: DensityOperator, rho0: DensityOperator) -> float:
     """Minimum equal-prior discrimination error 1/2 - ||rho1 - rho0||_1 / 4."""
     if rho1.dim != rho0.dim:
         raise ValueError("states must share a dimension")
-    return 0.5 - 0.25 * trace_norm(rho1.mat - rho0.mat)
+    return 0.5 - 0.25 * trace_norm_diff(rho1, rho0)
 
 
 def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, float]:
@@ -126,7 +126,7 @@ def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, fl
     bits-valued divergence back to nats, where the inequality is native.
     A support violation makes the right side infinite.
     """
-    lhs = 0.25 * trace_norm(rho.mat - sigma.mat)
+    lhs = 0.25 * trace_norm_diff(rho, sigma)
     d = qre(rho, sigma)
     rhs = math.inf if math.isinf(d) else math.sqrt(LN2 * d / 8.0)
     return lhs, rhs
@@ -163,6 +163,8 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     """
     if c_q < 0 or delta_qre < 0:
         raise ValueError("covert constant and budget must be nonnegative")
+    if not math.isfinite(delta_qre):
+        raise ValueError(f"budget must be finite, got {delta_qre}")
     if n < 1:
         raise ValueError("need at least one channel use")
     if delta_qre == 0.0:

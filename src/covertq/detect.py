@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import trace_norm
+from .linops import trace_norm_diff
 from .channels import QuantumChannel
 from .sparse import WardenStates, max_exact_block  # noqa: F401  (re-exported)
 from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
@@ -50,7 +50,7 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     """
     if delta_qre < 0:
         raise ValueError("budget must be nonnegative")
-    td = trace_norm(st.rho_n.mat - st.prod_inn.mat)
+    td = trace_norm_diff(st.rho_n, st.prod_inn)
     d_exact = st.d_exact
     return DetectionResult(
         n=st.cfg.n,

@@ -120,6 +120,12 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
+def trace_norm_diff(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """||rho - sigma||_1 of two validated, hence Hermitian, states: the sum of
+    the absolute eigenvalues of the difference, with no further temporaries."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat))))
+
+
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending real eigenvalues and orthonormal eigenvectors (columns).
 

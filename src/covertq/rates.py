@@ -75,6 +75,8 @@ def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> 
         raise ValueError(f"weight tolerance must lie in (0, 1), got {vartheta}")
     if c_q <= 0 or delta_qre <= 0:
         raise ValueError("covert constant and budget must be positive")
+    if not math.isfinite(delta_qre):
+        raise ValueError(f"budget must be finite, got {delta_qre}")
 
 
 def unassisted_bound(

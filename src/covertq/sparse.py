@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
-from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, trace_norm
+from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, trace_norm_diff
 from .channels import WillieModel
 from .covert import LN2, chi2, qre, support_contained, vn_entropy
 
@@ -154,38 +154,51 @@ def max_exact_block(d: int) -> int:
     return max(n, 1)
 
 
-def _weight_class_sums(rho0: np.ndarray, rho_pi: np.ndarray, n: int) -> list[np.ndarray]:
-    """Unweighted sums over all weight-w patterns of the n-fold products,
-    indexed by w. Built with the two-term recursion that appends one slot at
-    a time, so the cost stays polynomial in the output size."""
-    d = rho0.shape[0]
+def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndarray:
+    """The matrix of ``willie_state_exact``, built in fixed-size buffers.
+
+    Weight-w pattern sums grow one slot at a time, S_k[w] = S_{k-1}[w] (x)
+    rho0 + S_{k-1}[w-1] (x) rho_pi; level k keeps only the classes the weight
+    set can still reach. Each product is written into its buffer by the
+    broadcast ``np.kron`` does, and each top-level class is scaled and added
+    to the mixture once built, so the result is bit for bit that of the full
+    ``np.kron`` recursion. Live at the top: the level n - 1 classes and three
+    d^n-square buffers."""
+    rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
     if d**n > DIM_CAP:
         raise DimensionCapError(
             f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
             f"keep d**n at or below {DIM_CAP} (n <= {max_exact_block(d)} for d={d})"
         )
-    level = [np.ones((1, 1), dtype=np.complex128)]
-    for _ in range(n):
-        nxt = []
-        for w in range(len(level) + 1):
-            acc = None
-            if w < len(level):
-                acc = np.kron(level[w], rho0)
-            if w > 0:
-                term = np.kron(level[w - 1], rho_pi)
-                acc = term if acc is None else acc + term
-            nxt.append(acc)
-        level = nxt
-    return level
 
+    def kron_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        m = len(a)
+        np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(m, d, m, d))
+        return out
 
-def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndarray:
-    sums = _weight_class_sums(model.rho0.mat, model.rho_pi.mat, cfg.n)
-    p_a = weight_set_prob(cfg)
-    out = np.zeros_like(sums[0])
-    for w in cfg.weight_range():
-        out += cfg.q**w * (1.0 - cfg.q) ** (cfg.n - w) * sums[w]
-    return out / p_a
+    ws = cfg.weight_range()
+    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    top = np.empty_like(out)
+    prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
+    for k in range(1, n + 1):
+        cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
+        term, cur = np.empty((d**k, d**k), dtype=np.complex128), []
+        for w in cls:
+            acc = top if k == n else np.empty_like(term)
+            if w < k:
+                kron_into(prev[w - base], rho0, acc)
+                if w > 0:
+                    acc += kron_into(prev[w - 1 - base], rho_pi, term)
+            else:
+                kron_into(prev[w - 1 - base], rho_pi, acc)
+            if k < n:
+                cur.append(acc)
+            else:
+                acc *= q**w * (1.0 - q) ** (n - w)
+                out += acc
+        prev, base = cur, cls.start
+    out /= weight_set_prob(cfg)
+    return out
 
 
 def willie_state_exact(model: WillieModel, cfg: SparseSignalConfig) -> DensityOperator:
@@ -214,10 +227,10 @@ class WardenStates:
     """The n-use states of one configuration and the two n-use divergences,
     each built on first use and then shared: the exact warden state, the
     n-fold power of the single-use mixture, and the innocent product.
-
     ``bound_chain``, ``decomposition_report`` and ``detect.detection_at_n``
     take one instance, so a caller that needs all three builds each state
-    and runs each divergence once.
+    and runs each divergence once, holding fewer than seven d^n-square
+    complex matrices of numpy memory at any time.
     """
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
@@ -336,20 +349,18 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     qre_total = st.d_exact
     term_product = st.d_product
     term_entropy = vn_entropy(st.prod_mix) - vn_entropy(st.rho_n)
-    # Cross term against log of the innocent product, built as the sum of
-    # single-site log terms, independently of the overlaps behind qre.
-    log_site = _log2_on_support(model.rho0)
-    log_prod = log_site
-    eye = np.eye(d, dtype=np.complex128)
-    for _ in range(n - 1):
-        log_prod = np.kron(log_prod, eye) + np.kron(
-            np.eye(log_prod.shape[0], dtype=np.complex128), log_site
-        )
-    delta = st.prod_mix.mat - st.rho_n.mat
-    # tr(delta log_prod) with log_prod Hermitian.
-    term_cross = float(np.real(np.vdot(log_prod, delta)))
+    # Cross term tr(delta log2 rho0^{(x)n}) with delta = prod_mix - rho_n.
+    # The log of a product is a sum of site logs, so this is the sum over
+    # sites of tr(delta_i log2 rho0), delta_i the one-site marginals; it is
+    # computed independently of the overlaps behind qre.
+    def marginal_sum(rho: DensityOperator) -> np.ndarray:
+        shapes = ((d**i, d, d ** (n - 1 - i)) for i in range(n))
+        return sum(np.einsum("aibajb->ij", rho.mat.reshape(s + s)) for s in shapes)
 
-    epsilon = 0.5 * trace_norm(delta)
+    marg = marginal_sum(st.prod_mix) - marginal_sum(st.rho_n)
+    term_cross = float(np.real(np.vdot(_log2_on_support(model.rho0), marg)))
+
+    epsilon = 0.5 * trace_norm_diff(st.prod_mix, st.rho_n)
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)
     fannes = epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon))

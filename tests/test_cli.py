@@ -395,6 +395,29 @@ class TestErrorLine:
             assert err.startswith(f"covertq: error code={name} ")
 
 
+class TestRefusedParameters:
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cmd,n", [("report", "1000"), ("srl-curve", "1000"), ("detect-sim", "4")])
+    def test_non_finite_budget(self, cmd, n, delta, capsys):
+        argv = [cmd, "--channel", AD_SPEC, "--innocent", "1", f"--delta={delta}"]
+        code, out, err = run_cli([*argv, "--vartheta", "0.5", "--n", n], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith("covertq: error code=invalid-input "), err
+        with pytest.raises(ValueError):
+            covert.q_for_budget(1.0, float(delta), 4)
+        with pytest.raises(ValueError):
+            rates.unassisted_bound(1000, 0.5, 1.0, float(delta), twirl.PauliDistribution(1.0, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("spec", [",", " ", "log:1e3:1e7:0"])
+    @pytest.mark.parametrize("cmd", ["report", "srl-curve"])
+    def test_empty_block_length_list(self, cmd, spec, capsys):
+        code, out, err = run_cli([cmd, *BASE, "--vartheta", "0.1", "--n", spec], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith("covertq: error code=n-format "), err
+
+
 def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
     # Every outcome is a CSV or one coded line, whatever the model.
     rng = np.random.default_rng(4)

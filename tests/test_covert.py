@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import logm
 from scipy.optimize import brentq
 
 from covertq.channels import WillieModel, amplitude_damping, complementary, willie_model
@@ -23,7 +24,7 @@ from covertq.covert import (
 )
 from covertq.errors import SupportViolationError
 from covertq.linops import DensityOperator, tensor
-from conftest import random_density
+from conftest import random_density, random_pure
 
 DIAG_HALF = DensityOperator(np.diag([0.5, 0.5]).astype(complex))
 DIAG_91 = DensityOperator(np.diag([0.9, 0.1]).astype(complex))
@@ -86,6 +87,46 @@ class TestChi2:
 
     def test_support_violation_is_infinite(self):
         assert math.isinf(chi2(DIAG_HALF, DensityOperator.basis_state(2, 0)))
+
+
+def _random_unitary(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(g)[0]
+
+
+def _in_subspace(state, u):
+    """state (rank k) placed on the span of the first k columns of u."""
+    k, dim = state.dim, u.shape[0]
+    m = np.zeros((dim, dim), dtype=complex)
+    m[:k, :k] = state.mat
+    return DensityOperator(u @ m @ u.conj().T)
+
+
+class TestOracles:
+    """Seeded random states against dense formulas computed another way."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_qre_matches_matrix_log(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 5
+        rho = random_density(dim, rng, floor=0.05)
+        sigma = random_density(dim, rng, floor=0.05)
+        expect = np.trace(rho.mat @ (logm(rho.mat) - logm(sigma.mat))).real / LN2
+        assert qre(rho, sigma) == pytest.approx(expect, rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chi2_matches_pseudo_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 5
+        rank = dim if seed % 2 else max(1, dim - 1 - seed % 3)
+        u = _random_unitary(dim, rng)
+        sigma = _in_subspace(random_density(rank, rng, floor=0.05), u)
+        rho = _in_subspace(random_density(rank, rng), u)
+        pinv = np.linalg.pinv(sigma.mat, rcond=1e-10, hermitian=True)
+        expect = max(0.0, np.trace(rho.mat @ rho.mat @ pinv).real - 1.0)
+        assert chi2(rho, sigma) == pytest.approx(expect, rel=1e-9, abs=1e-11)
+        if rank < dim:
+            assert chi2(random_pure(dim, rng), sigma) == math.inf
 
 
 class TestSupportContained:

@@ -14,6 +14,7 @@ from covertq.linops import (
     tensor,
     tensor_power,
     trace_norm,
+    trace_norm_diff,
 )
 from conftest import random_density, random_pure
 
@@ -112,6 +113,21 @@ class TestTraceNorm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_state_difference_matches_singular_values(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 4
+        pairs = [
+            (random_density(dim, rng), random_density(dim, rng)),
+            (random_pure(dim, rng), random_density(dim, rng, floor=0.2)),
+            (random_density(2, rng).power(4), random_pure(16, rng)),
+        ]
+        for rho, sigma in pairs:
+            svd = np.sum(np.linalg.svd(rho.mat - sigma.mat, compute_uv=False))
+            assert trace_norm_diff(rho, sigma) == pytest.approx(svd, rel=1e-12, abs=1e-13)
+            assert trace_norm_diff(rho, sigma) == trace_norm(rho.mat - sigma.mat)
+        assert trace_norm_diff(rho, rho) == pytest.approx(0.0, abs=1e-13)
 
 
 class TestEigHermitian:

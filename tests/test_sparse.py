@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from covertq.detect import detection_at_n
 from covertq.sparse import (
     SparseSignalConfig,
     WardenStates,
+    _willie_state_matrix,
     decomposition_report,
     binary_entropy,
     bound_chain,
@@ -276,6 +278,78 @@ class TestWillieStateExact:
         model = random_willie_model(rng, dim=3)
         with pytest.raises(DimensionCapError):
             willie_state_exact(model, SparseSignalConfig(n=8, q=0.3, vartheta=0.3))
+
+
+def _kron_recursion_state(model, cfg):
+    """Reference build of the n-use warden state: every weight class at every
+    level as a fresh np.kron result, then the weighted sum over the weight
+    set."""
+    level = [np.ones((1, 1), dtype=np.complex128)]
+    for _ in range(cfg.n):
+        nxt = []
+        for w in range(len(level) + 1):
+            acc = None
+            if w < len(level):
+                acc = np.kron(level[w], model.rho0.mat)
+            if w > 0:
+                term = np.kron(level[w - 1], model.rho_pi.mat)
+                acc = term if acc is None else acc + term
+            nxt.append(acc)
+        level = nxt
+    out = np.zeros_like(level[0])
+    for w in cfg.weight_range():
+        out += cfg.q**w * (1.0 - cfg.q) ** (cfg.n - w) * level[w]
+    return out / weight_set_prob(cfg)
+
+
+def _inner_weight_config(n, rng):
+    """A config whose weight set leaves out weight 0 and weight n, so every
+    class outside it that a build folds in changes the state."""
+    while True:
+        try:
+            cfg = SparseSignalConfig(n=n, q=rng.uniform(0.15, 0.85), vartheta=rng.uniform(0.05, 0.3))
+        except ValueError:
+            continue
+        ws = cfg.weight_range()
+        if ws[0] > 0 and ws[-1] < n:
+            return cfg
+
+
+class TestBufferedBuild:
+    @pytest.mark.parametrize("d,n_max", [(2, 10), (3, 6)])
+    def test_bit_identical_to_kron_recursion(self, d, n_max):
+        rng = np.random.default_rng(100 + d)
+        for n in range(2, n_max + 1):
+            model = random_willie_model(rng, dim=d)
+            cfg = _inner_weight_config(n, rng)
+            got = _willie_state_matrix(model, cfg)
+            assert np.array_equal(got, _kron_recursion_state(model, cfg)), (d, n, cfg)
+        model = random_willie_model(rng, dim=d)
+        for cfg in (SparseSignalConfig(1, 0.4, 0.7), SparseSignalConfig(3, 0.5, 1.0)):
+            assert np.array_equal(_willie_state_matrix(model, cfg), _kron_recursion_state(model, cfg))
+
+    @pytest.mark.parametrize("d,hint", [(2, "n <= 10 for d=2"), (3, "n <= 6 for d=3")])
+    def test_cap_hint(self, d, hint, rng):
+        model = random_willie_model(rng, dim=d)
+        cfg = SparseSignalConfig(n=11 if d == 2 else 7, q=0.3, vartheta=0.3)
+        with pytest.raises(DimensionCapError, match=hint):
+            _willie_state_matrix(model, cfg)
+
+    def test_detect_path_memory_at_n9(self, rng):
+        # Everything detect-sim does at n = 9 fits in seven 512-square
+        # complex matrices of traced numpy memory.
+        model = random_willie_model(rng)
+        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+        tracemalloc.start()
+        try:
+            st = WardenStates(model, cfg)
+            bound_chain(st)
+            decomposition_report(st)
+            detection_at_n(st, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 512**2 * 16, peak / 1e6
 
 
 class TestBoundChain:
