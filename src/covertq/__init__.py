@@ -3,14 +3,14 @@
 Subpackage layout:
 
 - ``linops``    dense complex linear algebra (tensor products, partial traces,
-  Hermitian eigendecompositions, trace norms) and the validated density
-  operator type
+  Hermitian eigendecompositions, trace norms), the dense-size cap, and the
+  validated density operator type
 - ``channels``  Kraus-form channels, Choi matrices, complementary channels,
   standard builders, channel spec file I/O, and the warden-side model
 - ``twirl``     qubit-subspace projection statistics, Pauli twirling of the
   conditional channel, and the combined Pauli error vector
 - ``covert``    divergences (relative entropy, chi-square), detection-error
-  and support relations, covertness constants and budgets, Gibbs states
+  and support relations, covert constant and budgeted density, Gibbs states
 - ``sparse``    sparse-signaling weight sets, exact tail probabilities,
   exact warden states at small n, and the divergence decomposition report
 - ``rates``     hashing and distillation rates, throughput lower bounds

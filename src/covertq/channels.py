@@ -104,14 +104,6 @@ def choi(ch: QuantumChannel) -> np.ndarray:
     return j / d
 
 
-def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel composition second(first(rho)) with product Kraus list."""
-    if first.d_out != second.d_in:
-        raise ValueError("channel dimensions do not chain")
-    ops = [k2 @ k1 for k2 in second.kraus for k1 in first.kraus]
-    return QuantumChannel(tuple(ops))
-
-
 def complementary(ch: QuantumChannel) -> QuantumChannel:
     """Environment-side channel of the isometric dilation.
 
@@ -178,29 +170,6 @@ def qubit_leak(p_leak: float) -> QuantumChannel:
     l1 = np.zeros((3, 2), dtype=np.complex128)
     l1[2, 1] = np.sqrt(p_leak)
     return QuantumChannel((keep, l0, l1))
-
-
-_BUILDERS = {
-    "identity": identity_channel,
-    "depolarizing": depolarizing,
-    "pauli": pauli_channel,
-    "amplitude_damping": amplitude_damping,
-    "qubit_into_qudit_leak": qubit_leak,
-}
-
-
-def build(kind: str, *args, **kwargs) -> QuantumChannel:
-    """Dispatch to a named builder; ``from_spec`` loads a channel file."""
-    if kind == "from_spec":
-        return load_channel(*args, **kwargs)
-    try:
-        fn = _BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown channel kind {kind!r}; expected one of "
-            f"{sorted(_BUILDERS) + ['from_spec']}"
-        ) from None
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -147,10 +147,14 @@ def _parse_n_list(spec: str) -> list[int]:
     try:
         if spec.startswith("log:"):
             _, lo, hi, count = spec.split(":")
-            ns = sorted({int(round(g)) for g in np.geomspace(float(lo), float(hi), int(count))})
+            # geomspace warns on stderr about a negative or infinite end;
+            # int() below refuses such a grid instead.
+            with np.errstate(all="ignore"):
+                grid = np.geomspace(float(lo), float(hi), int(count))
+            ns = sorted({int(round(g)) for g in grid})
         else:
             ns = [int(tok) for tok in spec.split(",") if tok]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         kind = "log grid spec" if spec.startswith("log:") else "n list"
         raise _CliError(EXIT_PARSE, "n-format", f"bad {kind} {spec!r}: {exc}") from exc
     if not ns:
@@ -193,16 +197,9 @@ def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieMod
     return bob, mode, model
 
 
-def _require_qubit_input(ch: channels.QuantumChannel) -> None:
-    if ch.d_in != 2:
-        raise DimensionCapError(
-            f"twirl analysis needs a qubit-input channel, got d_in={ch.d_in}"
-        )
-
-
 def _analyze(args) -> ChannelReport:
     bob, mode, model = _build_model(args)
-    _require_qubit_input(bob)
+    twirl.require_qubit_input(bob)
     c_q = covert.covert_constant(model)
     stats = twirl.projection_stats(bob)
     q_tw = twirl.twirl_parameters(stats)
@@ -210,8 +207,10 @@ def _analyze(args) -> ChannelReport:
     rate_h = rates.hashing_rate(p_vec)
     rate_d = rates.distillation_rate(q_tw, stats.p_f)
     bounds = []
-    if not math.isinf(c_q):
-        for n in _parse_n_list(args.n):
+    for n in _parse_n_list(args.n):
+        # Checked also when c_q is infinite and no bound is computed.
+        rates._check_bound_args(n, args.vartheta, c_q, args.delta)
+        if not math.isinf(c_q):
             b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, p_vec)
             b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, q_tw, stats.p_f)
             bounds.append((n, b1, b2))
@@ -344,7 +343,6 @@ def cmd_detect_sim(args) -> int:
 
 def cmd_twirl_check(args) -> int:
     ch = channels.load_channel(args.channel)
-    _require_qubit_input(ch)
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
     empirical = twirl.monte_carlo_twirl(ch, args.samples, args.seed)
@@ -378,6 +376,11 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_budget_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta", type=float, required=True, help="divergence budget in nats")
+    p.add_argument("--vartheta", type=float, required=True, help="weight-set half width")
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as a coded line instead of argparse's own text;
     subcommand parsers inherit this class."""
@@ -395,16 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full covertability report for a channel")
     _add_model_args(p)
-    p.add_argument("--delta", type=float, required=True, help="divergence budget")
-    p.add_argument("--vartheta", type=float, required=True, help="weight-set half width")
+    _add_budget_args(p)
     p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("srl-curve", help="square-root scaling curve as CSV")
     _add_model_args(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--vartheta", type=float, required=True)
+    _add_budget_args(p)
     p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_srl_curve)
@@ -413,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "detect-sim", help="exact warden detection figures and bound chain at one n"
     )
     _add_model_args(p)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--vartheta", type=float, required=True)
+    _add_budget_args(p)
     p.add_argument("--n", dest="n_single", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="reserved; detection is exact")
     p.add_argument("--out", default=None)

@@ -1,4 +1,4 @@
-"""Divergences, detection-error relations, and covertness budgets.
+"""Divergences, detection-error relations, and the covertness budget.
 
 Log-base convention, in one place: every entropy and divergence in this
 package is reported in bits (base-2 logs), matching the qubit rate formulas.
@@ -12,13 +12,13 @@ after unit conversion:
   divide the chi-square side by LN2 (see ``sparse.bound_chain``).
 
 The chi-square divergence itself carries no logarithm and needs no
-conversion.
+conversion. The divergence budget delta is the one input in nats: the mixing
+bound sets q^2 n chi2 = delta (``q_for_budget``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,24 +91,22 @@ def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
     return max(0.0, val - 1.0)
 
 
-def support_contained(
-    rho: DensityOperator, sigma: DensityOperator, tol: float = SUPPORT_TOL
-) -> bool:
-    """True when every eigenvector of rho with eigenvalue above ``tol`` lies
-    in the span of sigma's eigenvectors with eigenvalue above ``tol``."""
+def support_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
+    """True when every eigenvector of rho with eigenvalue above SUPPORT_TOL
+    lies in the span of sigma's eigenvectors with eigenvalue above it."""
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
     a, u = rho.eigh()
     b, v = sigma.eigh()
-    kernel = v[:, b <= tol]
+    kernel = v[:, b <= SUPPORT_TOL]
     if kernel.shape[1] == 0:
         return True
-    live = u[:, a > tol]
+    live = u[:, a > SUPPORT_TOL]
     if live.shape[1] == 0:
         return True
     # Residual of each live eigenvector under the projector onto sigma's kernel.
     resid = np.sum(np.abs(kernel.conj().T @ live) ** 2, axis=0)
-    return bool(np.max(resid) <= tol)
+    return bool(np.max(resid) <= SUPPORT_TOL)
 
 
 def helstrom_error(rho1: DensityOperator, rho0: DensityOperator) -> float:
@@ -156,7 +154,8 @@ def covert_constant(model: WillieModel) -> float:
 
 
 def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
-    """Signal density min(1, c_q * sqrt(delta_qre / n)).
+    """Signal density min(1, c_q * sqrt(delta_qre / n)) for a budget
+    ``delta_qre`` in nats.
 
     The clamp at 1 marks the degenerate non-sparse regime (tiny n or a
     trivially covert channel); callers should report it.
@@ -170,29 +169,6 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     if delta_qre == 0.0:
         return 0.0
     return min(1.0, c_q * math.sqrt(delta_qre / n))
-
-
-@dataclass(frozen=True)
-class CovertnessBudget:
-    """A divergence budget together with the signal density it allows."""
-
-    delta_qre: float
-    c_q: float
-    n: int
-    q: float
-
-    def __post_init__(self):
-        if self.delta_qre < 0 or self.c_q <= 0 or self.n < 1:
-            raise ValueError("budget parameters out of range")
-        expect = q_for_budget(self.c_q, self.delta_qre, self.n)
-        if abs(self.q - expect) > 1e-12:
-            raise ValueError(f"q={self.q} inconsistent with budget (expected {expect})")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {self.q}")
-
-    @classmethod
-    def derive(cls, c_q: float, delta_qre: float, n: int) -> "CovertnessBudget":
-        return cls(delta_qre=delta_qre, c_q=c_q, n=n, q=q_for_budget(c_q, delta_qre, n))
 
 
 # ---------------------------------------------------------------------------

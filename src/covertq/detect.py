@@ -15,13 +15,16 @@ import numpy as np
 
 from .linops import trace_norm_diff
 from .channels import QuantumChannel
-from .sparse import WardenStates, max_exact_block  # noqa: F401  (re-exported)
+from .covert import LN2
+from .sparse import WardenStates
 from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Exact warden-side figures at one block length."""
+    """Exact warden-side figures at one block length. ``qre_exact`` is in
+    bits and the budget ``qre_budget`` in nats, so the covertness flag
+    compares LN2 * qre_exact with it."""
 
     n: int
     trace_distance: float
@@ -34,15 +37,16 @@ class DetectionResult:
         expected = 0.5 - 0.25 * self.trace_distance
         if abs(self.p_e_willie - expected) > 1e-9:
             raise ValueError("error probability inconsistent with trace distance")
-        if self.covert_ok != (self.qre_exact <= self.qre_budget):
+        if self.covert_ok != (LN2 * self.qre_exact <= self.qre_budget):
             raise ValueError("covertness flag inconsistent with divergences")
 
 
 def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     """Exact trace distance, optimal test error, and divergence of the
     warden's n-use state against the innocent product, with the covertness
-    flag for the given budget. Block lengths past ``max_exact_block`` raise
-    ``DimensionCapError`` when the warden state is built.
+    flag for the budget ``delta_qre`` in nats. Block lengths past
+    ``linops.max_exact_block`` raise ``DimensionCapError`` when the warden
+    state is built.
 
     A support violation is reported through an infinite divergence (and a
     false flag) rather than an exception, since the trace-distance figures
@@ -58,7 +62,7 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
         p_e_willie=0.5 - 0.25 * td,
         qre_exact=d_exact,
         qre_budget=delta_qre,
-        covert_ok=bool(d_exact <= delta_qre),
+        covert_ok=bool(LN2 * d_exact <= delta_qre),
     )
 
 

@@ -8,6 +8,7 @@ sizes and are shared across the package.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -19,7 +20,6 @@ from .errors import DimensionCapError
 TAU_HERM = 1e-10
 TAU_TRACE = 1e-10
 TAU_PSD = 1e-9
-TAU_EIG = 1e-8
 # Kernel threshold for one operator's eigenvalues: at or below it an
 # eigenvalue counts as zero in support tests, logs and inverses. It is
 # absolute, so it is applied to single-site states only; the kernel of a
@@ -28,6 +28,20 @@ TAU_EIG = 1e-8
 SUPPORT_TOL = 1e-10
 # Dense-storage cap: 2**10.
 DIM_CAP = 1024
+
+
+def max_exact_block(d: int) -> int:
+    """Largest k with d**k at or below ``DIM_CAP``: 10 for qubits, 6 for
+    qutrits, 0 past the cap. Found by integer multiplication, so comparing a
+    block length with it costs the same however long the block is."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    if d == 1:
+        return sys.maxsize  # a one-dimensional factor never grows
+    k, size = 0, d
+    while size <= DIM_CAP:
+        k, size = k + 1, size * d
+    return k
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -53,25 +67,14 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
-def tensor_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("tensor_all needs at least one matrix")
-    out = as_complex_matrix(mats[0])
-    for m in mats[1:]:
-        out = np.kron(out, as_complex_matrix(m))
-    return out
-
-
-def tensor_power(m, k: int, cap: int = DIM_CAP) -> np.ndarray:
+def tensor_power(m, k: int) -> np.ndarray:
     """k-fold Kronecker power with the dense-size cap enforced."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
     a = as_complex_matrix(m)
-    if a.shape[0] ** k > cap:
+    if k > max_exact_block(a.shape[0]):
         raise DimensionCapError(
-            f"dim {a.shape[0]}**{k} exceeds the dense cap of {cap}"
+            f"dim {a.shape[0]}**{k} exceeds the dense cap of {DIM_CAP}"
         )
     out = a
     for _ in range(k - 1):
@@ -140,11 +143,11 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     return vals.real, vecs
 
 
-def clip_spectrum(vals: np.ndarray, tol: float = TAU_PSD) -> np.ndarray:
-    """Clamp eigenvalues in [-tol, 0) to 0; anything more negative is a
+def clip_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues in [-TAU_PSD, 0) to 0; anything more negative is a
     genuine positivity failure and passes through for the caller to reject."""
     out = np.array(vals, dtype=float)
-    out[(out < 0.0) & (out >= -tol)] = 0.0
+    out[(out < 0.0) & (out >= -TAU_PSD)] = 0.0
     return out
 
 

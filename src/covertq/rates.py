@@ -126,12 +126,3 @@ def assisted_bound(
         classical_bits_upper=bits,
     )
 
-
-def classical_bits_for_weight(w: int, rate_d: float) -> float:
-    """Exact two-way classical cost for one realized pattern of weight w:
-    one status bit per signal slot plus two bits per distilled pair,
-    w + 2 w rate_d. Kept separate from the (1 + vartheta) bound so simulated
-    tallies can be compared against both."""
-    if w < 0:
-        raise ValueError("pattern weight cannot be negative")
-    return w * (1.0 + 2.0 * rate_d)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
-from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, trace_norm_diff
+from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, max_exact_block, trace_norm_diff
 from .channels import WillieModel
 from .covert import LN2, chi2, qre, support_contained, vn_entropy
 
@@ -65,10 +65,6 @@ class SparseSignalConfig:
         while hi >= lo and not ok(hi):
             hi -= 1
         return range(lo, hi + 1)
-
-    def weight_set(self) -> list[int]:
-        """The admissible weights as a list."""
-        return list(self.weight_range())
 
 
 def weight_set_prob(cfg: SparseSignalConfig) -> float:
@@ -134,24 +130,9 @@ def sample_patterns(cfg: SparseSignalConfig, seed: int, count: int) -> np.ndarra
     return out
 
 
-def sample_pattern(cfg: SparseSignalConfig, seed: int) -> tuple[np.ndarray, int]:
-    """One pattern and its weight."""
-    x = sample_patterns(cfg, seed, 1)[0]
-    return x, int(x.sum())
-
-
 # ---------------------------------------------------------------------------
 # Exact warden states
 # ---------------------------------------------------------------------------
-
-
-def max_exact_block(d: int) -> int:
-    """Largest block length with d**n inside the dense cap (10 for qubit
-    outputs, 6 for qutrits)."""
-    if d < 2:
-        raise ValueError(f"output dimension must be at least 2, got {d}")
-    n = int(math.floor(math.log(DIM_CAP) / math.log(d) + 1e-9))
-    return max(n, 1)
 
 
 def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndarray:
@@ -165,10 +146,11 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     ``np.kron`` recursion. Live at the top: the level n - 1 classes and three
     d^n-square buffers."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
-    if d**n > DIM_CAP:
+    n_max = max_exact_block(d)
+    if n > n_max:
         raise DimensionCapError(
             f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
-            f"keep d**n at or below {DIM_CAP} (n <= {max_exact_block(d)} for d={d})"
+            f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
         )
 
     def kron_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

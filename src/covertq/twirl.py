@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError, EstimationFailureError
-from .linops import DIM_CAP, DensityOperator, as_complex_matrix, dagger
+from .linops import as_complex_matrix, dagger
 from .channels import PAULIS, QuantumChannel, choi
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -83,10 +83,22 @@ class ProjectionStats:
         object.__setattr__(self, "conditional_choi", j)
 
 
-def _qubit_block_indices(d_out: int) -> list[int]:
-    # Joint (reference qubit) x (output qudit) flattened as r * d_out + b;
-    # keep output levels 0 and 1.
-    return [r * d_out + b for r in (0, 1) for b in (0, 1)]
+def require_qubit_input(ch: QuantumChannel) -> None:
+    """Refuse a channel whose input is not a qubit, as twirling needs one."""
+    if ch.d_in != 2:
+        raise DimensionCapError(
+            f"twirl analysis needs a qubit-input channel, got d_in={ch.d_in}"
+        )
+
+
+def _qubit_block_indices(ch: QuantumChannel) -> list[int]:
+    """Rows of the joint (reference qubit) x (output qudit) space, flattened
+    as r * d_out + b, that keep output levels 0 and 1; the input and output
+    must hold a qubit."""
+    require_qubit_input(ch)
+    if ch.d_out < 2:
+        raise ValueError(f"output dimension {ch.d_out} has no qubit subspace")
+    return [r * ch.d_out + b for r in (0, 1) for b in (0, 1)]
 
 
 def projection_stats(ch: QuantumChannel) -> ProjectionStats:
@@ -96,12 +108,8 @@ def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     input, which is the relevant average once the inputs are twirled. The
     qubit subspace is fixed to the first two output basis vectors.
     """
-    if ch.d_in != 2:
-        raise ValueError(f"projection analysis needs a qubit-input channel, got d_in={ch.d_in}")
-    if ch.d_out < 2:
-        raise ValueError(f"output dimension {ch.d_out} has no qubit subspace")
+    idx = _qubit_block_indices(ch)
     j = choi(ch)
-    idx = _qubit_block_indices(ch.d_out)
     block = j[np.ix_(idx, idx)]
     succ = float(np.trace(block).real)
     p_f = min(1.0, max(0.0, 1.0 - succ))
@@ -142,16 +150,6 @@ def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
     return out
 
 
-def average_input_state(w: int) -> DensityOperator:
-    """The twirled sender's average over w signal slots: the w-fold tensor
-    power of the maximally mixed qubit."""
-    if w < 1:
-        raise ValueError("need at least one signal slot")
-    if 2**w > DIM_CAP:
-        raise DimensionCapError(f"2**{w} exceeds the dense cap of {DIM_CAP}")
-    return DensityOperator.maximally_mixed(2**w)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 # ---------------------------------------------------------------------------
@@ -165,12 +163,8 @@ def _twirl_branches(ch: QuantumChannel):
     undo P_j. Returns the per-branch success probabilities and, conditioned
     on success, the Bell-basis outcome distributions (rows sum to 1).
     """
-    if ch.d_in != 2:
-        raise ValueError(f"twirl simulation needs a qubit-input channel, got d_in={ch.d_in}")
-    if ch.d_out < 2:
-        raise ValueError(f"output dimension {ch.d_out} has no qubit subspace")
+    idx = _qubit_block_indices(ch)
     d = ch.d_out
-    idx = _qubit_block_indices(d)
     eye2 = np.eye(2, dtype=np.complex128)
     succ = np.zeros(4)
     outcome = np.zeros((4, 4))
@@ -198,6 +192,8 @@ def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
     is normalized away. Deterministic for a fixed seed."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    if samples > np.iinfo(np.int64).max:
+        raise ValueError(f"sample count {samples} exceeds the multinomial limit 2**63 - 1")
     p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     return np.random.default_rng(seed).multinomial(samples, p / max(1.0, p.sum()))
 

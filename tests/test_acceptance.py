@@ -188,10 +188,10 @@ def test_criterion_3_data_processing_and_tail_bounds():
                 if n <= 16:
                     enum = sum(
                         counts[w] * q**w * (1 - q) ** (n - w)
-                        for w in cfg.weight_set()
+                        for w in list(cfg.weight_range())
                     )
                     assert p_a == pytest.approx(enum, rel=1e-11)
-                eps = _epsilon_exact_commuting(r0, rpi, n, q, cfg.weight_set())
+                eps = _epsilon_exact_commuting(r0, rpi, n, q, list(cfg.weight_range()))
                 assert eps <= tail + 1e-11
                 checked += 1
     # Cross-check the collapsed epsilon against the dense-matrix route.
@@ -201,7 +201,7 @@ def test_criterion_3_data_processing_and_tail_bounds():
         dense = 0.5 * trace_norm(
             tensor_power(mix.mat, n) - _willie_state_matrix(WORKED, cfg)
         )
-        collapsed = _epsilon_exact_commuting(r0, rpi, n, q, cfg.weight_set())
+        collapsed = _epsilon_exact_commuting(r0, rpi, n, q, list(cfg.weight_range()))
         assert collapsed == pytest.approx(dense, abs=1e-10)
     _finish(
         3,

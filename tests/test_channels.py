@@ -6,10 +6,8 @@ from covertq.channels import (
     amplitude_damping,
     apply,
     apply_mat,
-    build,
     choi,
     complementary,
-    compose,
     depolarizing,
     identity_channel,
     load_channel,
@@ -93,20 +91,6 @@ class TestChoi:
             ch = random_channel(3, 2, 2, rng)
             np.testing.assert_allclose(choi(ch), choi_bruteforce(ch), atol=1e-12)
         assert np.trace(choi(random_channel(2, 4, 3, rng))) == pytest.approx(1.0)
-
-    def test_composition_consistency(self, rng):
-        # Choi of the composed Kraus list agrees with composing the actions.
-        ch1 = random_channel(2, 3, 2, rng)
-        ch2 = random_channel(3, 2, 3, rng)
-        both = compose(ch2, ch1)
-        j_functional = np.zeros((4, 4), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = 1.0
-                out = apply_mat(ch2, apply_mat(ch1, e))
-                j_functional[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = out
-        np.testing.assert_allclose(choi(both), j_functional / 2, atol=1e-12)
 
 
 class TestComplementary:
@@ -200,8 +184,6 @@ class TestBuilders:
             amplitude_damping(-0.1)
         with pytest.raises(ValueError):
             pauli_channel((0.5, 0.5, 0.5, -0.5))
-        with pytest.raises(ValueError):
-            build("no-such-kind")
 
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(TracePreservationError):
@@ -211,7 +193,7 @@ class TestBuilders:
         ch = random_channel(2, 3, 2, rng)
         path = tmp_path / "ch.json"
         save_channel(ch, path)
-        back = build("from_spec", path)
+        back = load_channel(path)
         assert back.d_in == ch.d_in and back.d_out == ch.d_out
         for a, b in zip(ch.kraus, back.kraus):
             np.testing.assert_allclose(a, b, atol=1e-15)

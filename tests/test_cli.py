@@ -20,6 +20,13 @@ AD_SPEC = REPO / "data" / "amplitude_damping.json"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def child_env(**extra):
+    """Environment for a child interpreter that imports this checkout's
+    package, whether or not it is installed."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_cli(argv, capsys):
     code = cli.main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -38,6 +45,17 @@ def depol_spec(tmp_path):
     p = tmp_path / "depol.json"
     channels.save_channel(channels.depolarizing(1.0), p)
     return p
+
+
+@pytest.fixture
+def ad_args():
+    return ["--channel", AD_SPEC, "--innocent", "1"]
+
+
+@pytest.fixture
+def trivial_args(ident_spec, depol_spec):
+    # Identical warden outputs: c_q is infinite and report computes no bound.
+    return ["--channel", ident_spec, "--willie-file", depol_spec, "--innocent", "0"]
 
 
 BASE = ["--channel", AD_SPEC, "--innocent", "1", "--delta", "0.05"]
@@ -226,6 +244,22 @@ class TestDetectSim:
         assert code == cli.EXIT_DIM
         assert "code=dimension" in err and "n <= 10" in err
 
+    def test_huge_block_length_is_refused_at_once(self):
+        # The cap is compared with n, never through d**n, whose exact integer
+        # takes longer than the timeout to build.
+        proc = subprocess.run(
+            [sys.executable, "-m", "covertq.cli", "detect-sim", *map(str, BASE),
+             "--vartheta", "0.5", "--n", "99999999999999999999"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            cwd=REPO,
+            timeout=10,
+        )
+        assert proc.returncode == cli.EXIT_DIM, proc.stderr
+        assert proc.stderr.startswith("covertq: error code=dimension ")
+        assert "n <= 10 for d=2" in proc.stderr
+
     def test_degenerate_density_exit_code(self, capsys):
         # Tiny n saturates the budgeted density at 1.
         code, _, err = run_cli(
@@ -375,12 +409,19 @@ class TestErrorLine:
     def test_refusals_map_through_exit_table(self, capsys, tmp_path, ident_spec, depol_spec):
         qutrit = tmp_path / "qutrit.json"
         channels.save_channel(channels.identity_channel(3), qutrit)
+        # Qubit input, no qubit output: the support check comes first.
+        trace = tmp_path / "trace.json"
+        channels.save_channel(channels.QuantumChannel((np.eye(2)[:1], np.eye(2)[1:])), trace)
         args = ["--innocent", "0", "--delta", "0.05", "--vartheta", "0.5", "--n"]
         cases = [
             (["report", "--channel", ident_spec, "--willie-file", qutrit, *args, "100"],
              cli.EXIT_PARSE, "channel-format"),
             (["report", "--channel", qutrit, *args, "100"], cli.EXIT_DIM, "dimension"),
             (["twirl-check", "--channel", qutrit], cli.EXIT_DIM, "dimension"),
+            (["report", "--channel", trace, *args, "100"], cli.EXIT_SUPPORT, "support-violation"),
+            (["twirl-check", "--channel", trace], cli.EXIT_PARSE, "invalid-input"),
+            (["twirl-check", "--channel", AD_SPEC, "--samples", "99999999999999999999"],
+             cli.EXIT_PARSE, "invalid-input"),
             (["srl-curve", "--channel", ident_spec, "--willie-file", ident_spec, *args, "100"],
              cli.EXIT_SUPPORT, "support-violation"),
             (["srl-curve", "--channel", ident_spec, "--willie-file", depol_spec, *args, "100"],
@@ -397,9 +438,14 @@ class TestErrorLine:
 
 class TestRefusedParameters:
     @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("cmd,n", [("report", "1000"), ("srl-curve", "1000"), ("detect-sim", "4")])
-    def test_non_finite_budget(self, cmd, n, delta, capsys):
-        argv = [cmd, "--channel", AD_SPEC, "--innocent", "1", f"--delta={delta}"]
+    @pytest.mark.parametrize(
+        "cmd,n,model",
+        [("report", "1000", "ad"), ("srl-curve", "1000", "ad"), ("detect-sim", "4", "ad"),
+         ("report", "100", "trivial"), ("srl-curve", "100", "trivial")],
+        ids=["report-1000", "srl-curve-1000", "detect-sim-4", "report-trivial", "srl-curve-trivial"],
+    )
+    def test_non_finite_budget(self, cmd, n, model, delta, capsys, request):
+        argv = [cmd, *request.getfixturevalue(f"{model}_args"), f"--delta={delta}"]
         code, out, err = run_cli([*argv, "--vartheta", "0.5", "--n", n], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
@@ -409,13 +455,28 @@ class TestRefusedParameters:
         with pytest.raises(ValueError):
             rates.unassisted_bound(1000, 0.5, 1.0, float(delta), twirl.PauliDistribution(1.0, 0.0, 0.0, 0.0))
 
-    @pytest.mark.parametrize("spec", [",", " ", "log:1e3:1e7:0"])
-    @pytest.mark.parametrize("cmd", ["report", "srl-curve"])
-    def test_empty_block_length_list(self, cmd, spec, capsys):
-        code, out, err = run_cli([cmd, *BASE, "--vartheta", "0.1", "--n", spec], capsys)
+    @pytest.mark.parametrize("spec", [",", " ", "log:1e3:1e7:0", "log:1e3:inf:3"])
+    @pytest.mark.parametrize(
+        "cmd,model",
+        [("report", "ad"), ("srl-curve", "ad"), ("report", "trivial"), ("srl-curve", "trivial")],
+        ids=["report", "srl-curve", "report-trivial", "srl-curve-trivial"],
+    )
+    def test_empty_block_length_list(self, cmd, model, spec, capsys, request):
+        argv = [cmd, *request.getfixturevalue(f"{model}_args"), "--delta", "0.05"]
+        code, out, err = run_cli([*argv, "--vartheta", "0.1", "--n", spec], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
         assert err.startswith("covertq: error code=n-format "), err
+
+    @pytest.mark.parametrize("delta,vartheta", [("-1", "0.1"), ("0.05", "7")])
+    @pytest.mark.parametrize("cmd", ["report", "srl-curve"])
+    @pytest.mark.parametrize("model", ["ad", "trivial"])
+    def test_out_of_range_budget(self, model, cmd, delta, vartheta, capsys, request):
+        argv = [cmd, *request.getfixturevalue(f"{model}_args"), f"--delta={delta}"]
+        code, out, err = run_cli([*argv, "--vartheta", vartheta, "--n", "100"], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith("covertq: error code=invalid-input "), err
 
 
 def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
@@ -461,12 +522,11 @@ for argv in (
     assert cli.main([*argv, "--out", out]) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         cwd=REPO,
     )
     assert proc.returncode == 0, proc.stderr
@@ -504,9 +564,7 @@ class TestDeterminism:
 
 
 def test_console_entry_point_with_thread_cap(tmp_path):
-    # The child imports this checkout's package, whether or not it is installed.
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, COVERTQ_THREADS="1", PYTHONPATH=path)
+    env = child_env(COVERTQ_THREADS="1")
     out = subprocess.run(
         [
             sys.executable,

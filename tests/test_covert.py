@@ -10,7 +10,6 @@ from covertq.covert import (
     LN2,
     TAU_ENERGY,
     _solve_beta,
-    CovertnessBudget,
     chi2,
     covert_constant,
     gibbs_state,
@@ -231,12 +230,6 @@ class TestBudget:
 
     def test_clamped_to_one(self):
         assert q_for_budget(1e9, 0.5, 4) == 1.0
-
-    def test_budget_dataclass_consistency(self):
-        b = CovertnessBudget.derive(0.75, 0.05, 6)
-        assert b.q == pytest.approx(0.75 * math.sqrt(0.05 / 6))
-        with pytest.raises(ValueError):
-            CovertnessBudget(delta_qre=0.05, c_q=0.75, n=6, q=0.5)
 
 
 def test_mixing_bound_against_chi_square(rng):

@@ -11,14 +11,9 @@ from covertq.channels import (
     qubit_leak,
 )
 from covertq.covert import LN2, covert_constant, helstrom_error, q_for_budget
-from covertq.detect import (
-    DetectionResult,
-    detection_at_n,
-    max_exact_block,
-    pipeline_tomography,
-)
+from covertq.detect import DetectionResult, detection_at_n, pipeline_tomography
 from covertq.errors import DimensionCapError
-from covertq.linops import DensityOperator
+from covertq.linops import DensityOperator, max_exact_block
 from covertq.sparse import SparseSignalConfig, WardenStates, bound_chain
 from covertq.twirl import compose_with_failure, projection_stats, twirl_parameters
 from conftest import random_density, random_willie_model
@@ -34,6 +29,9 @@ class TestCaps:
         assert max_exact_block(2) == 10
         assert max_exact_block(3) == 6
         assert max_exact_block(4) == 5
+        for d in range(2, 1100):
+            k = max_exact_block(d)
+            assert d**k <= 1024 < d ** (k + 1), d
 
     def test_cap_enforced(self, rng):
         model = random_willie_model(rng, dim=3)
@@ -55,7 +53,7 @@ class TestDetection:
 
     def test_single_use_reduces_to_helstrom(self):
         cfg = SparseSignalConfig(n=1, q=0.9, vartheta=0.15)
-        assert cfg.weight_set() == [1]
+        assert list(cfg.weight_range()) == [1]
         res = detection_at_n(WardenStates(WORKED, cfg), 0.5)
         assert res.p_e_willie == pytest.approx(
             helstrom_error(WORKED.rho_pi, WORKED.rho0), abs=1e-12
@@ -115,6 +113,19 @@ class TestDetection:
                     exercised += 1
                     assert res.covert_ok
         assert exercised >= 10
+
+    def test_budget_is_in_nats(self):
+        # delta is a budget in nats and d_exact is in bits: a budget between
+        # LN2 * d_exact and d_exact is met.
+        st = WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        d_bits = st.d_exact
+        assert d_bits > 0
+        for delta, ok in (
+            (LN2 * d_bits, True),
+            (0.5 * (1.0 + LN2) * d_bits, True),
+            (0.99 * LN2 * d_bits, False),
+        ):
+            assert detection_at_n(st, delta).covert_ok is ok
 
     def test_result_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from covertq.covert import qre
 from covertq.errors import DimensionCapError
 from covertq.linops import (
     SUPPORT_TOL,
-    TAU_EIG,
     DensityOperator,
     eig_hermitian,
     partial_trace,
@@ -143,7 +142,7 @@ class TestEigHermitian:
         h = _rand_hermitian(6, rng)
         vals, vecs = eig_hermitian(h)
         assert np.all(np.diff(vals) >= -1e-12)
-        np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, h, atol=TAU_EIG)
+        np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-8)
 
     def test_rejects_non_hermitian(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

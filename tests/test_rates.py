@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from covertq.rates import (
     ThroughputBound,
     assisted_bound,
-    classical_bits_for_weight,
     distillation_rate,
     entropy4,
     hashing_rate,
@@ -85,10 +84,6 @@ class TestBounds:
         b = assisted_bound(10**4, 0.1, 0.75, 0.01, CLEAN, p_f=1.0)
         assert b.rate == 0.0
         assert b.classical_bits_upper == pytest.approx(1.1 * 100 * 0.75 * 0.1)
-
-    def test_per_pattern_bit_count(self):
-        assert classical_bits_for_weight(100, 0.5) == pytest.approx(200.0)
-        assert classical_bits_for_weight(0, 0.7) == 0.0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

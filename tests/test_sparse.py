@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 from covertq.channels import WillieModel
 from covertq.covert import qre
 from covertq.errors import DimensionCapError, SupportViolationError
-from covertq.linops import DensityOperator, tensor_all, tensor_power
+from covertq.linops import DensityOperator, tensor_power
 from covertq.detect import detection_at_n
 from covertq.sparse import (
     SparseSignalConfig,
@@ -22,12 +22,20 @@ from covertq.sparse import (
     binary_entropy,
     bound_chain,
     chernoff_epsilon,
-    sample_pattern,
     sample_patterns,
     weight_set_prob,
     willie_state_exact,
 )
 from conftest import random_density, random_willie_model
+
+
+def _tensor_all(mats):
+    """Kronecker product of a sequence of matrices, left to right."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
 
 def _near(x):
     """x and its neighbours one ulp away on each side."""
@@ -43,7 +51,7 @@ WORKED = WillieModel(
 class TestConfig:
     def test_weight_set_worked_example(self):
         cfg = SparseSignalConfig(n=4, q=0.5, vartheta=0.25)
-        assert cfg.weight_set() == [1, 2, 3]
+        assert list(cfg.weight_range()) == [1, 2, 3]
 
     def test_empty_weight_set_rejected(self):
         with pytest.raises(ValueError):
@@ -68,7 +76,7 @@ class TestConfig:
                                     SparseSignalConfig(n=n, q=q, vartheta=v)
                                 continue
                             cfg = SparseSignalConfig(n=n, q=q, vartheta=v)
-                            assert cfg.weight_set() == scan, (n, q, v)
+                            assert list(cfg.weight_range()) == scan, (n, q, v)
         rng = np.random.default_rng(11)
         for n in rng.integers(26, 10**5, size=200):
             n = int(n)
@@ -128,7 +136,7 @@ GOLDEN_DETECT = Path(__file__).resolve().parent / "golden" / "detect_amplitude_d
 
 def _log_gamma_prob(cfg):
     """P(A) from scipy's log-gamma binomial terms, summed in log space."""
-    ws = np.array(cfg.weight_set(), dtype=float)
+    ws = np.array(cfg.weight_range(), dtype=float)
     n, q = cfg.n, cfg.q
     logs = (
         gammaln(n + 1) - gammaln(ws + 1) - gammaln(n - ws + 1)
@@ -141,7 +149,7 @@ def _log_gamma_prob(cfg):
 def _decimal_prob(cfg):
     """P(A) in 50-digit decimal arithmetic: the exact C(n, w) for the first
     admissible weight, then the ratio of neighbouring terms."""
-    ws = cfg.weight_set()
+    ws = cfg.weight_range()
     with localcontext() as ctx:
         ctx.prec = 50
         q = Decimal(cfg.q)
@@ -208,10 +216,9 @@ class TestSampling:
 
     def test_single_pattern_interface(self):
         cfg = SparseSignalConfig(n=6, q=0.4, vartheta=0.3)
-        x, w = sample_pattern(cfg, seed=3)
-        assert x.shape == (6,)
-        assert w == int(x.sum())
-        assert w in cfg.weight_set()
+        xs = sample_patterns(cfg, seed=3, count=1)
+        assert xs.shape == (1, 6)
+        assert int(xs.sum()) in cfg.weight_range()
 
     def test_seed_reproducible(self):
         cfg = SparseSignalConfig(n=8, q=0.3, vartheta=0.2)
@@ -221,7 +228,7 @@ class TestSampling:
 
     def test_weight_histogram_matches_conditional_binomial(self):
         cfg = SparseSignalConfig(n=6, q=0.35, vartheta=0.2)
-        ws = cfg.weight_set()
+        ws = list(cfg.weight_range())
         assert ws == [1, 2, 3]
         xs = sample_patterns(cfg, seed=5, count=100000)
         counts = np.bincount(xs.sum(axis=1), minlength=7)[ws[0] : ws[-1] + 1]
@@ -237,14 +244,14 @@ class TestWillieStateExact:
     def test_all_on_pattern(self, rng):
         model = random_willie_model(rng)
         cfg = SparseSignalConfig(n=3, q=0.95, vartheta=0.1)
-        assert cfg.weight_set() == [3]
+        assert list(cfg.weight_range()) == [3]
         got = willie_state_exact(model, cfg)
         np.testing.assert_allclose(got.mat, tensor_power(model.rho_pi.mat, 3), atol=1e-12)
 
     def test_all_innocent_pattern(self, rng):
         model = random_willie_model(rng)
         cfg = SparseSignalConfig(n=2, q=0.02, vartheta=0.02)
-        assert cfg.weight_set() == [0]
+        assert list(cfg.weight_range()) == [0]
         got = willie_state_exact(model, cfg)
         np.testing.assert_allclose(got.mat, tensor_power(model.rho0.mat, 2), atol=1e-12)
 
@@ -260,7 +267,7 @@ class TestWillieStateExact:
                 continue
             weight = cfg.q**w * (1 - cfg.q) ** (3 - w)
             total += weight
-            expect += weight * tensor_all(
+            expect += weight * _tensor_all(
                 [model.rho_pi.mat if xi else model.rho0.mat for xi in x]
             )
         np.testing.assert_allclose(
@@ -369,7 +376,7 @@ class TestBoundChain:
         assert chain.d_single_scaled <= chain.d_chi2_bound + 1e-12
         # Exact enumeration oracle for d_exact on the commuting model.
         n, q = 4, 0.25
-        ws = cfg.weight_set()
+        ws = cfg.weight_range()
         pa = sum(math.comb(n, w) * q**w * (1 - q) ** (n - w) for w in ws)
         r0 = np.array([0.9, 0.1])
         rpi = np.array([0.5, 0.5])

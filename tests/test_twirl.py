@@ -10,12 +10,11 @@ from covertq.channels import (
     pauli_channel,
     qubit_leak,
 )
-from covertq.errors import DegenerateChannelError
+from covertq.errors import DegenerateChannelError, DimensionCapError
 from covertq.twirl import (
     PauliDistribution,
     ProjectionStats,
     _categorical_counts,
-    average_input_state,
     bell_vectors,
     compose_with_failure,
     monte_carlo_twirl,
@@ -63,8 +62,12 @@ class TestProjectionStats:
             projection_stats(qubit_leak(1.0))
 
     def test_needs_qubit_input(self, rng):
-        with pytest.raises(ValueError):
-            projection_stats(random_channel(3, 3, 2, rng))
+        # One check serves the analytic and the sampled route.
+        for fn in (projection_stats, lambda ch: monte_carlo_twirl(ch, 10, seed=0)):
+            with pytest.raises(DimensionCapError, match="qubit-input"):
+                fn(random_channel(3, 3, 2, rng))
+            with pytest.raises(ValueError, match="no qubit subspace"):
+                fn(random_channel(2, 1, 2, rng))
 
 
 class TestTwirlParameters:
@@ -208,19 +211,6 @@ class TestMonteCarlo:
 
         with pytest.raises(EstimationFailureError):
             monte_carlo_twirl(qubit_leak(1.0), 1000, seed=0)
-
-
-class TestAverageInputState:
-    @pytest.mark.parametrize("w", [1, 2, 3])
-    def test_maximally_mixed_power(self, w):
-        st = average_input_state(w)
-        np.testing.assert_allclose(st.mat, np.eye(2**w) / 2**w)
-
-    def test_cap(self):
-        from covertq.errors import DimensionCapError
-
-        with pytest.raises(DimensionCapError):
-            average_input_state(11)
 
 
 def test_uniform_twirl_of_any_state_is_maximally_mixed(rng):
