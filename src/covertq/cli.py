@@ -295,12 +295,15 @@ def cmd_srl_curve(args) -> int:
 def cmd_detect_sim(args) -> int:
     _, mode, model = _build_model(args)
     c_q = covert.covert_constant(model)
+    # The budget, block length and weight tolerance are checked also when
+    # c_q is infinite and the model is refused as degenerate.
+    q = covert.q_for_budget(c_q, args.delta, args.n_single)
+    sparse.check_vartheta(args.vartheta)
     if math.isinf(c_q):
         raise DegenerateChannelError(
             "warden outputs are identical (trivially covert); any density is "
             "covert and the detection figures are degenerate"
         )
-    q = covert.q_for_budget(c_q, args.delta, args.n_single)
     if q >= 1.0:
         raise DegenerateChannelError(
             f"budget saturates the signal density (q=1) at n={args.n_single}; "

@@ -47,16 +47,24 @@ def _xlogx_bits(vals: np.ndarray) -> float:
 
 def _in_frame(rho: DensityOperator, sigma: DensityOperator):
     """rho seen in sigma's eigenbasis V: sigma's eigenvalues, its support
-    mask, the overlaps diag(V^dag rho V) and rho @ V. None when rho puts
-    mass on sigma's kernel."""
+    mask, the overlaps diag(V^dag rho V) and the squared norms |rho v|^2 of
+    V's live columns. None when rho puts mass on sigma's kernel.
+
+    The products are formed one column block of V at a time
+    (``DensityOperator.eigvec_blocks``). Each column is summed whole, in the
+    layout a full V has, so no value depends on the block width."""
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
-    b, v = sigma.eigh()
-    rv = rho.mat @ v
-    overlap = np.clip(np.real(np.sum(v.conj() * rv, axis=0)), 0.0, None)
+    overlap, norms = np.empty(sigma.dim), np.zeros(sigma.dim)
+    for s, v in sigma.eigvec_blocks():
+        rv = rho.mat @ v
+        overlap[s] = np.real(np.sum(v.conj() * rv, axis=0))
+        live = ~sigma.kernel[s]
+        norms[s][live] = np.sum(np.abs(rv[:, live]) ** 2, axis=0)
+    overlap = np.clip(overlap, 0.0, None)
     if float(np.sum(overlap[sigma.kernel])) > SUPPORT_TOL:
         return None
-    return b, ~sigma.kernel, overlap, rv
+    return sigma.eigvals, ~sigma.kernel, overlap, norms
 
 
 def vn_entropy(rho: DensityOperator) -> float:
@@ -85,9 +93,9 @@ def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
     frame = _in_frame(rho, sigma)
     if frame is None:
         return math.inf
-    b, live, _, rv = frame
+    b, live, _, norms = frame
     # tr(rho^2 sigma^+) = sum over live eigenvectors v of |rho v|^2 / b.
-    val = float(np.sum(np.sum(np.abs(rv[:, live]) ** 2, axis=0) / b[live]))
+    val = float(np.sum(norms[live] / b[live]))
     return max(0.0, val - 1.0)
 
 

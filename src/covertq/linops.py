@@ -28,6 +28,9 @@ TAU_PSD = 1e-9
 SUPPORT_TOL = 1e-10
 # Dense-storage cap: 2**10.
 DIM_CAP = 1024
+# Width of the column (or row) blocks in which at-cap products are formed:
+# 64 columns of a 1024-row complex matrix take 1 MiB, a sixteenth of it.
+BLOCK = 64
 
 
 def max_exact_block(d: int) -> int:
@@ -58,13 +61,40 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _blocks(n: int) -> list[slice]:
+    return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+
+
 def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
+    """max |m - m^dag| <= tol, the max taken over blocks of ``BLOCK`` rows so
+    that no temporary of m's size forms; it equals the whole-matrix max."""
+    if m.shape[0] != m.shape[1]:
+        return False
+    gaps = [np.max(np.abs(m[s] - dagger(m[:, s]))) for s in _blocks(m.shape[0])]
+    return np.max(gaps) <= tol
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; output dimensions multiply."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+
+
+def kron_into(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Write the Kronecker product of square a and b into ``out``, one strided
+    block a * b[i, j] per entry of b; the values are exactly ``np.kron``'s.
+    With ``scratch`` (a's shape) the product is added to ``out`` instead,
+    each block passing through it, so no temporary of out's size forms."""
+    m, p = len(a), len(b)
+    o4 = out.reshape(m, p, m, p)
+    for i in range(p):
+        for j in range(p):
+            if scratch is None:
+                np.multiply(a, b[i, j], out=o4[:, i, :, j])
+            else:
+                o4[:, i, :, j] += np.multiply(a, b[i, j], out=scratch)
+    return out
 
 
 def tensor_power(m, k: int) -> np.ndarray:
@@ -78,7 +108,8 @@ def tensor_power(m, k: int) -> np.ndarray:
         )
     out = a
     for _ in range(k - 1):
-        out = np.kron(out, a)
+        size = len(out) * len(a)
+        out = kron_into(out, a, np.empty((size, size), dtype=np.complex128))
     return out
 
 
@@ -181,7 +212,9 @@ class DensityOperator:
     (``eigh``), which only a reference state of a divergence needs.
     ``power`` supplies the spectrum of a tensor power exactly, from the
     single-site one: outer-product eigenvalues, Kronecker-power
-    eigenvectors and a site-wise kernel, with no eigensolve.
+    eigenvectors and a site-wise kernel, with no eigensolve. A power's
+    eigenvectors are built from the site's on each use and not kept;
+    ``eigvec_blocks`` hands them out a column block at a time.
     """
 
     mat: np.ndarray = field(repr=False)
@@ -232,15 +265,37 @@ class DensityOperator:
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigvals`` and orthonormal eigenvectors (columns) in the same
-        order; the eigenvectors are computed on the first call and kept."""
+        order. A plain state's eigenvectors are computed on the first call
+        and kept; a power's are built on each call and not kept."""
+        if self._power is not None:
+            return self._vals, self._power_columns(slice(None))
         if self._vecs is None:
-            p = self._power
-            if p is None:
-                vecs = np.linalg.eigh(self.mat)[1]
-            else:
-                vecs = tensor_power(p.site.eigh()[1], p.k)[:, p.order]
-            object.__setattr__(self, "_vecs", _frozen(vecs))
+            object.__setattr__(self, "_vecs", _frozen(np.linalg.eigh(self.mat)[1]))
         return self._vals, self._vecs
+
+    def eigvec_blocks(self):
+        """The eigenvectors of ``eigh`` as (column slice, columns) pairs. A
+        plain state's are kept, so they come as one block; a power's are
+        built ``BLOCK`` columns at a time, so no d^k-square copy forms."""
+        if self._power is None:
+            yield slice(0, self.dim), self.eigh()[1]
+            return
+        for s in _blocks(self.dim):
+            yield s, self._power_columns(s)
+
+    def _power_columns(self, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of a power's eigenvectors, in eigenvalue order:
+        Kronecker products of site eigenvectors, multiplied left to right as
+        ``tensor_power`` multiplies them, so each value is its exactly. The
+        block is column-major, like a column gather from the full power, so
+        sums down each column run in the same order as on the full matrix."""
+        p = self._power
+        u = p.site.eigh()[1].T  # row c is site eigenvector c
+        digits = np.unravel_index(p.order[cols], (p.site.dim,) * p.k)
+        t = u[digits[0]]
+        for dig in digits[1:]:
+            t = (t[:, :, None] * u[dig][:, None, :]).reshape(len(t), -1)
+        return t.T
 
     def power(self, k: int) -> "DensityOperator":
         """k-fold tensor power, with its spectrum taken from this state's.

@@ -19,9 +19,22 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
-from .linops import DIM_CAP, SUPPORT_TOL, DensityOperator, max_exact_block, trace_norm_diff
+from .linops import (
+    DIM_CAP,
+    SUPPORT_TOL,
+    DensityOperator,
+    kron_into,
+    max_exact_block,
+    trace_norm_diff,
+)
 from .channels import WillieModel
 from .covert import LN2, chi2, qre, support_contained, vn_entropy
+
+
+def check_vartheta(vartheta: float) -> None:
+    """Refuse a weight-set half-width outside (0, 1]."""
+    if not 0.0 < vartheta <= 1.0:
+        raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +50,7 @@ class SparseSignalConfig:
             raise ValueError(f"block length must be positive, got {self.n}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"signal density must lie in (0, 1), got {self.q}")
-        if not 0.0 < self.vartheta <= 1.0:
-            raise ValueError(f"weight tolerance must lie in (0, 1], got {self.vartheta}")
+        check_vartheta(self.vartheta)
         if not self.weight_range():
             raise ValueError(
                 f"weight set is empty for n={self.n}, q={self.q}, vartheta={self.vartheta}"
@@ -140,11 +152,12 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
 
     Weight-w pattern sums grow one slot at a time, S_k[w] = S_{k-1}[w] (x)
     rho0 + S_{k-1}[w-1] (x) rho_pi; level k keeps only the classes the weight
-    set can still reach. Each product is written into its buffer by the
-    broadcast ``np.kron`` does, and each top-level class is scaled and added
-    to the mixture once built, so the result is bit for bit that of the full
-    ``np.kron`` recursion. Live at the top: the level n - 1 classes and three
-    d^n-square buffers."""
+    set can still reach. Each product is written into its buffer by
+    ``linops.kron_into``, the rho_pi branch added through a level k - 1
+    scratch buffer, and each top-level class is scaled and added to the
+    mixture once built, so the result is bit for bit that of the full
+    ``np.kron`` recursion. Live at the top: the level n - 1 classes, their
+    scratch buffer and two d^n-square buffers."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
     n_max = max_exact_block(d)
     if n > n_max:
@@ -153,24 +166,19 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
             f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
         )
 
-    def kron_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        m = len(a)
-        np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(m, d, m, d))
-        return out
-
     ws = cfg.weight_range()
     out = np.zeros((d**n, d**n), dtype=np.complex128)
     top = np.empty_like(out)
     prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
     for k in range(1, n + 1):
         cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
-        term, cur = np.empty((d**k, d**k), dtype=np.complex128), []
+        scratch, cur = np.empty_like(prev[0]), []
         for w in cls:
-            acc = top if k == n else np.empty_like(term)
+            acc = top if k == n else np.empty((d**k, d**k), dtype=np.complex128)
             if w < k:
                 kron_into(prev[w - base], rho0, acc)
                 if w > 0:
-                    acc += kron_into(prev[w - 1 - base], rho_pi, term)
+                    kron_into(prev[w - 1 - base], rho_pi, acc, scratch)
             else:
                 kron_into(prev[w - 1 - base], rho_pi, acc)
             if k < n:
@@ -211,7 +219,7 @@ class WardenStates:
     n-fold power of the single-use mixture, and the innocent product.
     ``bound_chain``, ``decomposition_report`` and ``detect.detection_at_n``
     take one instance, so a caller that needs all three builds each state
-    and runs each divergence once, holding fewer than seven d^n-square
+    and runs each divergence once, holding at most five d^n-square
     complex matrices of numpy memory at any time.
     """
 

@@ -152,9 +152,8 @@ class TestReport:
         )
         assert code == cli.EXIT_PARSE and "code=channel-format" in err
         nontp = tmp_path / "nontp.json"
-        json.dump(
-            {"d_in": 2, "d_out": 2, "kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]},
-            nontp.open("w"),
+        nontp.write_text(
+            json.dumps({"d_in": 2, "d_out": 2, "kraus": [[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]]})
         )
         code, _, err = run_cli(
             ["report", "--channel", nontp, "--innocent", "1", "--delta", "0.05",
@@ -474,6 +473,20 @@ class TestRefusedParameters:
     def test_out_of_range_budget(self, model, cmd, delta, vartheta, capsys, request):
         argv = [cmd, *request.getfixturevalue(f"{model}_args"), f"--delta={delta}"]
         code, out, err = run_cli([*argv, "--vartheta", vartheta, "--n", "100"], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith("covertq: error code=invalid-input "), err
+
+    @pytest.mark.parametrize(
+        "delta,vartheta,n",
+        [("nan", "0.5", "4"), ("-1", "0.5", "4"), ("0.05", "7", "4"), ("0.05", "0", "4"),
+         ("0.05", "0.5", "0"), ("nan", "7", "0")],
+    )
+    def test_detect_sim_checks_budget_before_degeneracy(self, trivial_args, delta, vartheta, n, capsys):
+        # A trivially covert model is refused as degenerate only after the
+        # budget, the weight tolerance and the block length pass their checks.
+        argv = ["detect-sim", *trivial_args, f"--delta={delta}", "--vartheta", vartheta, "--n", n]
+        code, out, err = run_cli(argv, capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
         assert err.startswith("covertq: error code=invalid-input "), err

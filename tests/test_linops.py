@@ -9,6 +9,7 @@ from covertq.linops import (
     SUPPORT_TOL,
     DensityOperator,
     eig_hermitian,
+    max_exact_block,
     partial_trace,
     tensor,
     tensor_power,
@@ -41,6 +42,14 @@ class TestTensor:
             for j in range(2):
                 expect[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = a[i, j] * b
         np.testing.assert_allclose(got, expect)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_power_matches_kron_chain(self, d, rng):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        chain = a
+        for k in range(2, max_exact_block(d) + 1):
+            chain = np.kron(chain, a)
+            assert np.array_equal(tensor_power(a, k), chain), k
 
     def test_power_cap(self):
         with pytest.raises(DimensionCapError):

@@ -9,7 +9,13 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
-from covertq.channels import WillieModel
+from covertq.channels import (
+    QuantumChannel,
+    WillieModel,
+    amplitude_damping,
+    complementary,
+    willie_model,
+)
 from covertq.covert import qre
 from covertq.errors import DimensionCapError, SupportViolationError
 from covertq.linops import DensityOperator, tensor_power
@@ -26,7 +32,7 @@ from covertq.sparse import (
     weight_set_prob,
     willie_state_exact,
 )
-from conftest import random_density, random_willie_model
+from conftest import random_channel, random_density, random_willie_model
 
 
 def _tensor_all(mats):
@@ -342,11 +348,10 @@ class TestBufferedBuild:
         with pytest.raises(DimensionCapError, match=hint):
             _willie_state_matrix(model, cfg)
 
-    def test_detect_path_memory_at_n9(self, rng):
-        # Everything detect-sim does at n = 9 fits in seven 512-square
-        # complex matrices of traced numpy memory.
-        model = random_willie_model(rng)
-        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+    @staticmethod
+    def _detect_path_peak(model, cfg):
+        """Traced numpy peak of everything detect-sim does, in d^n-square
+        complex matrices."""
         tracemalloc.start()
         try:
             st = WardenStates(model, cfg)
@@ -356,7 +361,90 @@ class TestBufferedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 512**2 * 16, peak / 1e6
+        return peak / (model.dim**cfg.n) ** 2 / 16
+
+    # At the dense cap, the detect path fits in five d^n-square complex
+    # matrices: three live states, the difference a trace norm takes, and
+    # the column blocks of everything else.
+    def test_detect_path_memory_at_n9(self, rng):
+        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 5
+
+    def test_detect_path_memory_qutrit_n6(self, rng):
+        cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
+        assert self._detect_path_peak(random_willie_model(rng, dim=3), cfg) <= 5
+
+
+def _kron_chain(m, k):
+    """Reference k-fold Kronecker power: a fresh np.kron result per factor."""
+    out = m
+    for _ in range(k - 1):
+        out = np.kron(out, m)
+    return out
+
+
+def _qre_full_frame(rho_mat, rho_vals, site, k):
+    """Reference D(rho || site^(x)k) in bits, on a full-rank site: the sorted
+    Kronecker-power eigenvectors formed as one matrix V, and the overlaps
+    read as np.sum(v.conj() * (rho @ v), 0) over all of it at once."""
+    vals = site.eigvals
+    for _ in range(k - 1):
+        vals = np.multiply.outer(vals, site.eigvals).ravel()
+    order = np.argsort(vals, kind="stable")
+    v = _kron_chain(site.eigh()[1], k)[:, order]
+    overlap = np.clip(np.real(np.sum(v.conj() * (rho_mat @ v), 0)), 0.0, None)
+    pos = np.array(rho_vals, dtype=float)
+    pos[(pos < 0.0) & (pos >= -1e-9)] = 0.0
+    pos = pos[pos > 0.0]
+    return float(np.sum(pos * np.log2(pos))) - float(np.sum(overlap * np.log2(vals[order])))
+
+
+def _mixed_ad_model(rng):
+    """Warden model of amplitude damping with its Kraus pair mixed by a random
+    unitary: the same channel, with dense, commuting warden outputs."""
+    ad = amplitude_damping(0.3)
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    mixed = QuantumChannel(tuple(u[i, 0] * ad.kraus[0] + u[i, 1] * ad.kraus[1] for i in range(2)))
+    return willie_model(complementary(mixed), DensityOperator.basis_state(2, 1))
+
+
+class TestBitIdentity:
+    """The column-block products and buffered builds print the same bytes as
+    whole-matrix products: every detect-sim figure at n = 9 equals, with ==,
+    its value from whole d^n-square matrices."""
+
+    @pytest.mark.parametrize("kind", ["mixed-ad", "isometry"])
+    def test_detect_figures_at_n9(self, kind):
+        rng = np.random.default_rng(9)
+        if kind == "mixed-ad":
+            model = _mixed_ad_model(rng)
+        else:
+            ch = complementary(random_channel(2, 2, 2, rng))
+            model = willie_model(ch, DensityOperator.basis_state(2, 1))
+        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+        st = WardenStates(model, cfg)
+        chain = bound_chain(st)
+        rep = decomposition_report(st)
+        det = detection_at_n(st, 0.05)
+
+        rho_n = _kron_recursion_state(model, cfg)
+        prod_inn = _kron_chain(model.rho0.mat, 9)
+        mix = (1.0 - cfg.q) * model.rho0.mat + cfg.q * model.rho_pi.mat
+        prod_mix = _kron_chain(mix, 9)
+        d_exact = _qre_full_frame(rho_n, np.linalg.eigvalsh(rho_n), model.rho0, 9)
+        d_product = _qre_full_frame(prod_mix, st.prod_mix.eigvals, model.rho0, 9)
+        assert chain.d_exact == d_exact
+        assert chain.d_product == d_product
+        assert rep.epsilon == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(prod_mix - rho_n))))
+        assert det.trace_distance == float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn))))
+
+    def test_power_eigenvectors_match_kron_chain(self, rng):
+        for d, k in ((2, 9), (3, 5)):
+            site = random_density(d, rng)
+            vals, vecs = site.power(k).eigh()
+            order = np.argsort(_kron_chain(np.diag(site.eigvals), k).diagonal().real, kind="stable")
+            assert np.array_equal(vecs, _kron_chain(site.eigh()[1], k)[:, order])
+            assert vecs.flags.f_contiguous
 
 
 class TestBoundChain:
