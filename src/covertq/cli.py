@@ -4,7 +4,8 @@ Subcommands: report, srl-curve, detect-sim, twirl-check. Channel specs are
 JSON files (see ``channels.load_channel``); CSV output uses a header row,
 '.' decimals, and 17 significant digits so doubles round-trip losslessly.
 
-Exit codes: 0 success, 2 usage, 3 channel file parse error, 4 trace
+Exit codes (their ``code=`` names are tabulated in the README): 0 success,
+2 usage, 3 unreadable or invalid input or output file, 4 trace
 preservation failure, 5 support-condition failure, 6 dimension cap,
 7 degenerate analysis parameter, 8 failed internal self-check or any other
 unexpected error. Every failure prints one machine-parseable line
@@ -264,7 +265,11 @@ def _report_text(rep: ChannelReport) -> str:
 
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write output file {out}: {exc.strerror or exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -48,7 +48,8 @@ def _xlogx_bits(vals: np.ndarray) -> float:
 def _in_frame(rho: DensityOperator, sigma: DensityOperator):
     """rho seen in sigma's eigenbasis V: sigma's eigenvalues, its support
     mask, the overlaps diag(V^dag rho V) and the squared norms |rho v|^2 of
-    V's live columns. None when rho puts mass on sigma's kernel.
+    V's live columns. None when rho's mass on sigma's kernel exceeds
+    ``SUPPORT_TOL`` per site of sigma; this is the package's one support test.
 
     The products are formed one column block of V at a time
     (``DensityOperator.eigvec_blocks``). Each column is summed whole, in the
@@ -62,7 +63,7 @@ def _in_frame(rho: DensityOperator, sigma: DensityOperator):
         live = ~sigma.kernel[s]
         norms[s][live] = np.sum(np.abs(rv[:, live]) ** 2, axis=0)
     overlap = np.clip(overlap, 0.0, None)
-    if float(np.sum(overlap[sigma.kernel])) > SUPPORT_TOL:
+    if float(np.sum(overlap[sigma.kernel])) > SUPPORT_TOL * sigma.sites:
         return None
     return sigma.eigvals, ~sigma.kernel, overlap, norms
 
@@ -100,21 +101,10 @@ def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def support_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
-    """True when every eigenvector of rho with eigenvalue above SUPPORT_TOL
-    lies in the span of sigma's eigenvectors with eigenvalue above it."""
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
-    a, u = rho.eigh()
-    b, v = sigma.eigh()
-    kernel = v[:, b <= SUPPORT_TOL]
-    if kernel.shape[1] == 0:
-        return True
-    live = u[:, a > SUPPORT_TOL]
-    if live.shape[1] == 0:
-        return True
-    # Residual of each live eigenvector under the projector onto sigma's kernel.
-    resid = np.sum(np.abs(kernel.conj().T @ live) ** 2, axis=0)
-    return bool(np.max(resid) <= SUPPORT_TOL)
+    """True when rho's mass on sigma's kernel is at most ``SUPPORT_TOL`` per
+    site of sigma: the test of ``_in_frame``, so it holds exactly when
+    ``qre`` and ``chi2`` of the pair are finite."""
+    return _in_frame(rho, sigma) is not None
 
 
 def helstrom_error(rho1: DensityOperator, rho0: DensityOperator) -> float:
@@ -142,19 +132,15 @@ def covert_constant(model: WillieModel) -> float:
     """Channel constant 1 / sqrt(chi2(rho_pi || rho0)).
 
     Raises ``SupportViolationError`` when the non-innocent output leaks
-    outside the innocent support (no covert scheme exists). Returns +inf for
-    the trivially covert case rho_pi == rho0 (zero chi-square divergence).
+    outside the innocent support, so that chi2 is infinite (no covert scheme
+    exists; see ``support_contained``). Returns +inf for the trivially
+    covert case rho_pi == rho0 (zero chi-square divergence).
     """
-    if not support_contained(model.rho_pi, model.rho0):
-        raise SupportViolationError(
-            "support(rho_pi) is not contained in support(rho0); "
-            "covert signaling is impossible for this model"
-        )
     d = chi2(model.rho_pi, model.rho0)
     if math.isinf(d):
         raise SupportViolationError(
-            "chi-square divergence diverges despite support containment; "
-            "model is numerically marginal"
+            "support(rho_pi) is not contained in support(rho0); "
+            "covert signaling is impossible for this model"
         )
     if d <= SUPPORT_TOL:
         return math.inf

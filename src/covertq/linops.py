@@ -20,11 +20,13 @@ from .errors import DimensionCapError
 TAU_HERM = 1e-10
 TAU_TRACE = 1e-10
 TAU_PSD = 1e-9
-# Kernel threshold for one operator's eigenvalues: at or below it an
-# eigenvalue counts as zero in support tests, logs and inverses. It is
-# absolute, so it is applied to single-site states only; the kernel of a
-# tensor power is decided site by site (see ``DensityOperator.power``),
-# because n-fold products legitimately have eigenvalues far below it.
+# Kernel threshold for one operator's eigenvalues, and the support allowance
+# per site. An eigenvalue at or below it counts as zero in logs and inverses;
+# the kernel of a tensor power is decided site by site instead (see
+# ``DensityOperator.power``), since n-fold products legitimately have
+# eigenvalues far below it. A state may put mass up to SUPPORT_TOL *
+# sigma.sites on sigma's kernel (``covert._in_frame``): a site mass m gives
+# an n-fold product or mixture at most n * m on the kernel of the n-fold power.
 SUPPORT_TOL = 1e-10
 # Dense-storage cap: 2**10.
 DIM_CAP = 1024
@@ -316,6 +318,11 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def sites(self) -> int:
+        """Number of site factors: k for a k-fold ``power``, 1 otherwise."""
+        return 1 if self._power is None else self._power.k
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityOperator":

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -284,7 +285,7 @@ class TestDetectSim:
         header, row = out.strip().splitlines()
         vals = dict(zip(header.split(","), row.split(",")))
         # Warden outputs are diag(1 - gamma, gamma) and diag(1 - gamma/2, gamma/2).
-        expect = _type_class_divergence(
+        expect = _diagonal_divergence(
             (1 - gamma, gamma), (1 - gamma / 2, gamma / 2), n, float(vals["q"]), 0.5
         )
         assert float(vals["d_exact"]) == pytest.approx(expect, rel=1e-9)
@@ -313,23 +314,91 @@ class TestDetectSim:
         assert len(builds) == 1
 
 
-def _type_class_divergence(a, b, n, q, vartheta):
-    """D(rho_n || rho0^n) in bits for diagonal rho0 = diag(a), rho_pi =
-    diag(b), summed over the number k of ones in the output string."""
+def _compositions(n, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first, *rest)
+
+
+def _diagonal_divergence(a, b, n, q, vartheta):
+    """D(rho_n || rho0^n) in bits for diagonal rho0 = diag(a) and rho_pi =
+    diag(b), summed over the type (k_0, ..., k_{d-1}) of the output string.
+    For one string of that type, j_i of the k_i sites that show outcome i
+    carry the signal. Strings outside the support of a^n enter through
+    p log p alone: qre leaves rho_n's mass on the kernel of rho0^n out of
+    the cross term."""
     ws = [w for w in range(n + 1) if abs(q - w / n) <= vartheta + 1e-15]
     p_set = sum(math.comb(n, w) * q**w * (1 - q) ** (n - w) for w in ws)
     d = 0.0
-    for k in range(n + 1):
-        sig = 0.0
-        for w in ws:
-            for j in range(max(0, w - (n - k)), min(k, w) + 1):
-                sig += q**w * (1 - q) ** (n - w) * (
-                    math.comb(k, j) * math.comb(n - k, w - j)
-                    * b[1] ** j * a[1] ** (k - j) * b[0] ** (w - j) * a[0] ** (n - k - w + j)
+    for k in _compositions(n, len(a)):
+        p = 0.0
+        for j in itertools.product(*(range(ki + 1) for ki in k)):
+            w = sum(j)
+            if w in ws:
+                p += q**w * (1 - q) ** (n - w) * math.prod(
+                    math.comb(ki, ji) * b[i] ** ji * a[i] ** (ki - ji)
+                    for i, (ki, ji) in enumerate(zip(k, j))
                 )
-        sig /= p_set
-        d += math.comb(n, k) * sig * math.log2(sig / (a[1] ** k * a[0] ** (n - k)))
+        if p == 0.0:
+            continue
+        p /= p_set
+        inn = math.prod(ai**ki for ai, ki in zip(a, k))
+        count = math.factorial(n) // math.prod(math.factorial(ki) for ki in k)
+        d += count * p * (math.log2(p) - (math.log2(inn) if inn > 0 else 0.0))
     return d
+
+
+def _measure_prepare(path, outputs):
+    """Qubit-input warden that measures the input and prepares the diagonal
+    state ``outputs[i]`` on outcome i."""
+    kraus = []
+    for i, probs in enumerate(outputs):
+        for j, pj in enumerate(probs):
+            if pj > 0:
+                k = np.zeros((len(probs), len(outputs)))
+                k[j, i] = math.sqrt(pj)
+                kraus.append(k)
+    channels.save_channel(channels.QuantumChannel(tuple(kraus)), path)
+
+
+class TestSupportAllowance:
+    """A qutrit warden whose non-innocent output puts mass m on the innocent
+    kernel: input 0 gives (0.9, 0.1 - 2m, 2m), input 1 (the innocent one)
+    gives (0.5, 0.5, 0), so rho_pi = (0.7, 0.3 - m, m)."""
+
+    def _run(self, m, n, tmp_path, capsys):
+        outputs = ((0.9, 0.1 - 2 * m, 2 * m), (0.5, 0.5, 0.0))
+        spec = tmp_path / "warden.json"
+        _measure_prepare(spec, outputs)
+        code, out, err = run_cli(
+            ["detect-sim", "--channel", AD_SPEC, "--willie-file", spec, "--innocent", "1",
+             "--delta", "0.05", "--vartheta", "0.5", "--n", n],
+            capsys,
+        )
+        rho_pi = tuple((x + y) / 2 for x, y in zip(*outputs))
+        return code, out, err, outputs[1], rho_pi
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_leak_within_allowance_stays_finite_at_n(self, n, tmp_path, capsys):
+        # n * q * m on the kernel of rho0^n exceeds 1e-10, yet each site holds
+        # less than 1e-10, so the n-use divergences are finite.
+        code, out, err, rho0, rho_pi = self._run(9e-11, n, tmp_path, capsys)
+        assert code == 0, err
+        header, row = out.strip().splitlines()
+        vals = dict(zip(header.split(","), row.split(",")))
+        expect = _diagonal_divergence(rho0, rho_pi, n, float(vals["q"]), 0.5)
+        assert float(vals["d_exact"]) == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_leak_past_allowance_is_refused(self, n, tmp_path, capsys):
+        code, out, err, _, _ = self._run(4e-10, n, tmp_path, capsys)
+        assert (code, out) == (cli.EXIT_SUPPORT, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith("covertq: error code=support-violation "), err
 
 
 class TestExitTable:
@@ -490,6 +559,25 @@ class TestRefusedParameters:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
         assert err.startswith("covertq: error code=invalid-input "), err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", *BASE, "--vartheta", "0.1", "--n", "1000"],
+            ["srl-curve", *BASE, "--vartheta", "0.1", "--n", "1000"],
+            ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "4"],
+            ["twirl-check", "--channel", AD_SPEC, "--samples", "1000"],
+        ],
+        ids=["report", "srl-curve", "detect-sim", "twirl-check"],
+    )
+    def test_unwritable_out_file(self, argv, tmp_path, capsys):
+        # A user error (exit 3), not a failed self-check (exit 8).
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli([*argv, "--out", target], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith(f'covertq: error code=invalid-input msg="cannot write output file {target}'), err
+        assert not target.parent.exists()
 
 
 def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):

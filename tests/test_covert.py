@@ -22,7 +22,7 @@ from covertq.covert import (
     vn_entropy,
 )
 from covertq.errors import SupportViolationError
-from covertq.linops import DensityOperator, tensor
+from covertq.linops import SUPPORT_TOL, DensityOperator, max_exact_block, tensor
 from conftest import random_density, random_pure
 
 DIAG_HALF = DensityOperator(np.diag([0.5, 0.5]).astype(complex))
@@ -149,6 +149,55 @@ class TestSupportContained:
         assert np.linalg.norm(proj @ v - v) <= 1e-12
         flipped = DensityOperator(np.diag([0.0, 0.5, 0.5]).astype(complex))
         assert not support_contained(rho, flipped)
+
+
+def _leaky_pair(dim, mass, rotated, rng):
+    """(rho, sigma): sigma of rank dim - 1 in a random basis, and rho with
+    exactly ``mass`` on sigma's kernel vector k. A diagonal leak mixes in k
+    itself; a rotated leak tilts one eigenvector of rho towards k, so that
+    its residual on the kernel exceeds the mass by the inverse of its
+    eigenvalue."""
+    u = _random_unitary(dim, rng)
+    live, k = u[:, :-1], u[:, -1]
+    sigma = live @ random_density(dim - 1, rng, floor=0.2).mat @ live.conj().T
+    inside = live @ random_density(dim - 1, rng).mat @ live.conj().T
+    if rotated:
+        t = rng.uniform(0.2, 0.5)
+        s = live @ random_pure(dim - 1, rng).mat[:, 0]
+        s = s / np.linalg.norm(s)
+        psi = math.sqrt(1.0 - mass / t) * s + math.sqrt(mass / t) * k
+        leak = t, np.outer(psi, psi.conj())
+    else:
+        leak = mass, np.outer(k, k.conj())
+    rho = (1.0 - leak[0]) * inside + leak[0] * leak[1]
+    return DensityOperator(rho), DensityOperator(sigma)
+
+
+class TestSupportEdge:
+    """One support test: the verdict of ``support_contained`` is the
+    finiteness of both divergences, for leaks on either side of the
+    allowance, and a single-site pass carries over to tensor powers."""
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdicts_agree(self, seed, factor, dim, rotated):
+        rng = np.random.default_rng(seed)
+        rho, sigma = _leaky_pair(dim, factor * SUPPORT_TOL, rotated, rng)
+        inside = support_contained(rho, sigma)
+        assert inside == (factor < 1.0)
+        assert math.isfinite(qre(rho, sigma)) == inside
+        assert math.isfinite(chi2(rho, sigma)) == inside
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_powers_stay_finite(self, dim, rotated):
+        rng = np.random.default_rng(dim)
+        rho, sigma = _leaky_pair(dim, 0.9 * SUPPORT_TOL, rotated, rng)
+        for k in range(1, max_exact_block(dim) + 1):
+            assert sigma.power(k).sites == k
+            assert math.isfinite(qre(rho.power(k), sigma.power(k))), k
 
 
 class TestHelstrom:
