@@ -194,6 +194,14 @@ def save_channel(ch: QuantumChannel, path) -> None:
         fh.write("\n")
 
 
+def complex_entry(e) -> complex:
+    """The number a ``[re, im]`` spec entry stands for; an entry that is not
+    a list of exactly two numbers is refused with ``ValueError``."""
+    if not isinstance(e, list) or len(e) != 2:
+        raise ValueError(f"entry {e!r} is not a [re, im] pair")
+    return complex(e[0], e[1])
+
+
 def load_channel(path) -> QuantumChannel:
     """Load and validate a channel spec file.
 
@@ -213,10 +221,7 @@ def load_channel(path) -> QuantumChannel:
         raw = doc["kraus"]
         ops = []
         for k in raw:
-            mat = np.array(
-                [[complex(e[0], e[1]) for e in row] for row in k],
-                dtype=np.complex128,
-            )
+            mat = np.array([[complex_entry(e) for e in row] for row in k], dtype=np.complex128)
             ops.append(mat)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ChannelFormatError(

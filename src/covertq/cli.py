@@ -4,14 +4,19 @@ Subcommands: report, srl-curve, detect-sim, twirl-check. Channel specs are
 JSON files (see ``channels.load_channel``); CSV output uses a header row,
 '.' decimals, and 17 significant digits so doubles round-trip losslessly.
 
+Each subcommand returns its output text and a summary; ``main`` alone
+writes them, the output to ``--out`` or stdout and the summary (detect-sim
+only) to stdout when ``--out`` is given and to stderr otherwise.
+
 Exit codes (their ``code=`` names are tabulated in the README): 0 success,
-2 usage, 3 unreadable or invalid input or output file, 4 trace
-preservation failure, 5 support-condition failure, 6 dimension cap,
-7 degenerate analysis parameter, 8 failed internal self-check or any other
-unexpected error. Every failure prints one machine-parseable line
-``covertq: error code=<name> msg="..."`` on stderr, and never a traceback.
-Inside the quotes, backslash, double quote, line feed and carriage return
-are escaped as ``\\``, ``\"``, ``\n`` and ``\r``.
+2 usage, 3 unreadable or invalid input, or an output that cannot be
+written, 4 trace preservation failure, 5 support-condition failure,
+6 dimension cap, 7 degenerate analysis parameter, 8 failed internal
+self-check or any other unexpected error. ``_EXIT_TABLE`` is the one map
+from failure to exit code and name. Every failure prints one
+machine-parseable line ``covertq: error code=<name> msg="..."`` on stderr,
+and never a traceback. Inside the quotes, backslash, double quote, line
+feed and carriage return are escaped as ``\\``, ``\"``, ``\n`` and ``\r``.
 
 The environment variable COVERTQ_THREADS caps the linear-algebra thread
 pool; it must be honored before numpy loads, which is why this module pins
@@ -67,12 +72,27 @@ EXIT_DIM = 6
 EXIT_DEGENERATE = 7
 EXIT_INTERNAL = 8
 
-# Exit code and error name per exception class. An exception takes the entry
-# of the first class along its MRO, so subclasses listed here override their
-# bases: EstimationFailureError is a RuntimeError but exits 7, while the
-# other RuntimeErrors are failed self-checks. Any other exception is a bug;
-# its message carries its class name.
+class _UsageError(Exception):
+    """A command line that argparse cannot parse."""
+
+
+class _InnocentFormatError(ValueError):
+    """An ``--innocent`` spec that names no state of the right shape."""
+
+
+class _NFormatError(ValueError):
+    """An ``--n`` list or log grid that holds no usable block length."""
+
+
+# Exit code and error name per exception class, the only such map. An
+# exception takes the entry of the first class along its MRO, so subclasses
+# listed here override their bases: EstimationFailureError is a RuntimeError
+# but exits 7, while the other RuntimeErrors are failed self-checks. Any
+# other exception is a bug; its message carries its class name.
 _EXIT_TABLE = {
+    _UsageError: (EXIT_USAGE, "usage"),
+    _InnocentFormatError: (EXIT_PARSE, "innocent-format"),
+    _NFormatError: (EXIT_PARSE, "n-format"),
     ChannelFormatError: (EXIT_PARSE, "channel-format"),
     TracePreservationError: (EXIT_TP, "trace-preservation"),
     SupportViolationError: (EXIT_SUPPORT, "support-violation"),
@@ -87,13 +107,6 @@ _EXIT_TABLE = {
 
 # Escapes that keep a message inside one quoted field on one line.
 _MSG_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, name: str, msg: str):
-        super().__init__(msg)
-        self.code = code
-        self.name = name
 
 
 def _fmt(x: float) -> str:
@@ -120,25 +133,21 @@ def _parse_innocent(spec: str, dim: int) -> DensityOperator:
         try:
             return DensityOperator.basis_state(dim, idx)
         except ValueError as exc:
-            raise _CliError(EXIT_PARSE, "innocent-format", str(exc)) from exc
+            raise _InnocentFormatError(str(exc)) from exc
     try:
         raw = json.loads(spec)
         mat = np.array(
             [
-                [complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in row]
+                [channels.complex_entry(e) if isinstance(e, list) else complex(e) for e in row]
                 for row in raw
             ],
             dtype=np.complex128,
         )
     except (json.JSONDecodeError, TypeError, IndexError, ValueError) as exc:
-        raise _CliError(
-            EXIT_PARSE, "innocent-format", f"cannot parse innocent state spec: {exc}"
-        ) from exc
+        raise _InnocentFormatError(f"cannot parse innocent state spec: {exc}") from exc
     if mat.shape != (dim, dim):
-        raise _CliError(
-            EXIT_PARSE,
-            "innocent-format",
-            f"innocent state has shape {mat.shape}, channel input needs {(dim, dim)}",
+        raise _InnocentFormatError(
+            f"innocent state has shape {mat.shape}, channel input needs {(dim, dim)}"
         )
     return DensityOperator(mat)
 
@@ -157,9 +166,9 @@ def _parse_n_list(spec: str) -> list[int]:
             ns = [int(tok) for tok in spec.split(",") if tok]
     except (ValueError, OverflowError) as exc:
         kind = "log grid spec" if spec.startswith("log:") else "n list"
-        raise _CliError(EXIT_PARSE, "n-format", f"bad {kind} {spec!r}: {exc}") from exc
+        raise _NFormatError(f"bad {kind} {spec!r}: {exc}") from exc
     if not ns:
-        raise _CliError(EXIT_PARSE, "n-format", f"n list {spec!r} holds no block length")
+        raise _NFormatError(f"n list {spec!r} holds no block length")
     return ns
 
 
@@ -263,25 +272,30 @@ def _report_text(rep: ChannelReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_out(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ValueError(f"cannot write output file {out}: {exc.strerror or exc}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(text: str, path: Optional[str], stream) -> None:
+    """Write text to the file at ``path``, or to ``stream`` (flushed) when no
+    path is given. A failed open, write or flush, such as a full disk or a
+    closed pipe, is refused as invalid input."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            stream.write(text)
+            stream.flush()
+    except OSError as exc:
+        if path:
+            where = f"file {path}"
+        else:
+            where = "to <stdout>" if stream is sys.stdout else "to <stderr>"
+        raise ValueError(f"cannot write output {where}: {exc.strerror or exc}") from exc
 
 
-def cmd_report(args) -> int:
-    rep = _analyze(args)
-    _write_out(_report_text(rep), args.out)
-    return 0
+def cmd_report(args) -> tuple[str, str]:
+    return _report_text(_analyze(args)), ""
 
 
-def cmd_srl_curve(args) -> int:
+def cmd_srl_curve(args) -> tuple[str, str]:
     rep = _analyze(args)
     if rep.trivially_covert:
         raise DegenerateChannelError(
@@ -293,15 +307,16 @@ def cmd_srl_curve(args) -> int:
         rows.append(
             f"{n},{_fmt(b1.m_lower)},{_fmt(b2.m_lower)},{_fmt(b2.classical_bits_upper)}"
         )
-    _write_out("\n".join(rows) + "\n", args.out)
-    return 0
+    return "\n".join(rows) + "\n", ""
 
 
-def cmd_detect_sim(args) -> int:
+def cmd_detect_sim(args) -> tuple[str, str]:
     _, mode, model = _build_model(args)
     c_q = covert.covert_constant(model)
-    # The budget, block length and weight tolerance are checked also when
-    # c_q is infinite and the model is refused as degenerate.
+    # A past-cap block length is refused before any work on it. The budget,
+    # block length and weight tolerance are checked also when c_q is
+    # infinite and the model is refused as degenerate.
+    sparse.check_exact_block(args.n_single, model.dim)
     q = covert.q_for_budget(c_q, args.delta, args.n_single)
     sparse.check_vartheta(args.vartheta)
     if math.isinf(c_q):
@@ -335,21 +350,19 @@ def cmd_detect_sim(args) -> int:
             holder,
         ]
     )
-    _write_out(header + "\n" + row + "\n", args.out)
-    # Keep the CSV stream byte-clean: the summary goes to stdout only when
-    # the CSV goes to a file.
-    s = sys.stdout if args.out else sys.stderr
-    s.write(f"willie-mode: {mode}\n")
-    s.write(f"c_q: {_fmt(c_q)}\n")
-    s.write(f"trace-distance: {_fmt(res.trace_distance)}\n")
-    s.write(f"p_e_willie: {_fmt(res.p_e_willie)}\n")
-    s.write(f"qre-exact: {_fmt(res.qre_exact)}\n")
-    s.write(f"qre-budget: {_fmt(res.qre_budget)}\n")
-    s.write(f"covert-ok: {'true' if res.covert_ok else 'false'}\n")
-    return 0
+    summary = [
+        f"willie-mode: {mode}",
+        f"c_q: {_fmt(c_q)}",
+        f"trace-distance: {_fmt(res.trace_distance)}",
+        f"p_e_willie: {_fmt(res.p_e_willie)}",
+        f"qre-exact: {_fmt(res.qre_exact)}",
+        f"qre-budget: {_fmt(res.qre_budget)}",
+        f"covert-ok: {'true' if res.covert_ok else 'false'}",
+    ]
+    return header + "\n" + row + "\n", "\n".join(summary) + "\n"
 
 
-def cmd_twirl_check(args) -> int:
+def cmd_twirl_check(args) -> tuple[str, str]:
     ch = channels.load_channel(args.channel)
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
@@ -365,8 +378,7 @@ def cmd_twirl_check(args) -> int:
         f"empirical: {_pauli_line(empirical)}",
         f"max-gap: {_fmt(gap)}",
     ]
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", ""
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -394,7 +406,7 @@ class _Parser(argparse.ArgumentParser):
     subcommand parsers inherit this class."""
 
     def error(self, message):
-        raise _CliError(EXIT_USAGE, "usage", message)
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,16 +454,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        output, summary = args.fn(args)
+        _write(output, args.out, sys.stdout)
+        if summary:
+            # Keep the output stream byte-clean: the summary goes to stdout
+            # only when the output goes to a file.
+            _write(summary, None, sys.stdout if args.out else sys.stderr)
+        return 0
     except Exception as exc:
-        if isinstance(exc, _CliError):
-            code, name, msg = exc.code, exc.name, str(exc)
-        else:
-            cls = next(c for c in type(exc).__mro__ if c in _EXIT_TABLE)
-            code, name = _EXIT_TABLE[cls]
-            msg = f"{type(exc).__name__}: {exc}" if cls is Exception else str(exc)
-        msg = msg.translate(_MSG_ESCAPES)
-        sys.stderr.write(f'covertq: error code={name} msg="{msg}"\n')
+        cls = next(c for c in type(exc).__mro__ if c in _EXIT_TABLE)
+        code, name = _EXIT_TABLE[cls]
+        msg = f"{type(exc).__name__}: {exc}" if cls is Exception else str(exc)
+        line = f'covertq: error code={name} msg="{msg.translate(_MSG_ESCAPES)}"\n'
+        try:
+            _write(line, None, sys.stderr)
+        except ValueError:
+            pass  # stderr cannot take the line; the exit code still reports
         return code
 
 

@@ -147,6 +147,14 @@ def covert_constant(model: WillieModel) -> float:
     return 1.0 / math.sqrt(d)
 
 
+def check_budget(delta_qre: float) -> None:
+    """Refuse a divergence budget that is negative or not finite."""
+    if delta_qre < 0:
+        raise ValueError("budget must be nonnegative")
+    if not math.isfinite(delta_qre):
+        raise ValueError(f"budget must be finite, got {delta_qre}")
+
+
 def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     """Signal density min(1, c_q * sqrt(delta_qre / n)) for a budget
     ``delta_qre`` in nats.
@@ -154,10 +162,9 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     The clamp at 1 marks the degenerate non-sparse regime (tiny n or a
     trivially covert channel); callers should report it.
     """
-    if c_q < 0 or delta_qre < 0:
-        raise ValueError("covert constant and budget must be nonnegative")
-    if not math.isfinite(delta_qre):
-        raise ValueError(f"budget must be finite, got {delta_qre}")
+    if c_q < 0:
+        raise ValueError("covert constant must be nonnegative")
+    check_budget(delta_qre)
     if n < 1:
         raise ValueError("need at least one channel use")
     if delta_qre == 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .linops import trace_norm_diff
 from .channels import QuantumChannel
-from .covert import LN2
+from .covert import LN2, check_budget
 from .sparse import WardenStates
 from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
 
@@ -44,7 +44,8 @@ class DetectionResult:
 def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     """Exact trace distance, optimal test error, and divergence of the
     warden's n-use state against the innocent product, with the covertness
-    flag for the budget ``delta_qre`` in nats. Block lengths past
+    flag for the budget ``delta_qre`` in nats, which must be finite and
+    nonnegative (``covert.check_budget``). Block lengths past
     ``linops.max_exact_block`` raise ``DimensionCapError`` when the warden
     state is built.
 
@@ -52,8 +53,7 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     false flag) rather than an exception, since the trace-distance figures
     remain meaningful.
     """
-    if delta_qre < 0:
-        raise ValueError("budget must be nonnegative")
+    check_budget(delta_qre)
     td = trace_norm_diff(st.rho_n, st.prod_inn)
     d_exact = st.d_exact
     return DetectionResult(

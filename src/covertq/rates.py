@@ -9,6 +9,7 @@ bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,8 @@ def _m_lower(n: int, vartheta: float, c_q: float, rate: float, delta_qre: float)
 def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> None:
     if n < 1:
         raise ValueError("need at least one channel use")
+    if n > sys.float_info.max:
+        raise ValueError("block length is past the double range")
     if not 0.0 < vartheta < 1.0:
         raise ValueError(f"weight tolerance must lie in (0, 1), got {vartheta}")
     if c_q <= 0 or delta_qre <= 0:

@@ -37,6 +37,18 @@ def check_vartheta(vartheta: float) -> None:
         raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
 
 
+def check_exact_block(n: int, d: int) -> None:
+    """Refuse a block length whose warden state, d**n square, would pass the
+    dense cap. n is compared with ``max_exact_block``, never through d**n,
+    so the check costs the same however long the block is."""
+    n_max = max_exact_block(d)
+    if n > n_max:
+        raise DimensionCapError(
+            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
+            f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
+        )
+
+
 @dataclass(frozen=True)
 class SparseSignalConfig:
     """Block length n, signal density q, and weight-set half-width vartheta."""
@@ -57,26 +69,32 @@ class SparseSignalConfig:
             )
 
     def weight_range(self) -> range:
-        """Admissible weights: w with |q - w/n| <= vartheta. |q - w/n| falls
-        and then rises with w, so they form an interval; its ends start at
-        n(q -/+ vartheta), within a weight of the exact ones, and are settled
-        by the membership test itself."""
+        """Admissible weights: w with |q - w/n| <= vartheta. w/n never falls
+        as w grows, so they form an interval, and each end is found by
+        bisection with the membership test itself: O(log n) steps for any n.
+        The start is the first w that is admissible or has w/n past q; the
+        stop is the first w past the start that is not admissible."""
         n, q, v = self.n, self.q, self.vartheta
 
         def ok(w: int) -> bool:
             return abs(q - w / n) <= v + 1e-15
 
-        lo = min(max(math.ceil(n * (q - v)), 0), n)
-        hi = min(max(math.floor(n * (q + v)), 0), n)
-        while lo > 0 and ok(lo - 1):
-            lo -= 1
-        while hi < n and ok(hi + 1):
-            hi += 1
-        while lo <= hi and not ok(lo):
-            lo += 1
-        while hi >= lo and not ok(hi):
-            hi -= 1
-        return range(lo, hi + 1)
+        def first(pred, lo: int) -> int:
+            # Smallest w in [lo, n] with pred(w), or n + 1; pred must turn
+            # from false to true at most once on [lo, n].
+            hi = n + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if pred(mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        start = first(lambda w: ok(w) or w / n > q, 0)
+        if start > n or not ok(start):
+            return range(start, start)
+        return range(start, first(lambda w: not ok(w), start))
 
 
 def weight_set_prob(cfg: SparseSignalConfig) -> float:
@@ -159,12 +177,7 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     ``np.kron`` recursion. Live at the top: the level n - 1 classes, their
     scratch buffer and two d^n-square buffers."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
-    n_max = max_exact_block(d)
-    if n > n_max:
-        raise DimensionCapError(
-            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
-            f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
-        )
+    check_exact_block(n, d)
 
     ws = cfg.weight_range()
     out = np.zeros((d**n, d**n), dtype=np.complex128)

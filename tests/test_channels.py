@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,17 @@ class TestBuilders:
             load_channel(bad)
         with pytest.raises(ChannelFormatError):
             load_channel(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize("entry", [[1, 0, 7], [1], 1])
+    def test_entry_must_be_a_pair(self, tmp_path, entry):
+        doc = {"d_in": 1, "d_out": 1, "kraus": [[[entry]]]}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ChannelFormatError, match=r"is not a \[re, im\] pair"):
+            load_channel(bad)
+        doc["kraus"] = [[[[1, 0]]]]
+        bad.write_text(json.dumps(doc))
+        assert load_channel(bad).kraus[0][0, 0] == 1
 
 
 class TestWillieModel:

@@ -1,3 +1,5 @@
+import errno
+import io
 import itertools
 import json
 import math
@@ -174,6 +176,27 @@ class TestReport:
         c_q = next(l for l in out.splitlines() if l.startswith("c_q:")).split(": ")[1]
         assert float(c_q) == pytest.approx(math.sqrt(28 / 3), rel=1e-14)
 
+    @pytest.mark.parametrize("entry", [[0, 0, 7], [0]])
+    def test_inline_entry_must_be_a_pair(self, entry, capsys):
+        inline = json.dumps([[entry, 0.0], [0.0, [1, 0]]])
+        code, out, err = run_cli(
+            ["report", "--channel", AD_SPEC, "--innocent", inline, "--delta", "0.05",
+             "--vartheta", "0.1", "--n", "1000"],
+            capsys,
+        )
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith('covertq: error code=innocent-format msg="cannot parse'), err
+        assert "is not a [re, im] pair" in err
+
+    def test_block_length_past_double_range(self, capsys):
+        # sqrt(n) has no double value; refused as input, not a failed check.
+        for cmd in ("report", "srl-curve"):
+            code, out, err = run_cli(
+                [cmd, *BASE, "--vartheta", "0.1", "--n", f"1000,{10**400}"], capsys
+            )
+            assert (code, out) == (cli.EXIT_PARSE, "")
+            assert err == 'covertq: error code=invalid-input msg="block length is past the double range"\n'
+
 
 class TestSrlCurve:
     def test_matches_golden(self, capsys):
@@ -245,20 +268,28 @@ class TestDetectSim:
         assert "code=dimension" in err and "n <= 10" in err
 
     def test_huge_block_length_is_refused_at_once(self):
-        # The cap is compared with n, never through d**n, whose exact integer
-        # takes longer than the timeout to build.
-        proc = subprocess.run(
-            [sys.executable, "-m", "covertq.cli", "detect-sim", *map(str, BASE),
-             "--vartheta", "0.5", "--n", "99999999999999999999"],
-            capture_output=True,
-            text=True,
-            env=child_env(),
-            cwd=REPO,
-            timeout=10,
-        )
-        assert proc.returncode == cli.EXIT_DIM, proc.stderr
-        assert proc.stderr.startswith("covertq: error code=dimension ")
-        assert "n <= 10 for d=2" in proc.stderr
+        # The cap is compared with n before any work on it, and never through
+        # d**n, whose exact integer takes longer than the timeout to build.
+        for digits in (20, 30, 400):
+            proc = subprocess.run(
+                [sys.executable, "-m", "covertq.cli", "detect-sim", *map(str, BASE),
+                 "--vartheta", "0.5", "--n", "9" * digits],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                cwd=REPO,
+                timeout=10,
+            )
+            assert proc.returncode == cli.EXIT_DIM, proc.stderr
+            assert proc.stderr.startswith("covertq: error code=dimension ")
+            assert "n <= 10 for d=2" in proc.stderr
+
+    @pytest.mark.parametrize("model,delta", [("ad", "nan"), ("ad", "-1"), ("trivial", "0.05")])
+    def test_cap_comes_before_budget_and_degeneracy(self, model, delta, capsys, request):
+        argv = ["detect-sim", *request.getfixturevalue(f"{model}_args"), f"--delta={delta}"]
+        code, out, err = run_cli([*argv, "--vartheta", "0.5", "--n", "40"], capsys)
+        assert (code, out) == (cli.EXIT_DIM, "")
+        assert err.startswith("covertq: error code=dimension ") and "n <= 10" in err
 
     def test_degenerate_density_exit_code(self, capsys):
         # Tiny n saturates the budgeted density at 1.
@@ -578,6 +609,68 @@ class TestRefusedParameters:
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
         assert err.startswith(f'covertq: error code=invalid-input msg="cannot write output file {target}'), err
         assert not target.parent.exists()
+
+
+WRITE_ARGV = {
+    "report": ["report", *BASE, "--vartheta", "0.1", "--n", "1000"],
+    "srl-curve": ["srl-curve", *BASE, "--vartheta", "0.1", "--n", "1000"],
+    "detect-sim": ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "4"],
+    "twirl-check": ["twirl-check", "--channel", AD_SPEC, "--samples", "1000"],
+}
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestWriteFailures:
+    """An output that cannot be written is refused as invalid input, with
+    one coded line and no interpreter complaint at exit."""
+
+    def _run(self, argv, stdout):
+        cmd = [sys.executable, "-m", "covertq.cli", *map(str, argv)]
+        proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=child_env(), cwd=REPO, timeout=60)
+        assert proc.returncode == cli.EXIT_PARSE, proc.stderr
+        assert proc.stderr.count("\n") == 1 and ERROR_LINE.match(proc.stderr[:-1]), proc.stderr
+        assert proc.stderr.startswith('covertq: error code=invalid-input msg="cannot write output ')
+        assert "Exception ignored" not in proc.stderr
+        return proc
+
+    @needs_dev_full
+    @pytest.mark.parametrize("cmd", WRITE_ARGV)
+    def test_full_stdout(self, cmd):
+        with open("/dev/full", "w") as full:
+            proc = self._run(WRITE_ARGV[cmd], full)
+        assert "to <stdout>: No space left on device" in proc.stderr
+
+    @needs_dev_full
+    @pytest.mark.parametrize("cmd", WRITE_ARGV)
+    def test_full_out_file(self, cmd):
+        proc = self._run([*WRITE_ARGV[cmd], "--out", "/dev/full"], subprocess.PIPE)
+        assert proc.stdout == ""
+        assert "file /dev/full: No space left on device" in proc.stderr
+
+    @pytest.mark.parametrize("cmd", WRITE_ARGV)
+    def test_closed_pipe(self, cmd):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run(WRITE_ARGV[cmd], write_end)
+        finally:
+            os.close(write_end)
+        assert "to <stdout>: Broken pipe" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["bogus"], cli.EXIT_USAGE), (WRITE_ARGV["detect-sim"], cli.EXIT_PARSE)],
+        ids=["usage", "detect-sim-summary"],
+    )
+    def test_unwritable_stderr_keeps_exit_code(self, argv, code, capsys, monkeypatch):
+        # detect-sim's summary fails on stderr, and so does the coded line.
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stderr", Full())
+        assert cli.main([str(a) for a in argv]) == code
 
 
 def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):

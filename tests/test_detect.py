@@ -139,6 +139,16 @@ class TestDetection:
             )
 
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_budget_rule_matches_q_for_budget(self, delta):
+        # Same refusal as covert.q_for_budget: negative or not finite.
+        st = WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        with pytest.raises(ValueError, match="budget must be"):
+            detection_at_n(st, delta)
+        with pytest.raises(ValueError, match="budget must be"):
+            q_for_budget(1.0, delta, 4)
+
+
 class TestPipelineTomography:
     def test_identity_channel(self):
         est = pipeline_tomography(identity_channel(2), 2000, seed=0)

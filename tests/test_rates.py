@@ -92,6 +92,11 @@ class TestBounds:
             unassisted_bound(10, 1.0, 0.75, 0.01, CLEAN)
         with pytest.raises(ValueError):
             assisted_bound(10, 0.1, 0.75, 0.01, CLEAN, p_f=2.0)
+        # Past the double range: sqrt(n) would raise OverflowError.
+        for bound in (unassisted_bound, assisted_bound):
+            args = (CLEAN,) if bound is unassisted_bound else (CLEAN, 0.1)
+            with pytest.raises(ValueError, match="double range"):
+                bound(10**400, 0.1, 0.75, 0.01, *args)
         with pytest.raises(ValueError):
             ThroughputBound(
                 n=1, vartheta=0.1, c_q=1.0, delta_qre=0.1, rate=2.0, m_lower=0.0

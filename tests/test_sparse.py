@@ -104,6 +104,20 @@ class TestConfig:
         assert cfg.weight_range() == range(50000, 150001)
         assert p == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("q,v", [(0.3, 0.1), (0.5, 1e-20), (0.01, 1.0)])
+    def test_weight_range_ends_at_huge_n(self, q, v):
+        # Bisection finds both ends in O(log n) membership tests.
+        n = 10**30
+
+        def ok(w):
+            return 0 <= w <= n and abs(q - w / n) <= v + 1e-15
+
+        start = time.perf_counter()
+        r = SparseSignalConfig(n=n, q=q, vartheta=v).weight_range()
+        assert time.perf_counter() - start < 0.05
+        assert ok(r.start) and not ok(r.start - 1)
+        assert ok(r.stop - 1) and not ok(r.stop)
+
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):
             SparseSignalConfig(n=0, q=0.5, vartheta=0.5)

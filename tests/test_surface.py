@@ -48,25 +48,30 @@ def _readme_exit_table() -> dict:
     return {int(code): set(re.findall(r"`([a-z-]+)`", names)) for code, names in rows}
 
 
-def _cli_exit_names() -> dict:
-    """Exit code -> set of names, from ``cli._EXIT_TABLE`` and every
-    ``_CliError(EXIT_*, "<name>", ...)`` call in cli.py."""
+def test_readme_exit_table_matches_cli():
     table = {0: set()}
     for code, name in cli._EXIT_TABLE.values():
         table.setdefault(code, set()).add(name)
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    calls = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_CliError"
-    ]
-    assert calls
-    for node in calls:
-        code, name = node.args[:2]
-        assert isinstance(code, ast.Name) and code.id.startswith("EXIT_"), ast.dump(code)
-        assert isinstance(name, ast.Constant) and isinstance(name.value, str), ast.dump(name)
-        table.setdefault(getattr(cli, code.id), set()).add(name.value)
-    return table
+    assert _readme_exit_table() == table
 
 
-def test_readme_exit_table_matches_cli():
-    assert _readme_exit_table() == _cli_exit_names()
+def _writes_std_stream(node) -> bool:
+    """A reference to sys.stdout or sys.stderr, or a call of print."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "sys" and node.attr in ("stdout", "stderr")
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+
+
+def test_only_the_cli_writer_touches_std_streams():
+    # Every output and error line goes through cli._write or cli.main, so a
+    # failed write is refused in one place.
+    users = set()
+    for path in sorted((REPO / "src" / "covertq").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+        for node in filter(_writes_std_stream, ast.walk(tree)):
+            owner = node
+            while owner in parent and not isinstance(owner, ast.FunctionDef):
+                owner = parent[owner]
+            users.add((path.stem, getattr(owner, "name", None)))
+    assert users == {("cli", "_write"), ("cli", "main")}
