@@ -216,22 +216,24 @@ def load_channel(path) -> QuantumChannel:
     except json.JSONDecodeError as exc:
         raise ChannelFormatError(f"channel file {path} is not valid JSON: {exc}") from exc
     try:
-        d_in = int(doc["d_in"])
-        d_out = int(doc["d_out"])
-        raw = doc["kraus"]
-        ops = []
-        for k in raw:
-            mat = np.array([[complex_entry(e) for e in row] for row in k], dtype=np.complex128)
-            ops.append(mat)
+        d_in, d_out = doc["d_in"], doc["d_out"]
+        if type(d_in) is not int or type(d_out) is not int:
+            raise ValueError(f"d_in and d_out must be integers, got {d_in!r} and {d_out!r}")
+        ops = [
+            np.array([[complex_entry(e) for e in row] for row in k], dtype=np.complex128)
+            for k in doc["kraus"]
+        ]
+        if any(op.shape != (d_out, d_in) for op in ops):
+            raise ChannelFormatError(
+                f"channel file {path}: Kraus shapes disagree with d_out x d_in"
+            )
+        ch = QuantumChannel(tuple(ops))
+    except (ChannelFormatError, TracePreservationError):
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ChannelFormatError(
             f"channel file {path} is malformed: {exc}"
         ) from exc
-    if any(op.shape != (d_out, d_in) for op in ops):
-        raise ChannelFormatError(
-            f"channel file {path}: Kraus shapes disagree with d_out x d_in"
-        )
-    ch = QuantumChannel(tuple(ops))
     log.info("loaded channel %s, trace-preservation residual %.3e", path, tp_residual(ch))
     return ch
 

@@ -53,7 +53,7 @@ from typing import Optional  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from . import channels, covert, detect, rates, sparse, twirl  # noqa: E402
+from . import channels, covert, detect, linops, rates, sparse, twirl  # noqa: E402
 from .errors import (  # noqa: E402
     ChannelFormatError,
     DegenerateChannelError,
@@ -316,7 +316,7 @@ def cmd_detect_sim(args) -> tuple[str, str]:
     # A past-cap block length is refused before any work on it. The budget,
     # block length and weight tolerance are checked also when c_q is
     # infinite and the model is refused as degenerate.
-    sparse.check_exact_block(args.n_single, model.dim)
+    linops.check_exact_block(args.n_single, model.dim)
     q = covert.q_for_budget(c_q, args.delta, args.n_single)
     sparse.check_vartheta(args.vartheta)
     if math.isinf(c_q):

@@ -19,6 +19,7 @@ bound sets q^2 n chi2 = delta (``q_for_budget``).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .linops import (
     DensityOperator,
     clip_spectrum,
     eig_hermitian,
-    trace_norm_diff,
+    trace_norm,
 )
 from .channels import WillieModel
 
@@ -111,7 +112,7 @@ def helstrom_error(rho1: DensityOperator, rho0: DensityOperator) -> float:
     """Minimum equal-prior discrimination error 1/2 - ||rho1 - rho0||_1 / 4."""
     if rho1.dim != rho0.dim:
         raise ValueError("states must share a dimension")
-    return 0.5 - 0.25 * trace_norm_diff(rho1, rho0)
+    return 0.5 - 0.25 * trace_norm(rho1.mat - rho0.mat)
 
 
 def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, float]:
@@ -122,29 +123,44 @@ def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, fl
     bits-valued divergence back to nats, where the inequality is native.
     A support violation makes the right side infinite.
     """
-    lhs = 0.25 * trace_norm_diff(rho, sigma)
+    lhs = 0.25 * trace_norm(rho.mat - sigma.mat)
     d = qre(rho, sigma)
     rhs = math.inf if math.isinf(d) else math.sqrt(LN2 * d / 8.0)
     return lhs, rhs
 
 
-def covert_constant(model: WillieModel) -> float:
-    """Channel constant 1 / sqrt(chi2(rho_pi || rho0)).
-
-    Raises ``SupportViolationError`` when the non-innocent output leaks
-    outside the innocent support, so that chi2 is infinite (no covert scheme
-    exists; see ``support_contained``). Returns +inf for the trivially
-    covert case rho_pi == rho0 (zero chi-square divergence).
-    """
-    d = chi2(model.rho_pi, model.rho0)
-    if math.isinf(d):
+def require_support(model: WillieModel) -> None:
+    """Refuse a model whose non-innocent output leaks outside the innocent
+    support (``support_contained``), so that no covert scheme exists; the
+    package's one ``SupportViolationError``."""
+    if not support_contained(model.rho_pi, model.rho0):
         raise SupportViolationError(
             "support(rho_pi) is not contained in support(rho0); "
             "covert signaling is impossible for this model"
         )
+
+
+def covert_constant(model: WillieModel) -> float:
+    """Channel constant 1 / sqrt(chi2(rho_pi || rho0)).
+
+    Refuses a model that fails ``require_support``, whose chi2 is infinite.
+    Returns +inf for the trivially covert case rho_pi == rho0 (zero
+    chi-square divergence).
+    """
+    require_support(model)
+    d = chi2(model.rho_pi, model.rho0)
     if d <= SUPPORT_TOL:
         return math.inf
     return 1.0 / math.sqrt(d)
+
+
+def check_block_length(n: int) -> None:
+    """Refuse a block length below 1 or past the double range, where
+    sqrt(n) has no value."""
+    if n < 1:
+        raise ValueError("need at least one channel use")
+    if n > sys.float_info.max:
+        raise ValueError("block length is past the double range")
 
 
 def check_budget(delta_qre: float) -> None:
@@ -165,8 +181,7 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     if c_q < 0:
         raise ValueError("covert constant must be nonnegative")
     check_budget(delta_qre)
-    if n < 1:
-        raise ValueError("need at least one channel use")
+    check_block_length(n)
     if delta_qre == 0.0:
         return 0.0
     return min(1.0, c_q * math.sqrt(delta_qre / n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import trace_norm_diff
+from .linops import trace_norm
 from .channels import QuantumChannel
 from .covert import LN2, check_budget
 from .sparse import WardenStates
@@ -45,16 +45,16 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     """Exact trace distance, optimal test error, and divergence of the
     warden's n-use state against the innocent product, with the covertness
     flag for the budget ``delta_qre`` in nats, which must be finite and
-    nonnegative (``covert.check_budget``). Block lengths past
-    ``linops.max_exact_block`` raise ``DimensionCapError`` when the warden
-    state is built.
+    nonnegative (``covert.check_budget``). Block lengths past the dense cap
+    (``linops.check_exact_block``) raise ``DimensionCapError`` when the
+    warden state is built.
 
     A support violation is reported through an infinite divergence (and a
     false flag) rather than an exception, since the trace-distance figures
     remain meaningful.
     """
     check_budget(delta_qre)
-    td = trace_norm_diff(st.rho_n, st.prod_inn)
+    td = trace_norm(st.rho_n.mat - st.prod_inn.mat)
     d_exact = st.d_exact
     return DetectionResult(
         n=st.cfg.n,

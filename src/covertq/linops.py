@@ -8,7 +8,6 @@ sizes and are shared across the package.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -39,14 +38,28 @@ def max_exact_block(d: int) -> int:
     """Largest k with d**k at or below ``DIM_CAP``: 10 for qubits, 6 for
     qutrits, 0 past the cap. Found by integer multiplication, so comparing a
     block length with it costs the same however long the block is."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if d == 1:
-        return sys.maxsize  # a one-dimensional factor never grows
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     k, size = 0, d
     while size <= DIM_CAP:
         k, size = k + 1, size * d
     return k
+
+
+def check_exact_block(n: int, d: int) -> None:
+    """Refuse a block length whose d**n-square state would pass the dense
+    cap; the one test of the cap on a block length. n is compared with
+    ``max_exact_block``, never through d**n, so the check costs the same
+    however long the block is, and a one-dimensional factor (1**n = 1) is
+    never refused."""
+    if d == 1:
+        return
+    n_max = max_exact_block(d)
+    if n > n_max:
+        raise DimensionCapError(
+            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
+            f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
+        )
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -104,10 +117,7 @@ def tensor_power(m, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
     a = as_complex_matrix(m)
-    if k > max_exact_block(a.shape[0]):
-        raise DimensionCapError(
-            f"dim {a.shape[0]}**{k} exceeds the dense cap of {DIM_CAP}"
-        )
+    check_exact_block(k, a.shape[0])
     out = a
     for _ in range(k - 1):
         size = len(out) * len(a)
@@ -154,12 +164,6 @@ def trace_norm(m) -> float:
     if is_hermitian(a, tol=1e-12 * max(1.0, float(np.max(np.abs(a)))) + TAU_HERM):
         return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def trace_norm_diff(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """||rho - sigma||_1 of two validated, hence Hermitian, states: the sum of
-    the absolute eigenvalues of the difference, with no further temporaries."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(rho.mat - sigma.mat))))
 
 
 def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,13 @@ bounds.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .twirl import PauliDistribution
+from .covert import check_block_length, check_budget
+from .twirl import PauliDistribution, check_failure_probability
 
 
 def _entropy_bits(rows: np.ndarray) -> np.ndarray:
@@ -39,8 +39,7 @@ def hashing_rate(p: PauliDistribution) -> float:
 def distillation_rate(q_tw: PauliDistribution, p_f: float) -> float:
     """Entanglement distillation rate when failed projections are flagged
     instead of replaced: (1 - p_f) max(0, 1 - H(q_tw))."""
-    if not 0.0 <= p_f <= 1.0:
-        raise ValueError(f"failure probability must be in [0, 1], got {p_f}")
+    check_failure_probability(p_f)
     return (1.0 - p_f) * max(0.0, 1.0 - entropy4(q_tw))
 
 
@@ -50,10 +49,6 @@ class ThroughputBound:
     qubits move covertly and reliably; with classical assistance the two-way
     classical cost stays below ``classical_bits_upper``."""
 
-    n: int
-    vartheta: float
-    c_q: float
-    delta_qre: float
     rate: float
     m_lower: float
     classical_bits_upper: Optional[float] = None
@@ -70,16 +65,12 @@ def _m_lower(n: int, vartheta: float, c_q: float, rate: float, delta_qre: float)
 
 
 def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> None:
-    if n < 1:
-        raise ValueError("need at least one channel use")
-    if n > sys.float_info.max:
-        raise ValueError("block length is past the double range")
+    check_block_length(n)
     if not 0.0 < vartheta < 1.0:
         raise ValueError(f"weight tolerance must lie in (0, 1), got {vartheta}")
+    check_budget(delta_qre)
     if c_q <= 0 or delta_qre <= 0:
         raise ValueError("covert constant and budget must be positive")
-    if not math.isfinite(delta_qre):
-        raise ValueError(f"budget must be finite, got {delta_qre}")
 
 
 def unassisted_bound(
@@ -89,14 +80,7 @@ def unassisted_bound(
     the hashing rate of the combined Pauli error vector."""
     _check_bound_args(n, vartheta, c_q, delta_qre)
     rate = hashing_rate(p)
-    return ThroughputBound(
-        n=n,
-        vartheta=vartheta,
-        c_q=c_q,
-        delta_qre=delta_qre,
-        rate=rate,
-        m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre),
-    )
+    return ThroughputBound(rate=rate, m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre))
 
 
 def assisted_bound(
@@ -120,10 +104,6 @@ def assisted_bound(
         * math.sqrt(delta_qre)
     )
     return ThroughputBound(
-        n=n,
-        vartheta=vartheta,
-        c_q=c_q,
-        delta_qre=delta_qre,
         rate=rate,
         m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre),
         classical_bits_upper=bits,

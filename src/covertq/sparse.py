@@ -18,35 +18,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionCapError, EstimationFailureError, SupportViolationError
-from .linops import (
-    DIM_CAP,
-    SUPPORT_TOL,
-    DensityOperator,
-    kron_into,
-    max_exact_block,
-    trace_norm_diff,
-)
+from .errors import EstimationFailureError
+from .linops import SUPPORT_TOL, DensityOperator, check_exact_block, kron_into, trace_norm
 from .channels import WillieModel
-from .covert import LN2, chi2, qre, support_contained, vn_entropy
+from .covert import LN2, check_block_length, chi2, qre, require_support, vn_entropy
 
 
 def check_vartheta(vartheta: float) -> None:
     """Refuse a weight-set half-width outside (0, 1]."""
     if not 0.0 < vartheta <= 1.0:
         raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
-
-
-def check_exact_block(n: int, d: int) -> None:
-    """Refuse a block length whose warden state, d**n square, would pass the
-    dense cap. n is compared with ``max_exact_block``, never through d**n,
-    so the check costs the same however long the block is."""
-    n_max = max_exact_block(d)
-    if n > n_max:
-        raise DimensionCapError(
-            f"warden dimension {d}**{n} exceeds the dense cap of {DIM_CAP}; "
-            f"keep d**n at or below {DIM_CAP} (n <= {n_max} for d={d})"
-        )
 
 
 @dataclass(frozen=True)
@@ -58,8 +39,7 @@ class SparseSignalConfig:
     vartheta: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"block length must be positive, got {self.n}")
+        check_block_length(self.n)
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"signal density must lie in (0, 1), got {self.q}")
         check_vartheta(self.vartheta)
@@ -266,13 +246,6 @@ class WardenStates:
         return qre(self.prod_mix, self.prod_inn)
 
 
-def _require_support(model: WillieModel) -> None:
-    if not support_contained(model.rho_pi, model.rho0):
-        raise SupportViolationError(
-            "support(rho_pi) is not contained in support(rho0)"
-        )
-
-
 def bound_chain(st: WardenStates) -> BoundChain:
     """Evaluate the covertness bound chain at one configuration.
 
@@ -284,7 +257,7 @@ def bound_chain(st: WardenStates) -> BoundChain:
     product forms.
     """
     model, cfg = st.model, st.cfg
-    _require_support(model)
+    require_support(model)
     d_exact, d_product = st.d_exact, st.d_product
     d_single = cfg.n * qre(st.mix, model.rho0)
     d_bound = cfg.q**2 * cfg.n * chi2(model.rho_pi, model.rho0) / LN2
@@ -346,7 +319,7 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     rather than a property of the model.
     """
     model, cfg = st.model, st.cfg
-    _require_support(model)
+    require_support(model)
     n, d = cfg.n, model.dim
 
     qre_total = st.d_exact
@@ -363,7 +336,7 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     marg = marginal_sum(st.prod_mix) - marginal_sum(st.rho_n)
     term_cross = float(np.real(np.vdot(_log2_on_support(model.rho0), marg)))
 
-    epsilon = 0.5 * trace_norm_diff(st.prod_mix, st.rho_n)
+    epsilon = 0.5 * trace_norm(st.prod_mix.mat - st.rho_n.mat)
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)
     fannes = epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon))

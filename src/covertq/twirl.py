@@ -62,6 +62,12 @@ class PauliDistribution:
         return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
 
 
+def check_failure_probability(p_f: float) -> None:
+    """Refuse a projection failure probability outside [0, 1]."""
+    if not 0.0 <= p_f <= 1.0:
+        raise ValueError(f"failure probability must be in [0, 1], got {p_f}")
+
+
 @dataclass(frozen=True)
 class ProjectionStats:
     """Projection failure probability and the renormalized conditional Choi
@@ -71,8 +77,7 @@ class ProjectionStats:
     conditional_choi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_f <= 1.0:
-            raise ValueError(f"failure probability must be in [0, 1], got {self.p_f}")
+        check_failure_probability(self.p_f)
         j = as_complex_matrix(self.conditional_choi)
         if j.shape != (4, 4):
             raise ValueError("conditional Choi matrix must be 4x4")
@@ -136,8 +141,7 @@ def compose_with_failure(q_tw: PauliDistribution, p_f: float) -> PauliDistributi
         p_I = (1 - 3/4 p_f) q_I
         p_j = (1 - 3/4 p_f) q_j + 1/4 p_f   for j in {X, Y, Z}
     """
-    if not 0.0 <= p_f <= 1.0:
-        raise ValueError(f"failure probability must be in [0, 1], got {p_f}")
+    check_failure_probability(p_f)
     return PauliDistribution.from_array(
         _compose_rows(q_tw.as_array()[None, :], p_f)[0]
     )

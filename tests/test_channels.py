@@ -211,6 +211,22 @@ class TestBuilders:
         with pytest.raises(ChannelFormatError):
             load_channel(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize(
+        "field,value,reason",
+        [("d_in", 2.7, "must be integers"), ("d_in", "2", "must be integers"),
+         ("d_out", True, "must be integers"), ("kraus", [], "at least one Kraus operator"),
+         ("kraus", [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]], "must be finite")],
+    )
+    def test_spec_fields_are_checked(self, tmp_path, field, value, reason):
+        doc = {"d_in": 2, "d_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(doc))
+        assert load_channel(path).d_in == 2
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ChannelFormatError, match=reason):
+            load_channel(path)
+
     @pytest.mark.parametrize("entry", [[1, 0, 7], [1], 1])
     def test_entry_must_be_a_pair(self, tmp_path, entry):
         doc = {"d_in": 1, "d_out": 1, "kraus": [[[entry]]]}

@@ -165,6 +165,23 @@ class TestReport:
         )
         assert code == cli.EXIT_TP and "code=trace-preservation" in err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("d_in", 2.7), ("d_in", "2"), ("d_out", False), ("kraus", []),
+         ("kraus", [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]])],
+    )
+    def test_spec_file_fields_are_channel_format(self, field, value, capsys, tmp_path):
+        doc = json.loads(AD_SPEC.read_text(encoding="utf-8"))
+        doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (["twirl-check", "--channel", spec],
+                     ["report", "--channel", spec, "--innocent", "1", "--delta", "0.05",
+                      "--vartheta", "0.1", "--n", "10"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (cli.EXIT_PARSE, ""), argv
+            assert err.startswith("covertq: error code=channel-format "), err
+
     def test_inline_innocent_matrix(self, capsys):
         inline = json.dumps([[0.0, 0.0], [0.0, 1.0]])
         code, out, _ = run_cli(
@@ -283,6 +300,24 @@ class TestDetectSim:
             assert proc.returncode == cli.EXIT_DIM, proc.stderr
             assert proc.stderr.startswith("covertq: error code=dimension ")
             assert "n <= 10 for d=2" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "n,code,name",
+        [(2**63, cli.EXIT_DEGENERATE, "degenerate"), (10**30, cli.EXIT_DEGENERATE, "degenerate"),
+         (10**400, cli.EXIT_PARSE, "invalid-input")],
+        ids=["2**63", "10**30", "10**400"],
+    )
+    def test_one_dimensional_warden_never_passes_the_cap(self, n, code, name, tmp_path, capsys):
+        # The trace channel's warden output is 1 x 1, and 1**n = 1 for every
+        # n: a long block is refused as trivially covert, or as past the
+        # double range, never as past the dense cap.
+        trace = tmp_path / "trace.json"
+        channels.save_channel(channels.QuantumChannel((np.eye(2)[:1], np.eye(2)[1:])), trace)
+        argv = ["detect-sim", "--channel", AD_SPEC, "--willie-file", trace, "--innocent", "1",
+                "--delta", "0.05", "--vartheta", "0.5", "--n", n]
+        got, out, err = run_cli(argv, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(f"covertq: error code={name} "), err
 
     @pytest.mark.parametrize("model,delta", [("ad", "nan"), ("ad", "-1"), ("trivial", "0.05")])
     def test_cap_comes_before_budget_and_degeneracy(self, model, delta, capsys, request):

@@ -8,13 +8,13 @@ from covertq.errors import DimensionCapError
 from covertq.linops import (
     SUPPORT_TOL,
     DensityOperator,
+    check_exact_block,
     eig_hermitian,
     max_exact_block,
     partial_trace,
     tensor,
     tensor_power,
     trace_norm,
-    trace_norm_diff,
 )
 from conftest import random_density, random_pure
 
@@ -52,8 +52,17 @@ class TestTensor:
             assert np.array_equal(tensor_power(a, k), chain), k
 
     def test_power_cap(self):
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match="n <= 10 for d=2"):
             tensor_power(np.eye(2), 11)
+        with pytest.raises(DimensionCapError, match="n <= 6 for d=3"):
+            tensor_power(np.eye(3), 7)
+
+    def test_one_dimensional_factor_never_passes_the_cap(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            max_exact_block(1)
+        for n in (11, 2**63, 10**30, 10**400):
+            check_exact_block(n, 1)
+        assert np.array_equal(tensor_power(np.ones((1, 1)), 20), np.ones((1, 1)))
 
 
 class TestPartialTrace:
@@ -132,10 +141,12 @@ class TestTraceNorm:
             (random_density(2, rng).power(4), random_pure(16, rng)),
         ]
         for rho, sigma in pairs:
-            svd = np.sum(np.linalg.svd(rho.mat - sigma.mat, compute_uv=False))
-            assert trace_norm_diff(rho, sigma) == pytest.approx(svd, rel=1e-12, abs=1e-13)
-            assert trace_norm_diff(rho, sigma) == trace_norm(rho.mat - sigma.mat)
-        assert trace_norm_diff(rho, rho) == pytest.approx(0.0, abs=1e-13)
+            diff = rho.mat - sigma.mat
+            svd = np.sum(np.linalg.svd(diff, compute_uv=False))
+            assert trace_norm(diff) == pytest.approx(svd, rel=1e-12, abs=1e-13)
+            # A state difference takes the Hermitian route.
+            assert trace_norm(diff) == float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        assert trace_norm(rho.mat - rho.mat) == pytest.approx(0.0, abs=1e-13)
 
 
 class TestEigHermitian:

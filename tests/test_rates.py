@@ -98,9 +98,7 @@ class TestBounds:
             with pytest.raises(ValueError, match="double range"):
                 bound(10**400, 0.1, 0.75, 0.01, *args)
         with pytest.raises(ValueError):
-            ThroughputBound(
-                n=1, vartheta=0.1, c_q=1.0, delta_qre=0.1, rate=2.0, m_lower=0.0
-            )
+            ThroughputBound(rate=2.0, m_lower=0.0)
 
 
 def test_distillation_dominates_hashing_on_grid():

@@ -62,16 +62,48 @@ def _writes_std_stream(node) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
 
 
-def test_only_the_cli_writer_touches_std_streams():
-    # Every output and error line goes through cli._write or cli.main, so a
-    # failed write is refused in one place.
-    users = set()
+def _owners(pred) -> list:
+    """(module, innermost enclosing function) of every package node that
+    satisfies ``pred``."""
+    found = []
     for path in sorted((REPO / "src" / "covertq").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parent = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
-        for node in filter(_writes_std_stream, ast.walk(tree)):
+        for node in filter(pred, ast.walk(tree)):
             owner = node
             while owner in parent and not isinstance(owner, ast.FunctionDef):
                 owner = parent[owner]
-            users.add((path.stem, getattr(owner, "name", None)))
-    assert users == {("cli", "_write"), ("cli", "main")}
+            found.append((path.stem, getattr(owner, "name", None)))
+    return found
+
+
+def test_only_the_cli_writer_touches_std_streams():
+    # Every output and error line goes through cli._write or cli.main, so a
+    # failed write is refused in one place.
+    assert set(_owners(_writes_std_stream)) == {("cli", "_write"), ("cli", "main")}
+
+
+def _raisers(exc_name: str) -> list:
+    """Where the package raises ``exc_name(...)``."""
+
+    def raises(node) -> bool:
+        exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        return isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == exc_name
+
+    return _owners(raises)
+
+
+def test_each_rule_is_decided_once():
+    assert _raisers("SupportViolationError") == [("covert", "require_support")]
+    # The block-length cap, the operator-size cap and the qubit-input check.
+    assert sorted(_raisers("DimensionCapError")) == [
+        ("linops", "__post_init__"),
+        ("linops", "check_exact_block"),
+        ("twirl", "require_qubit_input"),
+    ]
+    sources = [p.read_text(encoding="utf-8") for p in (REPO / "src" / "covertq").glob("*.py")]
+    assert sum(s.count("failure probability must be in [0, 1]") for s in sources) == 1
+    # Spelled in two parts so that this file does not name it either.
+    gone = "trace_norm" + "_diff"
+    for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
+        assert gone not in path.read_text(encoding="utf-8"), path
