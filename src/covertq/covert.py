@@ -1,15 +1,11 @@
-"""Divergences, detection-error relations, and the covertness budget.
+"""Divergences, the support test, and the covertness budget.
 
 Log-base convention, in one place: every entropy and divergence in this
 package is reported in bits (base-2 logs), matching the qubit rate formulas.
-Two classical inequalities are native to natural logs and are applied here
-after unit conversion:
-
-- Pinsker: (1/4) ||rho - sigma||_1 <= sqrt(D_nats / 8), so the reported
-  right-hand side uses D_nats = LN2 * D_bits.
-- The mixing bound D(rho_bar || sigma) <= q^2 * chi2(rho_pi || sigma) holds
-  with D in nats; callers comparing against bits-valued divergences must
-  divide the chi-square side by LN2 (see ``sparse.bound_chain``).
+The mixing bound D(rho_bar || sigma) <= q^2 * chi2(rho_pi || sigma) is native
+to natural logs: it holds with D in nats, so callers comparing against
+bits-valued divergences must divide the chi-square side by LN2 (see
+``sparse.bound_chain``).
 
 The chi-square divergence itself carries no logarithm and needs no
 conversion. The divergence budget delta is the one input in nats: the mixing
@@ -24,19 +20,10 @@ import sys
 import numpy as np
 
 from .errors import SupportViolationError
-from .linops import (
-    SUPPORT_TOL,
-    DensityOperator,
-    clip_spectrum,
-    eig_hermitian,
-    trace_norm,
-)
+from .linops import SUPPORT_TOL, DensityOperator, clip_spectrum
 from .channels import WillieModel
 
 LN2 = math.log(2.0)
-
-# Residual target for the Gibbs mean-energy equation.
-TAU_ENERGY = 1e-8
 
 
 def _xlogx_bits(vals: np.ndarray) -> float:
@@ -108,27 +95,6 @@ def support_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
     return _in_frame(rho, sigma) is not None
 
 
-def helstrom_error(rho1: DensityOperator, rho0: DensityOperator) -> float:
-    """Minimum equal-prior discrimination error 1/2 - ||rho1 - rho0||_1 / 4."""
-    if rho1.dim != rho0.dim:
-        raise ValueError("states must share a dimension")
-    return 0.5 - 0.25 * trace_norm(rho1.mat - rho0.mat)
-
-
-def pinsker_gap(rho: DensityOperator, sigma: DensityOperator) -> tuple[float, float]:
-    """Both sides of Pinsker's inequality for the pair.
-
-    Returns (lhs, rhs) with lhs = ||rho - sigma||_1 / 4 and
-    rhs = sqrt(LN2 * qre(rho, sigma) / 8); the conversion factor moves the
-    bits-valued divergence back to nats, where the inequality is native.
-    A support violation makes the right side infinite.
-    """
-    lhs = 0.25 * trace_norm(rho.mat - sigma.mat)
-    d = qre(rho, sigma)
-    rhs = math.inf if math.isinf(d) else math.sqrt(LN2 * d / 8.0)
-    return lhs, rhs
-
-
 def require_support(model: WillieModel) -> None:
     """Refuse a model whose non-innocent output leaks outside the innocent
     support (``support_contained``), so that no covert scheme exists; the
@@ -185,100 +151,3 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     if delta_qre == 0.0:
         return 0.0
     return min(1.0, c_q * math.sqrt(delta_qre / n))
-
-
-# ---------------------------------------------------------------------------
-# Gibbs states
-# ---------------------------------------------------------------------------
-
-
-def _gibbs_weights(vals: np.ndarray, beta: float) -> np.ndarray:
-    # Shift so the largest exponent is 0; immune to overflow for any beta.
-    shifted = -beta * vals
-    return np.exp(shifted - np.max(shifted))
-
-
-def _solve_beta(vals: np.ndarray, energy: float) -> float:
-    """Inverse temperature at which the thermal mean energy hits the target.
-
-    Bisection on the strictly decreasing mean-energy curve, run until the
-    bracket has no double between its ends; negative beta covers targets
-    above the maximally mixed energy.
-    """
-    lo, hi = float(vals[0]), float(vals[-1])
-    if not lo < energy < hi:
-        raise ValueError(
-            f"target energy {energy} must lie strictly inside the spectrum ({lo}, {hi})"
-        )
-
-    def residual(beta: float) -> float:
-        w = _gibbs_weights(vals, beta)
-        return float(np.sum(w * (vals - energy)) / np.sum(w))
-
-    step = 1.0 / max(hi - lo, 1e-30)
-    r0 = residual(0.0)
-    if r0 == 0.0:
-        return 0.0
-    if r0 > 0:
-        a, b = 0.0, step
-        while residual(b) > 0:
-            b *= 2.0
-            if b > 1e12 * step:
-                raise ValueError("energy target too close to the spectral edge")
-    else:
-        a, b = -step, 0.0
-        while residual(a) < 0:
-            a *= 2.0
-            if a < -1e12 * step:
-                raise ValueError("energy target too close to the spectral edge")
-    while (mid := 0.5 * (a + b)) not in (a, b):
-        a, b = (mid, b) if residual(mid) > 0 else (a, mid)
-    return mid
-
-
-def gibbs_state(hamiltonian, energy: float) -> DensityOperator:
-    """Maximum-entropy state exp(-beta H) / Z at the target mean energy.
-
-    ``beta`` solves tr(exp(-beta H) (H - energy)) = 0; the achieved mean
-    energy matches the target within ``TAU_ENERGY``.
-    """
-    vals, vecs = eig_hermitian(hamiltonian)
-    beta = _solve_beta(vals, energy)
-    w = _gibbs_weights(vals, beta)
-    w = w / np.sum(w)
-    achieved = float(np.sum(w * vals))
-    if abs(achieved - energy) > TAU_ENERGY:
-        raise ValueError(
-            f"root finding missed the energy target ({achieved} vs {energy})"
-        )
-    return DensityOperator((vecs * w) @ vecs.conj().T)
-
-
-def gibbs_tail_ratios(hamiltonian, energy: float, rho_pi: DensityOperator) -> list[tuple[float, float]]:
-    """Finite-truncation diagnostic for the Gibbs tail condition.
-
-    For each distinct Hamiltonian level k (ascending, 1-based) with spectral
-    projector Pi_k, reports (lambda_k, k * exp(beta * lambda_k) *
-    tr(rho_pi^2 Pi_k)). There is no pass/fail semantics at finite dimension;
-    a decaying ratio sequence is consistent with the tail condition that the
-    infinite-dimensional analysis assumes.
-    """
-    vals, vecs = eig_hermitian(hamiltonian)
-    if rho_pi.dim != vals.size:
-        raise ValueError("state and Hamiltonian dimensions disagree")
-    beta = _solve_beta(vals, energy)
-    levels: list[tuple[float, list[int]]] = []
-    for i, lam in enumerate(vals):
-        if levels and abs(lam - levels[-1][0]) <= 1e-12 * max(1.0, abs(lam)):
-            levels[-1][1].append(i)
-        else:
-            levels.append((float(lam), [i]))
-    if len(levels) < 2:
-        raise ValueError("Hamiltonian has a single level; no tail to inspect")
-    rho_sq = rho_pi.mat @ rho_pi.mat
-    out = []
-    for k, (lam, idx) in enumerate(levels, start=1):
-        proj = vecs[:, idx] @ vecs[:, idx].conj().T
-        mass = float(np.real(np.trace(rho_sq @ proj)))
-        out.append((lam, k * math.exp(beta * lam) * mass))
-    return out

@@ -1,5 +1,4 @@
-"""The warden's optimal hypothesis test at exact small block lengths, and
-end-to-end tomography of the simulated receiver path.
+"""The warden's optimal hypothesis test at exact small block lengths.
 
 Detection is evaluated exactly (enumeration over weight classes) rather than
 by sampled measurements: the optimal binary-test error is a closed function
@@ -11,13 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linops import trace_norm
-from .channels import QuantumChannel
 from .covert import LN2, check_budget
 from .sparse import WardenStates
-from .twirl import PauliDistribution, _twirl_branches, _categorical_counts
 
 
 @dataclass(frozen=True)
@@ -65,21 +60,3 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
         covert_ok=bool(LN2 * d_exact <= delta_qre),
     )
 
-
-def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
-    """Monte Carlo estimate of the effective per-slot Pauli error vector of
-    the full receiver path: twirl, transmit, project with maximally mixed
-    replacement on failure, untwirl, Bell-basis estimation.
-
-    Converges to (1 - p_f) q_tw + p_f / 4 per component, the exact Pauli
-    vector of the replaced-projection map; this coincides with
-    ``compose_with_failure(q_tw, p_f)`` whenever p_f = 0 or the twirled
-    weights are concentrated on the identity. Deterministic for a fixed
-    seed.
-    """
-    succ, outcome = _twirl_branches(ch)
-    # Replacement with the maximally mixed qubit makes the failure-branch
-    # Bell outcome exactly uniform, whatever the reference side holds.
-    probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0
-    counts = _categorical_counts(probs, samples, seed)
-    return PauliDistribution.from_array(counts / counts.sum())

@@ -29,4 +29,4 @@ class DegenerateChannelError(ValueError):
 
 
 class EstimationFailureError(RuntimeError):
-    """Monte Carlo sampling produced no usable samples within its cap."""
+    """Monte Carlo sampling produced no usable samples."""

@@ -89,11 +89,6 @@ def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
     return np.max(gaps) <= tol
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; output dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def kron_into(
     a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -125,36 +120,6 @@ def tensor_power(m, k: int) -> np.ndarray:
     return out
 
 
-def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in ``keep``.
-
-    ``dims`` are the per-subsystem dimensions whose product must match the
-    matrix size; ``keep`` is an iterable of subsystem indices to retain (in
-    their original order). The scalar trace is returned as a 1x1 matrix when
-    nothing is kept.
-    """
-    a = as_complex_matrix(m)
-    dims = list(int(d) for d in dims)
-    total = int(np.prod(dims))
-    if a.shape != (total, total):
-        raise ValueError(
-            f"matrix of shape {a.shape} does not factor as subsystems {dims}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    # Contract traced-out subsystems pairwise, highest axis first so the
-    # remaining axis numbers stay valid.
-    traced = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(sorted(traced, reverse=True)):
-        offset = n - count
-        t = np.trace(t, axis1=i, axis2=i + offset)
-    kept_dim = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(kept_dim, kept_dim)
-
-
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input this is the sum of
     absolute eigenvalues."""
@@ -164,20 +129,6 @@ def trace_norm(m) -> float:
     if is_hermitian(a, tol=1e-12 * max(1.0, float(np.max(np.abs(a)))) + TAU_HERM):
         return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending real eigenvalues and orthonormal eigenvectors (columns).
-
-    Raises on input that is not Hermitian within tolerance; the caller is
-    expected to symmetrize first if round-off is the only culprit.
-    """
-    a = as_complex_matrix(m)
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if not is_hermitian(a, tol=TAU_HERM * scale):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(a)
-    return vals.real, vecs
 
 
 def clip_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -339,13 +290,3 @@ class DensityOperator:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         return cls(np.eye(dim, dtype=np.complex128) / dim)
-
-    @classmethod
-    def from_vector(cls, vec) -> "DensityOperator":
-        """Pure state from an amplitude vector (normalized internally)."""
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValueError("zero vector has no associated state")
-        v = v / nrm
-        return cls(np.outer(v, v.conj()))

@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EstimationFailureError
 from .linops import SUPPORT_TOL, DensityOperator, check_exact_block, kron_into, trace_norm
 from .channels import WillieModel
 from .covert import LN2, check_block_length, chi2, qre, require_support, vn_entropy
@@ -106,38 +105,6 @@ def chernoff_epsilon(cfg: SparseSignalConfig) -> float:
     """Chernoff tail bound 2 exp(-q n vartheta^2 / 3) on the weight-set
     complement (natural exponential)."""
     return 2.0 * math.exp(-cfg.q * cfg.n * cfg.vartheta**2 / 3.0)
-
-
-def sample_patterns(cfg: SparseSignalConfig, seed: int, count: int) -> np.ndarray:
-    """Sample ``count`` patterns, one per row, by rejection from the
-    i.i.d. Bernoulli(q) law conditioned on the weight set. Deterministic for
-    a fixed seed."""
-    if count < 1:
-        raise ValueError("need a positive sample count")
-    p_a = weight_set_prob(cfg)
-    if p_a < 1e-12:
-        raise EstimationFailureError(
-            f"weight set has probability {p_a:.3e}; rejection sampling is hopeless"
-        )
-    ws = cfg.weight_range()
-    allowed = np.zeros(cfg.n + 1, dtype=bool)
-    allowed[ws.start : ws.stop] = True
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, cfg.n), dtype=np.uint8)
-    got = 0
-    budget = int(math.ceil(50.0 * count / p_a)) + 1000
-    drawn = 0
-    while got < count:
-        batch = min(max(1024, count), budget - drawn)
-        if batch <= 0:
-            raise EstimationFailureError("rejection sampling cap exceeded")
-        x = (rng.random((batch, cfg.n)) < cfg.q).astype(np.uint8)
-        drawn += batch
-        keep = x[allowed[x.sum(axis=1)]]
-        take = min(count - got, keep.shape[0])
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
 
 
 # ---------------------------------------------------------------------------

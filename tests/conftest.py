@@ -8,6 +8,7 @@ import pytest
 
 from covertq.channels import PAULIS, QuantumChannel, WillieModel, apply_mat
 from covertq.linops import DensityOperator
+from covertq.twirl import PauliDistribution, _categorical_counts, _twirl_branches
 
 
 def random_density(dim: int, rng: np.random.Generator, floor: float = 0.0) -> DensityOperator:
@@ -23,7 +24,8 @@ def random_density(dim: int, rng: np.random.Generator, floor: float = 0.0) -> De
 
 def random_pure(dim: int, rng: np.random.Generator) -> DensityOperator:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityOperator.from_vector(v)
+    v = v / np.linalg.norm(v)
+    return DensityOperator(np.outer(v, v.conj()))
 
 
 def random_channel(
@@ -68,6 +70,25 @@ def twirled_replaced_choi(ch: QuantumChannel) -> np.ndarray:
                 acc += p.conj().T @ (blk + fail * np.eye(2) / 2) @ p / 4
             j[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = acc
     return j / 2
+
+
+def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
+    """Oracle: Monte Carlo estimate of the effective per-slot Pauli error
+    vector of the full receiver path: twirl, transmit, project with
+    maximally mixed replacement on failure, untwirl, Bell-basis estimation.
+
+    Converges to (1 - p_f) q_tw + p_f / 4 per component, the exact Pauli
+    vector of the replaced-projection map; this coincides with
+    ``compose_with_failure(q_tw, p_f)`` whenever p_f = 0 or the twirled
+    weights are concentrated on the identity. Deterministic for a fixed
+    seed.
+    """
+    succ, outcome = _twirl_branches(ch)
+    # Replacement with the maximally mixed qubit makes the failure-branch
+    # Bell outcome exactly uniform, whatever the reference side holds.
+    probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0
+    counts = _categorical_counts(probs, samples, seed)
+    return PauliDistribution.from_array(counts / counts.sum())
 
 
 @pytest.fixture

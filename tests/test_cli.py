@@ -262,6 +262,20 @@ class TestDetectSim:
         assert "covert-ok: true" in summary
         assert "p_e_willie:" in summary
 
+    def test_seed_changes_nothing(self, capsys, tmp_path):
+        # --seed is reserved: detection is exact, so no byte depends on it.
+        runs = []
+        for seed in (0, 12345):
+            out_file = tmp_path / f"detect{seed}.csv"
+            code, summary, _ = run_cli(
+                ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "5",
+                 "--seed", seed, "--out", out_file],
+                capsys,
+            )
+            assert code == 0
+            runs.append((summary, out_file.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_csv_relations(self, capsys):
         code, out, err = run_cli(
             ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"], capsys

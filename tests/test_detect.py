@@ -10,13 +10,13 @@ from covertq.channels import (
     identity_channel,
     qubit_leak,
 )
-from covertq.covert import LN2, covert_constant, helstrom_error, q_for_budget
-from covertq.detect import DetectionResult, detection_at_n, pipeline_tomography
+from covertq.covert import LN2, covert_constant, q_for_budget
+from covertq.detect import DetectionResult, detection_at_n
 from covertq.errors import DimensionCapError
 from covertq.linops import DensityOperator, max_exact_block
 from covertq.sparse import SparseSignalConfig, WardenStates, bound_chain
 from covertq.twirl import compose_with_failure, projection_stats, twirl_parameters
-from conftest import random_density, random_willie_model
+from conftest import pipeline_tomography, random_density, random_willie_model
 
 WORKED = WillieModel(
     rho0=DensityOperator(np.diag([0.9, 0.1]).astype(complex)),
@@ -55,9 +55,9 @@ class TestDetection:
         cfg = SparseSignalConfig(n=1, q=0.9, vartheta=0.15)
         assert list(cfg.weight_range()) == [1]
         res = detection_at_n(WardenStates(WORKED, cfg), 0.5)
-        assert res.p_e_willie == pytest.approx(
-            helstrom_error(WORKED.rho_pi, WORKED.rho0), abs=1e-12
-        )
+        diff = WORKED.rho_pi.mat - WORKED.rho0.mat
+        helstrom = 0.5 - 0.25 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
+        assert res.p_e_willie == pytest.approx(helstrom, abs=1e-12)
 
     def test_worked_budgeted_detection(self):
         delta, n = 0.05, 6

@@ -9,10 +9,7 @@ from covertq.linops import (
     SUPPORT_TOL,
     DensityOperator,
     check_exact_block,
-    eig_hermitian,
     max_exact_block,
-    partial_trace,
-    tensor,
     tensor_power,
     trace_norm,
 )
@@ -25,24 +22,6 @@ def _rand_hermitian(dim, rng):
 
 
 class TestTensor:
-    def test_identity_case(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projectors(self):
-        a = np.diag([1.0, 0.0])
-        b = np.diag([0.0, 1.0])
-        np.testing.assert_allclose(tensor(a, b), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_matches_elementwise_definition(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = tensor(a, b)
-        expect = np.zeros((4, 4), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                expect[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = a[i, j] * b
-        np.testing.assert_allclose(got, expect)
-
     @pytest.mark.parametrize("d", [2, 3])
     def test_power_matches_kron_chain(self, d, rng):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -63,47 +42,6 @@ class TestTensor:
         for n in (11, 2**63, 10**30, 10**400):
             check_exact_block(n, 1)
         assert np.array_equal(tensor_power(np.ones((1, 1)), 20), np.ones((1, 1)))
-
-
-class TestPartialTrace:
-    def test_bell_marginals(self):
-        phi = np.zeros(4, dtype=complex)
-        phi[0] = phi[3] = 1 / np.sqrt(2)
-        bell = np.outer(phi, phi.conj())
-        for keep in ([0], [1]):
-            np.testing.assert_allclose(
-                partial_trace(bell, [2, 2], keep), np.eye(2) / 2, atol=1e-12
-            )
-
-    def test_product_state(self, rng):
-        rho = random_density(2, rng).mat
-        sigma = random_density(3, rng).mat
-        np.testing.assert_allclose(
-            partial_trace(tensor(rho, sigma), [2, 3], [0]), rho, atol=1e-12
-        )
-
-    def test_three_qubit_against_index_summation(self, rng):
-        rho = random_density(8, rng).mat
-        got = partial_trace(rho, [2, 2, 2], [0, 2])
-        # Direct summation oracle over the traced middle index.
-        expect = np.zeros((4, 4), dtype=complex)
-        for a in range(2):
-            for c in range(2):
-                for ap in range(2):
-                    for cp in range(2):
-                        s = sum(rho[4 * a + 2 * b + c, 4 * ap + 2 * b + cp] for b in range(2))
-                        expect[2 * a + c, 2 * ap + cp] = s
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_trace_over_everything_is_scalar_trace(self, rng):
-        rho = random_density(6, rng).mat
-        out = partial_trace(rho, [2, 3], [])
-        assert out.shape == (1, 1)
-        np.testing.assert_allclose(out[0, 0], np.trace(rho), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(6), [2, 2], [0])
 
 
 class TestTraceNorm:
@@ -149,27 +87,6 @@ class TestTraceNorm:
         assert trace_norm(rho.mat - rho.mat) == pytest.approx(0.0, abs=1e-13)
 
 
-class TestEigHermitian:
-    def test_identity(self):
-        vals, _ = eig_hermitian(np.eye(2))
-        np.testing.assert_allclose(vals, [1.0, 1.0])
-
-    def test_pauli_z(self):
-        vals, _ = eig_hermitian(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(vals, [-1.0, 1.0])
-
-    def test_reconstruction(self, rng):
-        h = _rand_hermitian(6, rng)
-        vals, vecs = eig_hermitian(h)
-        assert np.all(np.diff(vals) >= -1e-12)
-        np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-8)
-
-    def test_rejects_non_hermitian(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        with pytest.raises(ValueError):
-            eig_hermitian(m)
-
-
 class TestDensityOperator:
     def test_accepts_valid(self, rng):
         rho = random_density(4, rng)
@@ -202,15 +119,6 @@ class TestDensityOperator:
         np.testing.assert_allclose(
             DensityOperator.maximally_mixed(4).mat, np.eye(4) / 4
         )
-
-
-def test_tensor_marginals_consistent(rng):
-    rho = random_density(2, rng).mat
-    sigma = random_density(2, rng).mat
-    joint = tensor(rho, sigma)
-    back = tensor(partial_trace(joint, [2, 2], [0]), sigma)
-    np.testing.assert_allclose(np.trace(back), np.trace(joint), atol=1e-12)
-    np.testing.assert_allclose(back, joint, atol=1e-12)
 
 
 def _rank_two_qutrit(rng, weight=0.6):

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import gammaln
-from scipy.stats import chisquare
 
 from covertq.channels import (
     QuantumChannel,
@@ -28,7 +27,6 @@ from covertq.sparse import (
     binary_entropy,
     bound_chain,
     chernoff_epsilon,
-    sample_patterns,
     weight_set_prob,
     willie_state_exact,
 )
@@ -219,45 +217,6 @@ class TestChernoff:
                     except ValueError:
                         continue  # empty weight set at this grid point
                     assert 1 - weight_set_prob(cfg) <= chernoff_epsilon(cfg) + 1e-12
-
-
-class TestSampling:
-    def test_full_coverage_is_plain_bernoulli(self):
-        cfg = SparseSignalConfig(n=16, q=0.25, vartheta=1.0)
-        xs = sample_patterns(cfg, seed=1, count=20000)
-        assert xs.shape == (20000, 16)
-        assert float(xs.mean()) == pytest.approx(0.25, abs=0.01)
-
-    def test_membership(self):
-        cfg = SparseSignalConfig(n=4, q=0.5, vartheta=0.25)
-        xs = sample_patterns(cfg, seed=2, count=5000)
-        w = xs.sum(axis=1)
-        assert set(np.unique(w)) <= {1, 2, 3}
-
-    def test_single_pattern_interface(self):
-        cfg = SparseSignalConfig(n=6, q=0.4, vartheta=0.3)
-        xs = sample_patterns(cfg, seed=3, count=1)
-        assert xs.shape == (1, 6)
-        assert int(xs.sum()) in cfg.weight_range()
-
-    def test_seed_reproducible(self):
-        cfg = SparseSignalConfig(n=8, q=0.3, vartheta=0.2)
-        a = sample_patterns(cfg, seed=17, count=100)
-        b = sample_patterns(cfg, seed=17, count=100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_weight_histogram_matches_conditional_binomial(self):
-        cfg = SparseSignalConfig(n=6, q=0.35, vartheta=0.2)
-        ws = list(cfg.weight_range())
-        assert ws == [1, 2, 3]
-        xs = sample_patterns(cfg, seed=5, count=100000)
-        counts = np.bincount(xs.sum(axis=1), minlength=7)[ws[0] : ws[-1] + 1]
-        pmf = np.array(
-            [math.comb(6, w) * 0.35**w * 0.65 ** (6 - w) for w in ws]
-        )
-        pmf /= pmf.sum()
-        stat = chisquare(counts, f_exp=pmf * counts.sum())
-        assert stat.pvalue >= 0.01
 
 
 class TestWillieStateExact:

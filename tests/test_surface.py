@@ -2,6 +2,7 @@
 use, so that trimming the package cannot silently break either."""
 
 import ast
+import collections
 import importlib
 import re
 import types
@@ -13,10 +14,23 @@ from covertq.linops import DensityOperator
 REPO = Path(__file__).resolve().parent.parent
 
 
+def _readme_python_blocks() -> list:
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def _tracing() -> types.ModuleType:
+    """The benchmark's tracer module, compiled from the source text so that
+    no bytecode is written next to it."""
+    path = REPO / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    return tracing
+
+
 def test_readme_python_blocks_run(capsys):
     # Later blocks use names that earlier blocks define.
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    blocks = _readme_python_blocks()
     assert len(blocks) >= 2
     namespace = {}
     for i, block in enumerate(blocks):
@@ -25,10 +39,7 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_benchmark_tracer_targets_exist():
-    # Compiled from the source text, so no bytecode is written next to it.
-    path = REPO / "perfbench" / "tracing.py"
-    tracing = types.ModuleType("perfbench_tracing")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    tracing = _tracing()
     for layer in tracing.MODULES:
         importlib.import_module(f"covertq.{layer}")
     for layer, names in tracing.TARGETS.items():
@@ -37,6 +48,49 @@ def test_benchmark_tracer_targets_exist():
             assert callable(getattr(mod, name, None)), f"covertq.{layer}.{name}"
     assert callable(cli.main)
     assert callable(DensityOperator.__post_init__)
+
+
+def _referenced(tree) -> collections.Counter:
+    """How often each name is used in ``tree``, as a bare name or as an
+    attribute; imports do not count."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+# Channel-side builders and the spec writer, documented for users and called
+# by the tests, though no subcommand needs them.
+USER_HELPERS = {"depolarizing", "identity_channel", "qubit_leak", "save_channel"}
+
+
+def test_every_public_name_is_reached():
+    # A top-level public def or class must be used by another package
+    # definition, named by a README python block, traced by the benchmark or
+    # listed above; anything else is a helper only its own tests call.
+    defs, used = [], collections.Counter()
+    for path in sorted((REPO / "src" / "covertq").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used += _referenced(tree)
+        defs += [
+            (path.stem, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+    readme = {name for block in _readme_python_blocks() for name in _referenced(ast.parse(block))}
+    traced = {name for names in _tracing().TARGETS.values() for name in names}
+    unreached = [
+        f"{module}.{node.name}"
+        for module, node in defs
+        if used[node.name] - _referenced(node)[node.name] <= 0
+        and node.name not in readme
+        and node.name not in traced
+        and node.name not in USER_HELPERS
+    ]
+    assert not unreached, "no caller: " + ", ".join(unreached)
 
 
 def _readme_exit_table() -> dict:
