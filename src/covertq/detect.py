@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linops import trace_norm
 from .covert import LN2, check_budget
 from .sparse import WardenStates
 
@@ -49,8 +48,7 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     remain meaningful.
     """
     check_budget(delta_qre)
-    td = trace_norm(st.rho_n.mat - st.prod_inn.mat)
-    d_exact = st.d_exact
+    td, d_exact = st.figures.trace_distance, st.figures.d_exact
     return DetectionResult(
         n=st.cfg.n,
         trace_distance=td,

@@ -8,7 +8,7 @@ sizes and are shared across the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -92,14 +92,15 @@ def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
 def kron_into(
     a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Write the Kronecker product of square a and b into ``out``, one strided
-    block a * b[i, j] per entry of b; the values are exactly ``np.kron``'s.
-    With ``scratch`` (a's shape) the product is added to ``out`` instead,
-    each block passing through it, so no temporary of out's size forms."""
-    m, p = len(a), len(b)
-    o4 = out.reshape(m, p, m, p)
-    for i in range(p):
-        for j in range(p):
+    """Write the Kronecker product of a and b, square or not, into ``out``,
+    one strided block a * b[i, j] per entry of b; the values are exactly
+    ``np.kron``'s. With ``scratch`` (a's shape) the product is added to
+    ``out`` instead, each block passing through it, so no temporary of
+    out's size forms."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    o4 = out.reshape(ra, rb, ca, cb)
+    for i in range(rb):
+        for j in range(cb):
             if scratch is None:
                 np.multiply(a, b[i, j], out=o4[:, i, :, j])
             else:
@@ -108,12 +109,13 @@ def kron_into(
 
 
 def tensor_power(m, k: int) -> np.ndarray:
-    """k-fold Kronecker power with the dense-size cap enforced."""
+    """k-fold Kronecker power with the dense-size cap enforced, always in a
+    new array that the caller may write (at k = 1 a copy of m)."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
     a = as_complex_matrix(m)
     check_exact_block(k, a.shape[0])
-    out = a
+    out = a.copy()
     for _ in range(k - 1):
         size = len(out) * len(a)
         out = kron_into(out, a, np.empty((size, size), dtype=np.complex128))
@@ -122,11 +124,20 @@ def tensor_power(m, k: int) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of singular values; for Hermitian input this is the sum of
-    absolute eigenvalues."""
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    absolute eigenvalues. The finiteness test, the scale max|m| and the
+    Hermiticity gap max|m - m^dag| are taken in one pass over blocks of
+    ``BLOCK`` rows, so no temporary of m's size forms before the solve."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace norm is defined for square matrices here")
-    if is_hermitian(a, tol=1e-12 * max(1.0, float(np.max(np.abs(a)))) + TAU_HERM):
+    scale = gap = 0.0
+    for s in _blocks(len(a)):
+        rows = a[s]
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("matrix entries must be finite")
+        scale = max(scale, np.max(np.abs(rows)))
+        gap = max(gap, np.max(np.abs(rows - dagger(a[:, s]))))
+    if gap <= 1e-12 * max(1.0, float(scale)) + TAU_HERM:
         return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
@@ -162,7 +173,9 @@ class DensityOperator:
 
     Validation happens on construction: Hermiticity within ``TAU_HERM``,
     eigenvalues >= -``TAU_PSD``, trace within ``TAU_TRACE`` of 1, and the
-    dense dimension cap.
+    dense dimension cap. The validated matrix is kept read-only: as a copy,
+    or in place for the new arrays that ``power`` and
+    ``sparse.willie_state_exact`` hand over (``_adopt``).
 
     The spectrum is cached. The eigenvalues that validation computes are
     kept (``eigvals``), and the eigenvectors are computed on first use
@@ -177,11 +190,12 @@ class DensityOperator:
     mat: np.ndarray = field(repr=False)
     # Set by ``power`` only.
     _power: Optional[_PowerSpectrum] = field(default=None, repr=False, compare=False)
+    _adopt: InitVar[bool] = False
     _vals: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
     _vecs: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
     _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt: bool):
         a = as_complex_matrix(self.mat)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"density operator must be square, got {a.shape}")
@@ -204,7 +218,7 @@ class DensityOperator:
         lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
-        object.__setattr__(self, "mat", _frozen(a.copy()))
+        object.__setattr__(self, "mat", _frozen(a if _adopt else a.copy()))
         object.__setattr__(self, "_vals", _frozen(vals))
         object.__setattr__(self, "_kernel", _frozen(kernel))
 
@@ -267,7 +281,7 @@ class DensityOperator:
             kernel = np.logical_or.outer(kernel, self._kernel).ravel()
         order = np.argsort(vals, kind="stable")
         return DensityOperator(
-            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order)
+            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order), _adopt=True
         )
 
     @property

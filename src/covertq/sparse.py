@@ -18,7 +18,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linops import SUPPORT_TOL, DensityOperator, check_exact_block, kron_into, trace_norm
+from .linops import BLOCK, SUPPORT_TOL, DensityOperator, check_exact_block
+from .linops import kron_into, tensor_power, trace_norm
 from .channels import WillieModel
 from .covert import LN2, check_block_length, chi2, qre, require_support, vn_entropy
 
@@ -113,40 +114,51 @@ def chernoff_epsilon(cfg: SparseSignalConfig) -> float:
 
 
 def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndarray:
-    """The matrix of ``willie_state_exact``, built in fixed-size buffers.
+    """The matrix of ``willie_state_exact``, built in blocks of at most
+    ``BLOCK`` rows.
 
     Weight-w pattern sums grow one slot at a time, S_k[w] = S_{k-1}[w] (x)
     rho0 + S_{k-1}[w-1] (x) rho_pi; level k keeps only the classes the weight
-    set can still reach. Each product is written into its buffer by
-    ``linops.kron_into``, the rho_pi branch added through a level k - 1
-    scratch buffer, and each top-level class is scaled and added to the
-    mixture once built, so the result is bit for bit that of the full
-    ``np.kron`` recursion. Live at the top: the level n - 1 classes, their
-    scratch buffer and two d^n-square buffers."""
+    set can still reach. Rows of a Kronecker product are products of rows of
+    its factors, so each block grows from one row per class at the lower
+    levels. ``linops.kron_into`` writes each product, the rho_pi branch
+    added through a scratch buffer, and each top-level class block is scaled
+    and added to the mixture, so every entry is bit for bit that of the full
+    ``np.kron`` recursion. Live: the result and blocks smaller than it."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
     check_exact_block(n, d)
 
     ws = cfg.weight_range()
+    free = n  # levels at which a block spans more than one row
+    while free > 1 and d**free > BLOCK:
+        free -= 1
+    height = d**free
     out = np.zeros((d**n, d**n), dtype=np.complex128)
-    top = np.empty_like(out)
-    prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
-    for k in range(1, n + 1):
-        cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
-        scratch, cur = np.empty_like(prev[0]), []
-        for w in cls:
-            acc = top if k == n else np.empty((d**k, d**k), dtype=np.complex128)
-            if w < k:
-                kron_into(prev[w - base], rho0, acc)
-                if w > 0:
-                    kron_into(prev[w - 1 - base], rho_pi, acc, scratch)
-            else:
-                kron_into(prev[w - 1 - base], rho_pi, acc)
-            if k < n:
-                cur.append(acc)
-            else:
-                acc *= q**w * (1.0 - q) ** (n - w)
-                out += acc
-        prev, base = cur, cls.start
+    block = np.empty((height, d**n), dtype=np.complex128)
+    for top in range(0, d**n, height):
+        prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
+        for k in range(1, n + 1):
+            # Below the free levels the block is one row of level k,
+            # top // d^(n-k), so it takes one row of each site factor.
+            site = slice(None) if k > n - free else (top // d ** (n - k)) % d
+            b0, b_pi = rho0[site].reshape(-1, d), rho_pi[site].reshape(-1, d)
+            shape = (len(prev[0]) * len(b0), prev[0].shape[1] * d)
+            cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
+            scratch, cur = np.empty_like(prev[0]), []
+            for w in cls:
+                acc = block if k == n else np.empty(shape, dtype=np.complex128)
+                if w < k:
+                    kron_into(prev[w - base], b0, acc)
+                    if w > 0:
+                        kron_into(prev[w - 1 - base], b_pi, acc, scratch)
+                else:
+                    kron_into(prev[w - 1 - base], b_pi, acc)
+                if k < n:
+                    cur.append(acc)
+                else:
+                    acc *= q**w * (1.0 - q) ** (n - w)
+                    out[top : top + height] += acc
+            prev, base = cur, cls.start
     out /= weight_set_prob(cfg)
     return out
 
@@ -155,7 +167,7 @@ def willie_state_exact(model: WillieModel, cfg: SparseSignalConfig) -> DensityOp
     """The warden's exact n-use output under transmission: the weight-set
     mixture of per-slot products of rho_pi (signal slots) and rho0
     (innocent slots)."""
-    return DensityOperator(_willie_state_matrix(model, cfg))
+    return DensityOperator(_willie_state_matrix(model, cfg), _adopt=True)
 
 
 # ---------------------------------------------------------------------------
@@ -173,23 +185,37 @@ class BoundChain(NamedTuple):
     d_chi2_bound: float
 
 
+class WardenFigures(NamedTuple):
+    """n-use figures, in bits: rho_n is the exact warden state, mix^n the
+    power of the single-use mixture and rho0^n the innocent product."""
+
+    d_exact: float  # D(rho_n || rho0^n)
+    d_product: float  # D(mix^n || rho0^n)
+    entropy_gap: float  # S(mix^n) - S(rho_n)
+    marginal_gap: np.ndarray  # sum over sites of the one-site marginals of mix^n - rho_n
+    epsilon: float  # ||mix^n - rho_n||_1 / 2
+    trace_distance: float  # ||rho_n - rho0^n||_1
+
+
+def _marginal_sum(mat: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Sum over the n sites of the one-site marginals of a d^n-square matrix."""
+    shapes = ((d**i, d, d ** (n - 1 - i)) for i in range(n))
+    return sum(np.einsum("aibajb->ij", mat.reshape(s + s)) for s in shapes)
+
+
 class WardenStates:
-    """The n-use states of one configuration and the two n-use divergences,
-    each built on first use and then shared: the exact warden state, the
-    n-fold power of the single-use mixture, and the innocent product.
-    ``bound_chain``, ``decomposition_report`` and ``detect.detection_at_n``
-    take one instance, so a caller that needs all three builds each state
-    and runs each divergence once, holding at most five d^n-square
-    complex matrices of numpy memory at any time.
-    """
+    """The ``WardenFigures`` of one configuration, computed in one pass on
+    first use and shared by ``bound_chain``, ``decomposition_report`` and
+    ``detect.detection_at_n``, which read nothing else.
+
+    The pass frees each d^n-square state after its last use, and each trace
+    norm overwrites a fresh tensor power with its difference. So numpy
+    holds at most two d^n-square complex matrices and blocks of others at
+    any time, and an eigensolve adds LAPACK's copy of its input."""
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
         self.model = model
         self.cfg = cfg
-
-    @cached_property
-    def rho_n(self) -> DensityOperator:
-        return willie_state_exact(self.model, self.cfg)
 
     @cached_property
     def mix(self) -> DensityOperator:
@@ -197,20 +223,25 @@ class WardenStates:
         return DensityOperator((1.0 - q) * m.rho0.mat + q * m.rho_pi.mat)
 
     @cached_property
-    def prod_mix(self) -> DensityOperator:
-        return self.mix.power(self.cfg.n)
-
-    @cached_property
-    def prod_inn(self) -> DensityOperator:
-        return self.model.rho0.power(self.cfg.n)
-
-    @cached_property
-    def d_exact(self) -> float:
-        return qre(self.rho_n, self.prod_inn)
-
-    @cached_property
-    def d_product(self) -> float:
-        return qre(self.prod_mix, self.prod_inn)
+    def figures(self) -> WardenFigures:
+        model, mix, n, d = self.model, self.mix, self.cfg.n, self.model.dim
+        prod_mix, prod_inn = mix.power(n), model.rho0.power(n)
+        d_product = qre(prod_mix, prod_inn)
+        s_mix, marg_mix = vn_entropy(prod_mix), _marginal_sum(prod_mix.mat, n, d)
+        del prod_mix
+        rho_n = willie_state_exact(model, self.cfg)
+        d_exact = qre(rho_n, prod_inn)
+        del prod_inn
+        entropy_gap = s_mix - vn_entropy(rho_n)
+        marginal_gap = marg_mix - _marginal_sum(rho_n.mat, n, d)
+        diff = tensor_power(model.rho0.mat, n)
+        trace_distance = trace_norm(np.subtract(rho_n.mat, diff, out=diff))
+        del diff
+        diff = tensor_power(mix.mat, n)
+        np.subtract(diff, rho_n.mat, out=diff)
+        del rho_n
+        epsilon = 0.5 * trace_norm(diff)
+        return WardenFigures(d_exact, d_product, entropy_gap, marginal_gap, epsilon, trace_distance)
 
 
 def bound_chain(st: WardenStates) -> BoundChain:
@@ -225,7 +256,7 @@ def bound_chain(st: WardenStates) -> BoundChain:
     """
     model, cfg = st.model, st.cfg
     require_support(model)
-    d_exact, d_product = st.d_exact, st.d_product
+    d_exact, d_product = st.figures.d_exact, st.figures.d_product
     d_single = cfg.n * qre(st.mix, model.rho0)
     d_bound = cfg.q**2 * cfg.n * chi2(model.rho_pi, model.rho0) / LN2
     if abs(d_product - d_single) > 1e-9 * max(1.0, abs(d_single)):
@@ -289,21 +320,15 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     require_support(model)
     n, d = cfg.n, model.dim
 
-    qre_total = st.d_exact
-    term_product = st.d_product
-    term_entropy = vn_entropy(st.prod_mix) - vn_entropy(st.rho_n)
-    # Cross term tr(delta log2 rho0^{(x)n}) with delta = prod_mix - rho_n.
+    fig = st.figures
+    qre_total, term_product = fig.d_exact, fig.d_product
+    term_entropy, epsilon = fig.entropy_gap, fig.epsilon
+    # Cross term tr(delta log2 rho0^{(x)n}) with delta = mix^n - rho_n.
     # The log of a product is a sum of site logs, so this is the sum over
     # sites of tr(delta_i log2 rho0), delta_i the one-site marginals; it is
     # computed independently of the overlaps behind qre.
-    def marginal_sum(rho: DensityOperator) -> np.ndarray:
-        shapes = ((d**i, d, d ** (n - 1 - i)) for i in range(n))
-        return sum(np.einsum("aibajb->ij", rho.mat.reshape(s + s)) for s in shapes)
+    term_cross = float(np.real(np.vdot(_log2_on_support(model.rho0), fig.marginal_gap)))
 
-    marg = marginal_sum(st.prod_mix) - marginal_sum(st.rho_n)
-    term_cross = float(np.real(np.vdot(_log2_on_support(model.rho0), marg)))
-
-    epsilon = 0.5 * trace_norm(st.prod_mix.mat - st.rho_n.mat)
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)
     fannes = epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon))

@@ -291,6 +291,32 @@ class TestDetectSim:
         # Summary went to stderr since the CSV used stdout.
         assert "covert-ok:" in err
 
+    @pytest.mark.parametrize("vartheta", ["0.5", "1.0"])
+    def test_single_use(self, vartheta, capsys):
+        # At n = 1 every n-use state is a single-site one; the trace-norm
+        # differences must still be formed in arrays of their own, never in
+        # the read-only states.
+        code, out, err = run_cli(
+            ["detect-sim", *BASE, "--vartheta", vartheta, "--n", "1"], capsys
+        )
+        assert code == 0, err
+        header, row = out.strip().splitlines()
+        vals = {k: float(v) for k, v in zip(header.split(","), row.split(","))}
+        td = float(re.search(r"^trace-distance: (\S+)$", err, flags=re.M).group(1))
+        model = channels.willie_model(
+            channels.complementary(channels.load_channel(AD_SPEC)),
+            DensityOperator.basis_state(2, 1),
+        )
+        if vartheta == "0.5":
+            # q is about 0.68, so only weight 1 is admitted: rho_1 = rho_pi.
+            assert vals["d_exact"] == pytest.approx(covert.qre(model.rho_pi, model.rho0), rel=1e-12)
+            expect = np.sum(np.abs(np.linalg.eigvalsh(model.rho_pi.mat - model.rho0.mat)))
+            assert td == pytest.approx(expect, rel=1e-12)
+        else:
+            # Both weights are admitted: rho_1 is the single-use mixture.
+            assert vals["d_exact"] == pytest.approx(vals["d_product"], rel=1e-12)
+            assert vals["epsilon"] == pytest.approx(0.0, abs=1e-12)
+
     def test_dimension_cap_exit_code(self, capsys):
         code, _, err = run_cli(
             ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "40"], capsys

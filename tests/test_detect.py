@@ -118,7 +118,7 @@ class TestDetection:
         # delta is a budget in nats and d_exact is in bits: a budget between
         # LN2 * d_exact and d_exact is met.
         st = WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
-        d_bits = st.d_exact
+        d_bits = st.figures.d_exact
         assert d_bits > 0
         for delta, ok in (
             (LN2 * d_bits, True),

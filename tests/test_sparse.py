@@ -313,6 +313,12 @@ class TestBufferedBuild:
         model = random_willie_model(rng, dim=d)
         for cfg in (SparseSignalConfig(1, 0.4, 0.7), SparseSignalConfig(3, 0.5, 1.0)):
             assert np.array_equal(_willie_state_matrix(model, cfg), _kron_recursion_state(model, cfg))
+        # One admissible class that leaves out weight 0, at n = 1 and past
+        # one block of rows.
+        for cfg in (SparseSignalConfig(1, 0.8, 0.3), SparseSignalConfig(n_max, 0.5, 0.01)):
+            ws = cfg.weight_range()
+            assert len(ws) == 1 and ws.start > 0, cfg
+            assert np.array_equal(_willie_state_matrix(model, cfg), _kron_recursion_state(model, cfg))
 
     @pytest.mark.parametrize("d,hint", [(2, "n <= 10 for d=2"), (3, "n <= 6 for d=3")])
     def test_cap_hint(self, d, hint, rng):
@@ -336,16 +342,17 @@ class TestBufferedBuild:
             tracemalloc.stop()
         return peak / (model.dim**cfg.n) ** 2 / 16
 
-    # At the dense cap, the detect path fits in five d^n-square complex
-    # matrices: three live states, the difference a trace norm takes, and
-    # the column blocks of everything else.
+    # At the dense cap, the detect path fits in three d^n-square complex
+    # matrices of numpy memory: two live states (or one state and the
+    # difference a trace norm takes), and the row or column blocks of
+    # everything else.
     def test_detect_path_memory_at_n9(self, rng):
         cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
-        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 5
+        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 3
 
     def test_detect_path_memory_qutrit_n6(self, rng):
         cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
-        assert self._detect_path_peak(random_willie_model(rng, dim=3), cfg) <= 5
+        assert self._detect_path_peak(random_willie_model(rng, dim=3), cfg) <= 3
 
 
 def _kron_chain(m, k):
@@ -381,10 +388,35 @@ def _mixed_ad_model(rng):
     return willie_model(complementary(mixed), DensityOperator.basis_state(2, 1))
 
 
+def _check_detect_figures(model, n):
+    """Every detect-sim figure at block length n equals, with ==, its value
+    from whole d^n-square matrices: the np.kron recursion for the warden
+    state, np.kron chains for the products, and the mixture power's
+    spectrum as the sorted outer product of the mixture's eigenvalues."""
+    cfg = SparseSignalConfig(n=n, q=0.2, vartheta=0.5)
+    st = WardenStates(model, cfg)
+    chain = bound_chain(st)
+    rep = decomposition_report(st)
+    det = detection_at_n(st, 0.05)
+
+    rho_n = _kron_recursion_state(model, cfg)
+    prod_inn = _kron_chain(model.rho0.mat, n)
+    mix = (1.0 - cfg.q) * model.rho0.mat + cfg.q * model.rho_pi.mat
+    prod_mix = _kron_chain(mix, n)
+    mix_vals = vals = np.linalg.eigvalsh(mix)
+    for _ in range(n - 1):
+        vals = np.multiply.outer(vals, mix_vals).ravel()
+    d_exact = _qre_full_frame(rho_n, np.linalg.eigvalsh(rho_n), model.rho0, n)
+    d_product = _qre_full_frame(prod_mix, np.sort(vals), model.rho0, n)
+    assert chain.d_exact == d_exact
+    assert chain.d_product == d_product
+    assert rep.epsilon == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(prod_mix - rho_n))))
+    assert det.trace_distance == float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn))))
+
+
 class TestBitIdentity:
-    """The column-block products and buffered builds print the same bytes as
-    whole-matrix products: every detect-sim figure at n = 9 equals, with ==,
-    its value from whole d^n-square matrices."""
+    """The row- and column-block products, the buffered builds and the
+    one-pass figures print the same bytes as whole-matrix products."""
 
     @pytest.mark.parametrize("kind", ["mixed-ad", "isometry"])
     def test_detect_figures_at_n9(self, kind):
@@ -394,22 +426,10 @@ class TestBitIdentity:
         else:
             ch = complementary(random_channel(2, 2, 2, rng))
             model = willie_model(ch, DensityOperator.basis_state(2, 1))
-        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
-        st = WardenStates(model, cfg)
-        chain = bound_chain(st)
-        rep = decomposition_report(st)
-        det = detection_at_n(st, 0.05)
+        _check_detect_figures(model, 9)
 
-        rho_n = _kron_recursion_state(model, cfg)
-        prod_inn = _kron_chain(model.rho0.mat, 9)
-        mix = (1.0 - cfg.q) * model.rho0.mat + cfg.q * model.rho_pi.mat
-        prod_mix = _kron_chain(mix, 9)
-        d_exact = _qre_full_frame(rho_n, np.linalg.eigvalsh(rho_n), model.rho0, 9)
-        d_product = _qre_full_frame(prod_mix, st.prod_mix.eigvals, model.rho0, 9)
-        assert chain.d_exact == d_exact
-        assert chain.d_product == d_product
-        assert rep.epsilon == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(prod_mix - rho_n))))
-        assert det.trace_distance == float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn))))
+    def test_detect_figures_qutrit_n6(self):
+        _check_detect_figures(random_willie_model(np.random.default_rng(6), dim=3), 6)
 
     def test_power_eigenvectors_match_kron_chain(self, rng):
         for d, k in ((2, 9), (3, 5)):
@@ -583,7 +603,7 @@ def test_shared_states_match_fresh_ones(rng):
     states = WardenStates(model, cfg)
     assert bound_chain(states) == bound_chain(WardenStates(model, cfg))
     shared = decomposition_report(states)
-    assert shared.qre_total == states.d_exact
+    assert shared.qre_total == states.figures.d_exact
     assert shared == decomposition_report(WardenStates(model, cfg))
     assert detection_at_n(states, 0.05) == detection_at_n(
         WardenStates(model, cfg), 0.05

@@ -131,6 +131,21 @@ def _owners(pred) -> list:
     return found
 
 
+def _forms_n_use_state(node) -> bool:
+    """A reference to willie_state_exact or a call of a ``.power`` method."""
+    if isinstance(node, ast.Name) and node.id == "willie_state_exact":
+        return True
+    if isinstance(node, ast.Attribute) and node.attr == "willie_state_exact":
+        return True
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "power"
+
+
+def test_only_the_warden_pass_forms_n_use_states():
+    # Every n-use figure comes from sparse.WardenStates.figures, so another
+    # route (type classes, Schur-Weyl blocks) can replace that one pass.
+    assert set(_owners(_forms_n_use_state)) == {("sparse", "figures")}
+
+
 def test_only_the_cli_writer_touches_std_streams():
     # Every output and error line goes through cli._write or cli.main, so a
     # failed write is refused in one place.
