@@ -205,8 +205,9 @@ def complex_entry(e) -> complex:
 def load_channel(path) -> QuantumChannel:
     """Load and validate a channel spec file.
 
-    The trace-preservation residual is logged so callers can surface it in
-    diagnostics even when validation passes.
+    The trace-preservation residual is logged at INFO level so callers can
+    surface it in diagnostics even when validation passes; it is computed
+    again only when that level is enabled.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -234,7 +235,8 @@ def load_channel(path) -> QuantumChannel:
         raise ChannelFormatError(
             f"channel file {path} is malformed: {exc}"
         ) from exc
-    log.info("loaded channel %s, trace-preservation residual %.3e", path, tp_residual(ch))
+    if log.isEnabledFor(logging.INFO):
+        log.info("loaded channel %s, trace-preservation residual %.3e", path, tp_residual(ch))
     return ch
 
 

@@ -21,12 +21,21 @@ feed and carriage return are escaped as ``\\``, ``\"``, ``\n`` and ``\r``.
 The environment variable COVERTQ_THREADS caps the linear-algebra thread
 pool; it must be honored before numpy loads, which is why this module pins
 it at import time and the package __init__ imports nothing eagerly.
+
+Each call imports only what its subcommand needs. Module level holds the
+thread pin, numpy, the layers every call loads to read a channel
+(``channels``, ``linops``, ``errors``) and ``covert``, which report,
+srl-curve and detect-sim all call; deferring them would move their cost
+from import into each call and make no call faster. ``twirl`` and
+``rates`` load inside the subcommands that call them, ``sparse`` and
+``detect`` inside detect-sim, and ``hashlib``, which maps OpenSSL's
+libcrypto, only where report and twirl-check compute the channel id.
+twirl-check's sampler maps libcrypto anyway, through ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -49,11 +58,11 @@ def _pin_threads() -> None:
 _pin_threads()
 
 from dataclasses import dataclass  # noqa: E402
-from typing import Optional  # noqa: E402
+from typing import TYPE_CHECKING, Optional  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from . import channels, covert, detect, linops, rates, sparse, twirl  # noqa: E402
+from . import channels, covert, linops  # noqa: E402
 from .errors import (  # noqa: E402
     ChannelFormatError,
     DegenerateChannelError,
@@ -63,6 +72,9 @@ from .errors import (  # noqa: E402
     TracePreservationError,
 )
 from .linops import DensityOperator  # noqa: E402
+
+if TYPE_CHECKING:
+    from . import twirl
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
@@ -114,6 +126,8 @@ def _fmt(x: float) -> str:
 
 
 def _channel_id(ch: channels.QuantumChannel) -> str:
+    import hashlib
+
     blob = repr(
         [
             [[(_fmt(e.real), _fmt(e.imag)) for e in row] for row in k]
@@ -174,9 +188,9 @@ def _parse_n_list(spec: str) -> list[int]:
 
 @dataclass(frozen=True)
 class ChannelReport:
-    """Everything the report command prints, in recomputable form."""
+    """Everything the report command prints but the channel id, in
+    recomputable form."""
 
-    channel_id: str
     willie_mode: str
     tp_residual: float
     trivially_covert: bool
@@ -207,7 +221,10 @@ def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieMod
     return bob, mode, model
 
 
-def _analyze(args) -> ChannelReport:
+def _analyze(args) -> tuple[channels.QuantumChannel, ChannelReport]:
+    """Returns (receiver channel, report)."""
+    from . import rates, twirl
+
     bob, mode, model = _build_model(args)
     twirl.require_qubit_input(bob)
     c_q = covert.covert_constant(model)
@@ -224,8 +241,7 @@ def _analyze(args) -> ChannelReport:
             b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, p_vec)
             b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, q_tw, stats.p_f)
             bounds.append((n, b1, b2))
-    return ChannelReport(
-        channel_id=_channel_id(bob),
+    return bob, ChannelReport(
         willie_mode=mode,
         tp_residual=channels.tp_residual(bob),
         trivially_covert=math.isinf(c_q),
@@ -240,13 +256,15 @@ def _analyze(args) -> ChannelReport:
 
 
 def _pauli_line(p: twirl.PauliDistribution) -> str:
+    from .twirl import PAULI_LABELS
+
     v = p.as_array()
-    return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(twirl.PAULI_LABELS, v))
+    return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(PAULI_LABELS, v))
 
 
-def _report_text(rep: ChannelReport) -> str:
+def _report_text(channel_id: str, rep: ChannelReport) -> str:
     lines = [
-        f"channel-id: {rep.channel_id}",
+        f"channel-id: {channel_id}",
         f"willie-mode: {rep.willie_mode}",
         f"tp-residual: {_fmt(rep.tp_residual)}",
         "support-ok: true",
@@ -292,11 +310,12 @@ def _write(text: str, path: Optional[str], stream) -> None:
 
 
 def cmd_report(args) -> tuple[str, str]:
-    return _report_text(_analyze(args)), ""
+    bob, rep = _analyze(args)
+    return _report_text(_channel_id(bob), rep), ""
 
 
 def cmd_srl_curve(args) -> tuple[str, str]:
-    rep = _analyze(args)
+    _, rep = _analyze(args)
     if rep.trivially_covert:
         raise DegenerateChannelError(
             "trivially covert channel: qubit count bounds are unbounded, "
@@ -311,6 +330,8 @@ def cmd_srl_curve(args) -> tuple[str, str]:
 
 
 def cmd_detect_sim(args) -> tuple[str, str]:
+    from . import detect, sparse
+
     _, mode, model = _build_model(args)
     c_q = covert.covert_constant(model)
     # A past-cap block length is refused before any work on it. The budget,
@@ -328,6 +349,11 @@ def cmd_detect_sim(args) -> tuple[str, str]:
         raise DegenerateChannelError(
             f"budget saturates the signal density (q=1) at n={args.n_single}; "
             "sparse signaling needs q < 1, raise n or lower the budget"
+        )
+    if q == 0.0:
+        raise ValueError(
+            f"budget {args.delta} leaves no signal density (q=0) at n={args.n_single}; "
+            "sparse signaling needs q > 0, raise the budget"
         )
     cfg = sparse.SparseSignalConfig(n=args.n_single, q=q, vartheta=args.vartheta)
     states = sparse.WardenStates(model, cfg)
@@ -363,6 +389,8 @@ def cmd_detect_sim(args) -> tuple[str, str]:
 
 
 def cmd_twirl_check(args) -> tuple[str, str]:
+    from . import twirl
+
     ch = channels.load_channel(args.channel)
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)

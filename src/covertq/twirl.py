@@ -198,6 +198,8 @@ def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample")
     if samples > np.iinfo(np.int64).max:
         raise ValueError(f"sample count {samples} exceeds the multinomial limit 2**63 - 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
     return np.random.default_rng(seed).multinomial(samples, p / max(1.0, p.sum()))
 

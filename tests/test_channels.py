@@ -200,6 +200,23 @@ class TestBuilders:
         for a, b in zip(ch.kraus, back.kraus):
             np.testing.assert_allclose(a, b, atol=1e-15)
 
+    def test_residual_computed_once_per_load(self, tmp_path, monkeypatch, caplog):
+        # Validation needs the residual; the log line needs it only when
+        # INFO is enabled, which nothing in the package turns on.
+        import covertq.channels as mod
+
+        path = tmp_path / "ad.json"
+        save_channel(amplitude_damping(0.3), path)
+        calls = []
+        orig = mod.tp_residual
+        monkeypatch.setattr(mod, "tp_residual", lambda ch: calls.append(1) or orig(ch))
+        load_channel(path)
+        assert len(calls) == 1
+        caplog.set_level("INFO", logger=mod.__name__)
+        load_channel(path)
+        assert len(calls) == 3
+        assert "trace-preservation residual" in caplog.text
+
     def test_malformed_spec_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

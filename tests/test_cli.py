@@ -666,6 +666,18 @@ class TestRefusedParameters:
         assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
         assert err.startswith("covertq: error code=invalid-input "), err
 
+    @pytest.mark.parametrize("delta", ["0", "5e-324"])
+    def test_detect_sim_zero_density_names_the_budget(self, ad_args, delta, capsys):
+        # At 5e-324, delta / n underflows, so c_q * sqrt(delta / n) is 0.
+        argv = ["detect-sim", *ad_args, "--delta", delta, "--vartheta", "0.5", "--n", "6"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(err[:-1]) and err.count("\n") == 1
+        assert err.startswith(
+            f"covertq: error code=invalid-input msg=\"budget {float(delta)} leaves "
+            "no signal density (q=0) at n=6;"
+        ), err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -775,21 +787,28 @@ def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
     assert codes[0] and codes[cli.EXIT_DIM] and codes[cli.EXIT_DEGENERATE]
 
 
-def test_no_scipy_module_is_imported(tmp_path):
-    # Import the CLI and run every subcommand in one fresh interpreter.
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["report", *BASE, "--vartheta", "0.1", "--n", "1000"],
+         ["covertq.sparse", "covertq.detect"]),
+        (["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"],
+         ["_hashlib", "covertq.sparse", "covertq.detect"]),
+        (["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"],
+         ["_hashlib", "covertq.twirl", "covertq.rates"]),
+        (["twirl-check", "--channel", AD_SPEC, "--samples", "1000"],
+         ["covertq.sparse", "covertq.detect", "covertq.rates"]),
+    ],
+    ids=["report", "srl-curve", "detect-sim", "twirl-check"],
+)
+def test_subcommand_loads_only_what_it_needs(argv, absent, tmp_path):
+    # One fresh interpreter per subcommand: no scipy module, and none of the
+    # layers or the OpenSSL binding that its output does not need.
     script = f"""
 import sys
 from covertq import cli
-base = ["--channel", {str(AD_SPEC)!r}, "--innocent", "1", "--delta", "0.05"]
-out = {str(tmp_path / "out")!r}
-for argv in (
-    ["report", *base, "--vartheta", "0.1", "--n", "1000"],
-    ["srl-curve", *base, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"],
-    ["detect-sim", *base, "--vartheta", "0.5", "--n", "6"],
-    ["twirl-check", "--channel", {str(AD_SPEC)!r}, "--samples", "1000"],
-):
-    assert cli.main([*argv, "--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert cli.main({[*map(str, argv), "--out", str(tmp_path / "out")]!r}) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in {absent!r}))
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -812,6 +831,17 @@ class TestTwirlCheck:
         assert "analytic:" in out and "empirical:" in out
         gap = float(out.strip().splitlines()[-1].split(": ")[1])
         assert gap <= 0.02
+
+    def test_negative_seed_is_named(self, capsys):
+        code, out, err = run_cli(
+            ["twirl-check", "--channel", AD_SPEC, "--samples", "1000", "--seed", "-1"],
+            capsys,
+        )
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == (
+            'covertq: error code=invalid-input msg="seed must be a nonnegative '
+            'integer, got -1"\n'
+        )
 
 
 class TestDeterminism:
