@@ -38,9 +38,11 @@ class QuantumChannel:
 
     Each operator is d_out x d_in. The environment dimension equals the
     number of supplied operators; the Kraus rank is not minimized.
+    ``residual`` is the ``tp_residual`` that validation computed.
     """
 
     kraus: tuple = field(repr=False)
+    residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(as_complex_matrix(k) for k in self.kraus)
@@ -52,10 +54,10 @@ class QuantumChannel:
         for k in ops:
             k.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
-        res = tp_residual(self)
-        if res > TAU_TP:
+        object.__setattr__(self, "residual", tp_residual(self))
+        if self.residual > TAU_TP:
             raise TracePreservationError(
-                f"Kraus operators are not trace preserving (residual {res:.3e})"
+                f"Kraus operators are not trace preserving (residual {self.residual:.3e})"
             )
 
     @property
@@ -84,10 +86,11 @@ def apply_mat(ch: QuantumChannel, m: np.ndarray) -> np.ndarray:
 
 
 def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply the channel to a state; output is validated."""
+    """Apply the channel to a state; the output is validated as a derived
+    state (see ``DensityOperator``), so its trace is not tested again."""
     if rho.dim != ch.d_in:
         raise ValueError(f"state dim {rho.dim} does not match channel input {ch.d_in}")
-    return DensityOperator(apply_mat(ch, rho.mat))
+    return DensityOperator(apply_mat(ch, rho.mat), _derived=True)
 
 
 def choi(ch: QuantumChannel) -> np.ndarray:
@@ -205,9 +208,9 @@ def complex_entry(e) -> complex:
 def load_channel(path) -> QuantumChannel:
     """Load and validate a channel spec file.
 
-    The trace-preservation residual is logged at INFO level so callers can
-    surface it in diagnostics even when validation passes; it is computed
-    again only when that level is enabled.
+    The trace-preservation residual that validation computed is logged at
+    INFO level so callers can surface it in diagnostics even when
+    validation passes.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -235,8 +238,7 @@ def load_channel(path) -> QuantumChannel:
         raise ChannelFormatError(
             f"channel file {path} is malformed: {exc}"
         ) from exc
-    if log.isEnabledFor(logging.INFO):
-        log.info("loaded channel %s, trace-preservation residual %.3e", path, tp_residual(ch))
+    log.info("loaded channel %s, trace-preservation residual %.3e", path, ch.residual)
     return ch
 
 

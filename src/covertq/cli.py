@@ -57,7 +57,6 @@ def _pin_threads() -> None:
 
 _pin_threads()
 
-from dataclasses import dataclass  # noqa: E402
 from typing import TYPE_CHECKING, Optional  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -186,23 +185,6 @@ def _parse_n_list(spec: str) -> list[int]:
     return ns
 
 
-@dataclass(frozen=True)
-class ChannelReport:
-    """Everything the report command prints but the channel id, in
-    recomputable form."""
-
-    willie_mode: str
-    tp_residual: float
-    trivially_covert: bool
-    p_f: float
-    q_tw: twirl.PauliDistribution
-    p_vec: twirl.PauliDistribution
-    c_q: float
-    rate_hashing: float
-    rate_distill: float
-    bounds: tuple
-
-
 def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieModel]:
     """Returns (receiver channel, warden mode, warden model)."""
     bob = channels.load_channel(args.channel)
@@ -221,8 +203,11 @@ def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieMod
     return bob, mode, model
 
 
-def _analyze(args) -> tuple[channels.QuantumChannel, ChannelReport]:
-    """Returns (receiver channel, report)."""
+def _analyze(args) -> tuple:
+    """The figures that report and srl-curve share, as (receiver channel,
+    warden mode, c_q, projection stats, q_tw, p_vec, bound rows). A bound
+    row is (n, unassisted bound, assisted bound); there are none when c_q
+    is infinite, but each n is checked all the same."""
     from . import rates, twirl
 
     bob, mode, model = _build_model(args)
@@ -231,28 +216,14 @@ def _analyze(args) -> tuple[channels.QuantumChannel, ChannelReport]:
     stats = twirl.projection_stats(bob)
     q_tw = twirl.twirl_parameters(stats)
     p_vec = twirl.compose_with_failure(q_tw, stats.p_f)
-    rate_h = rates.hashing_rate(p_vec)
-    rate_d = rates.distillation_rate(q_tw, stats.p_f)
-    bounds = []
+    rows = []
     for n in _parse_n_list(args.n):
-        # Checked also when c_q is infinite and no bound is computed.
         rates._check_bound_args(n, args.vartheta, c_q, args.delta)
         if not math.isinf(c_q):
             b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, p_vec)
             b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, q_tw, stats.p_f)
-            bounds.append((n, b1, b2))
-    return bob, ChannelReport(
-        willie_mode=mode,
-        tp_residual=channels.tp_residual(bob),
-        trivially_covert=math.isinf(c_q),
-        p_f=stats.p_f,
-        q_tw=q_tw,
-        p_vec=p_vec,
-        c_q=c_q,
-        rate_hashing=rate_h,
-        rate_distill=rate_d,
-        bounds=tuple(bounds),
-    )
+            rows.append((n, b1, b2))
+    return bob, mode, c_q, stats, q_tw, p_vec, rows
 
 
 def _pauli_line(p: twirl.PauliDistribution) -> str:
@@ -260,34 +231,6 @@ def _pauli_line(p: twirl.PauliDistribution) -> str:
 
     v = p.as_array()
     return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(PAULI_LABELS, v))
-
-
-def _report_text(channel_id: str, rep: ChannelReport) -> str:
-    lines = [
-        f"channel-id: {channel_id}",
-        f"willie-mode: {rep.willie_mode}",
-        f"tp-residual: {_fmt(rep.tp_residual)}",
-        "support-ok: true",
-        f"trivially-covert: {'true' if rep.trivially_covert else 'false'}",
-        f"p_f: {_fmt(rep.p_f)}",
-        f"q_tw: {_pauli_line(rep.q_tw)}",
-        f"p_vec: {_pauli_line(rep.p_vec)}",
-        f"c_q: {'inf' if math.isinf(rep.c_q) else _fmt(rep.c_q)}",
-        f"R: {_fmt(rep.rate_hashing)}",
-        f"R_d: {_fmt(rep.rate_distill)}",
-    ]
-    if rep.trivially_covert:
-        lines.append(
-            "note: warden outputs are identical; any signal density is covert "
-            "and the qubit count bounds are unbounded"
-        )
-    for n, b1, b2 in rep.bounds:
-        lines.append(
-            f"n={n}: m_lower_unassisted={_fmt(b1.m_lower)} "
-            f"m_lower_assisted={_fmt(b2.m_lower)} "
-            f"classical_bits_upper={_fmt(b2.classical_bits_upper)}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _write(text: str, path: Optional[str], stream) -> None:
@@ -310,23 +253,50 @@ def _write(text: str, path: Optional[str], stream) -> None:
 
 
 def cmd_report(args) -> tuple[str, str]:
-    bob, rep = _analyze(args)
-    return _report_text(_channel_id(bob), rep), ""
+    from . import rates
+
+    bob, mode, c_q, stats, q_tw, p_vec, rows = _analyze(args)
+    trivial = math.isinf(c_q)
+    lines = [
+        f"channel-id: {_channel_id(bob)}",
+        f"willie-mode: {mode}",
+        f"tp-residual: {_fmt(bob.residual)}",
+        "support-ok: true",
+        f"trivially-covert: {'true' if trivial else 'false'}",
+        f"p_f: {_fmt(stats.p_f)}",
+        f"q_tw: {_pauli_line(q_tw)}",
+        f"p_vec: {_pauli_line(p_vec)}",
+        f"c_q: {'inf' if trivial else _fmt(c_q)}",
+        f"R: {_fmt(rates.hashing_rate(p_vec))}",
+        f"R_d: {_fmt(rates.distillation_rate(q_tw, stats.p_f))}",
+    ]
+    if trivial:
+        lines.append(
+            "note: warden outputs are identical; any signal density is covert "
+            "and the qubit count bounds are unbounded"
+        )
+    for n, b1, b2 in rows:
+        lines.append(
+            f"n={n}: m_lower_unassisted={_fmt(b1.m_lower)} "
+            f"m_lower_assisted={_fmt(b2.m_lower)} "
+            f"classical_bits_upper={_fmt(b2.classical_bits_upper)}"
+        )
+    return "\n".join(lines) + "\n", ""
 
 
 def cmd_srl_curve(args) -> tuple[str, str]:
-    _, rep = _analyze(args)
-    if rep.trivially_covert:
+    _, _, c_q, _, _, _, rows = _analyze(args)
+    if math.isinf(c_q):
         raise DegenerateChannelError(
             "trivially covert channel: qubit count bounds are unbounded, "
             "no finite curve to emit"
         )
-    rows = ["n,m_lower_unassisted,m_lower_assisted,classical_bits_upper"]
-    for n, b1, b2 in rep.bounds:
-        rows.append(
+    lines = ["n,m_lower_unassisted,m_lower_assisted,classical_bits_upper"]
+    for n, b1, b2 in rows:
+        lines.append(
             f"{n},{_fmt(b1.m_lower)},{_fmt(b2.m_lower)},{_fmt(b2.classical_bits_upper)}"
         )
-    return "\n".join(rows) + "\n", ""
+    return "\n".join(lines) + "\n", ""
 
 
 def cmd_detect_sim(args) -> tuple[str, str]:
@@ -398,7 +368,7 @@ def cmd_twirl_check(args) -> tuple[str, str]:
     gap = float(np.max(np.abs(analytic.as_array() - empirical.as_array())))
     lines = [
         f"channel-id: {_channel_id(ch)}",
-        f"tp-residual: {_fmt(channels.tp_residual(ch))}",
+        f"tp-residual: {_fmt(ch.residual)}",
         f"p_f: {_fmt(stats.p_f)}",
         f"samples: {args.samples}",
         f"seed: {args.seed}",

@@ -123,10 +123,11 @@ def tensor_power(m, k: int) -> np.ndarray:
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input this is the sum of
-    absolute eigenvalues. The finiteness test, the scale max|m| and the
-    Hermiticity gap max|m - m^dag| are taken in one pass over blocks of
-    ``BLOCK`` rows, so no temporary of m's size forms before the solve."""
+    """Sum of absolute eigenvalues of a Hermitian matrix, such as a
+    difference of states; any other matrix is refused with ``ValueError``.
+    The finiteness test, the scale max|m| and the Hermiticity gap
+    max|m - m^dag| are taken in one pass over blocks of ``BLOCK`` rows, so
+    no temporary of m's size forms before the solve."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace norm is defined for square matrices here")
@@ -137,9 +138,9 @@ def trace_norm(m) -> float:
             raise ValueError("matrix entries must be finite")
         scale = max(scale, np.max(np.abs(rows)))
         gap = max(gap, np.max(np.abs(rows - dagger(a[:, s]))))
-    if gap <= 1e-12 * max(1.0, float(scale)) + TAU_HERM:
-        return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    if gap > 1e-12 * max(1.0, float(scale)) + TAU_HERM:
+        raise ValueError(f"trace norm needs a Hermitian matrix, max |m - m^dag| = {gap:.3e}")
+    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
 def clip_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -173,9 +174,16 @@ class DensityOperator:
 
     Validation happens on construction: Hermiticity within ``TAU_HERM``,
     eigenvalues >= -``TAU_PSD``, trace within ``TAU_TRACE`` of 1, and the
-    dense dimension cap. The validated matrix is kept read-only: as a copy,
-    or in place for the new arrays that ``power`` and
-    ``sparse.willie_state_exact`` hand over (``_adopt``).
+    dense dimension cap. The validated matrix is kept read-only, as a copy.
+
+    ``_derived`` marks a new array that the package computed from checked
+    states: ``channels.apply`` outputs, ``sparse.WardenStates.mix``,
+    ``power`` and ``sparse.willie_state_exact``. It is kept in place, and its
+    trace is not tested again, since that test belongs where a matrix enters.
+    A derived trace may differ from 1 by more than ``TAU_TRACE`` with no
+    fault: a power's is tr(rho)^n, and a channel output's is off by as much
+    as the channel misses trace preservation, which ``channels.TAU_TP``
+    bounds entrywise.
 
     The spectrum is cached. The eigenvalues that validation computes are
     kept (``eigvals``), and the eigenvectors are computed on first use
@@ -190,12 +198,12 @@ class DensityOperator:
     mat: np.ndarray = field(repr=False)
     # Set by ``power`` only.
     _power: Optional[_PowerSpectrum] = field(default=None, repr=False, compare=False)
-    _adopt: InitVar[bool] = False
+    _derived: InitVar[bool] = False
     _vals: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
     _vecs: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
     _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self, _adopt: bool):
+    def __post_init__(self, _derived: bool):
         a = as_complex_matrix(self.mat)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"density operator must be square, got {a.shape}")
@@ -208,7 +216,7 @@ class DensityOperator:
         if not is_hermitian(a, tol=TAU_HERM):
             raise ValueError("density operator must be Hermitian")
         tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TAU_TRACE:
+        if not _derived and abs(tr - 1.0) > TAU_TRACE:
             raise ValueError(f"density operator must have unit trace, got {tr}")
         if self._power is None:
             vals = np.linalg.eigvalsh(a)
@@ -218,7 +226,7 @@ class DensityOperator:
         lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
-        object.__setattr__(self, "mat", _frozen(a if _adopt else a.copy()))
+        object.__setattr__(self, "mat", _frozen(a if _derived else a.copy()))
         object.__setattr__(self, "_vals", _frozen(vals))
         object.__setattr__(self, "_kernel", _frozen(kernel))
 
@@ -281,7 +289,7 @@ class DensityOperator:
             kernel = np.logical_or.outer(kernel, self._kernel).ravel()
         order = np.argsort(vals, kind="stable")
         return DensityOperator(
-            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order), _adopt=True
+            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order), _derived=True
         )
 
     @property

@@ -167,7 +167,7 @@ def willie_state_exact(model: WillieModel, cfg: SparseSignalConfig) -> DensityOp
     """The warden's exact n-use output under transmission: the weight-set
     mixture of per-slot products of rho_pi (signal slots) and rho0
     (innocent slots)."""
-    return DensityOperator(_willie_state_matrix(model, cfg), _adopt=True)
+    return DensityOperator(_willie_state_matrix(model, cfg), _derived=True)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ class WardenStates:
     @cached_property
     def mix(self) -> DensityOperator:
         q, m = self.cfg.q, self.model
-        return DensityOperator((1.0 - q) * m.rho0.mat + q * m.rho_pi.mat)
+        return DensityOperator((1.0 - q) * m.rho0.mat + q * m.rho_pi.mat, _derived=True)
 
     @cached_property
     def figures(self) -> WardenFigures:

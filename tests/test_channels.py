@@ -201,8 +201,8 @@ class TestBuilders:
             np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_residual_computed_once_per_load(self, tmp_path, monkeypatch, caplog):
-        # Validation needs the residual; the log line needs it only when
-        # INFO is enabled, which nothing in the package turns on.
+        # Validation computes the residual and the channel keeps it, so the
+        # INFO log line reads the stored value.
         import covertq.channels as mod
 
         path = tmp_path / "ad.json"
@@ -213,8 +213,9 @@ class TestBuilders:
         load_channel(path)
         assert len(calls) == 1
         caplog.set_level("INFO", logger=mod.__name__)
-        load_channel(path)
-        assert len(calls) == 3
+        ch = load_channel(path)
+        assert len(calls) == 2
+        assert ch.residual == orig(ch)
         assert "trace-preservation residual" in caplog.text
 
     def test_malformed_spec_file(self, tmp_path):

@@ -64,7 +64,43 @@ def trivial_args(ident_spec, depol_spec):
 BASE = ["--channel", AD_SPEC, "--innocent", "1", "--delta", "0.05"]
 
 
+def _count_analysis_calls(argv, monkeypatch, capsys) -> Counter:
+    """Calls of tp_residual and of the rate and bound functions during one
+    CLI call; a rate taken outside the two bounds counts as '<name> outside'."""
+    calls, depth = Counter(), [0]
+
+    def wrap(mod, name):
+        orig = getattr(mod, name)
+        bound = name.endswith("_bound")
+
+        def wrapper(*args, **kwargs):
+            outside = name.endswith("_rate") and not depth[0]
+            calls[name + " outside" if outside else name] += 1
+            depth[0] += bound
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                depth[0] -= bound
+
+        monkeypatch.setattr(mod, name, wrapper)
+
+    wrap(channels, "tp_residual")
+    for name in ("hashing_rate", "distillation_rate", "unassisted_bound", "assisted_bound"):
+        wrap(rates, name)
+    code, _, err = run_cli([*argv, *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e7:9"], capsys)
+    assert code == 0, err
+    return calls
+
+
 class TestReport:
+    def test_residual_and_rates_once(self, monkeypatch, capsys):
+        # The tp-residual line reads the receiver's validation; R and R_d
+        # are the two rates taken outside the bounds.
+        calls = _count_analysis_calls(["report"], monkeypatch, capsys)
+        assert calls == Counter({"tp_residual": 2, "hashing_rate": 9, "distillation_rate": 9,
+                                 "hashing_rate outside": 1, "distillation_rate outside": 1,
+                                 "unassisted_bound": 9, "assisted_bound": 9})
+
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
             ["report", *BASE, "--vartheta", "0.1", "--n", "1000,1000000"], capsys
@@ -216,6 +252,13 @@ class TestReport:
 
 
 class TestSrlCurve:
+    def test_computes_only_what_it_prints(self, monkeypatch, capsys):
+        # The two residuals are the receiver's and the warden's validation;
+        # every rate is taken inside a bound.
+        calls = _count_analysis_calls(["srl-curve"], monkeypatch, capsys)
+        assert calls == Counter(tp_residual=2, hashing_rate=9, distillation_rate=9,
+                                unassisted_bound=9, assisted_bound=9)
+
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
             ["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e7:5"], capsys
@@ -418,6 +461,51 @@ class TestDetectSim:
         assert code == 0
         assert solves[64] <= 3
         assert len(builds) == 1
+
+
+def _scaled_ad_spec(tmp_path):
+    """The gamma = 0.3 amplitude-damping pair scaled by sqrt(1 + 5e-10): a
+    trace-preservation residual of 5e-10, inside ``channels.TAU_TP``."""
+    scale = math.sqrt(1.0 + 5e-10)
+    ops = [scale * k for k in channels.amplitude_damping(0.3).kraus]
+    path = tmp_path / "ad_scaled.json"
+    channels.save_channel(channels.QuantumChannel(tuple(ops)), path)
+    return path
+
+
+class TestTraceTestedWhereMatricesEnter:
+    """The unit-trace test applies to a caller-given matrix, not to states
+    the package derives from checked ones, whose traces compound."""
+
+    @pytest.mark.parametrize("n", [2, 6, 9])
+    def test_innocent_within_trace_tolerance(self, n, capsys):
+        # tr = 1 + 9e-11 passes the entry test; tr^n would not pass it again.
+        d_exact = []
+        for innocent in ("[[0.2,0],[0,0.80000000009]]", "[[0.2,0],[0,0.8]]"):
+            code, out, err = run_cli(
+                ["detect-sim", "--channel", AD_SPEC, "--innocent", innocent, "--delta", "0.05",
+                 "--vartheta", "0.5", "--n", str(n)],
+                capsys,
+            )
+            assert code == 0, err
+            header, row = out.splitlines()
+            d_exact.append(float(dict(zip(header.split(","), row.split(",")))["d_exact"]))
+        assert d_exact[0] == pytest.approx(d_exact[1], rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--vartheta", "0.1", "--n", "1000"],
+         ["srl-curve", "--vartheta", "0.1", "--n", "1000"],
+         ["detect-sim", "--vartheta", "0.5", "--n", "6"]],
+    )
+    def test_channel_within_tp_tolerance(self, argv, tmp_path, capsys):
+        spec = _scaled_ad_spec(tmp_path)
+        assert 4e-10 < channels.load_channel(spec).residual <= channels.TAU_TP
+        code, out, err = run_cli(
+            [argv[0], "--channel", spec, "--innocent", "1", "--delta", "0.05", *argv[1:]], capsys
+        )
+        assert code == 0, err
+        assert "error" not in err and out
 
 
 def _compositions(n, parts):

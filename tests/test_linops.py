@@ -69,6 +69,10 @@ class TestTraceNorm:
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_state_difference_matches_singular_values(self, seed):
         rng = np.random.default_rng(seed)

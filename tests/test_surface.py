@@ -8,7 +8,7 @@ import re
 import types
 from pathlib import Path
 
-from covertq import cli
+from covertq import channels, cli, linops
 from covertq.linops import DensityOperator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -107,6 +107,22 @@ def test_readme_exit_table_matches_cli():
     for code, name in cli._EXIT_TABLE.values():
         table.setdefault(code, set()).add(name)
     assert _readme_exit_table() == table
+
+
+def test_readme_tolerances_match_the_code():
+    # Each tolerance the README states appears once and is the code's own.
+    text = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    stated = {
+        "tp": r"`sum K\^dag K = I` within (\S+?);",
+        "trace": r"trace within (\S+) of 1",
+        "support": r"at most (\S+) per site",
+    }
+    found = {key: [float(x) for x in re.findall(p, text)] for key, p in stated.items()}
+    assert found == {
+        "tp": [channels.TAU_TP],
+        "trace": [linops.TAU_TRACE],
+        "support": [linops.SUPPORT_TOL],
+    }
 
 
 def _writes_std_stream(node) -> bool:
