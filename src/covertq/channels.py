@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,10 +199,14 @@ def save_channel(ch: QuantumChannel, path) -> None:
 
 
 def complex_entry(e) -> complex:
-    """The number a ``[re, im]`` spec entry stands for; an entry that is not
-    a list of exactly two numbers is refused with ``ValueError``."""
+    """The number a ``[re, im]`` entry of a JSON matrix stands for, the one
+    rule for such entries: each part is an int or float, not a bool, with a
+    finite double value (an int is compared exactly, so one past the double
+    range fails); anything else is refused with ``ValueError``."""
     if not isinstance(e, list) or len(e) != 2:
         raise ValueError(f"entry {e!r} is not a [re, im] pair")
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in e):
+        raise ValueError(f"entry {e!r}: both parts must be finite numbers")
     return complex(e[0], e[1])
 
 

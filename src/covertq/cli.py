@@ -149,13 +149,8 @@ def _parse_innocent(spec: str, dim: int) -> DensityOperator:
             raise _InnocentFormatError(str(exc)) from exc
     try:
         raw = json.loads(spec)
-        mat = np.array(
-            [
-                [channels.complex_entry(e) if isinstance(e, list) else complex(e) for e in row]
-                for row in raw
-            ],
-            dtype=np.complex128,
-        )
+        rows = [[e if isinstance(e, list) else [e, 0] for e in row] for row in raw]
+        mat = np.array([[channels.complex_entry(e) for e in r] for r in rows], dtype=np.complex128)
     except (json.JSONDecodeError, TypeError, IndexError, ValueError) as exc:
         raise _InnocentFormatError(f"cannot parse innocent state spec: {exc}") from exc
     if mat.shape != (dim, dim):
@@ -394,9 +389,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_budget_args(p: argparse.ArgumentParser) -> None:
+def _add_budget_args(p: argparse.ArgumentParser, interval: str) -> None:
     p.add_argument("--delta", type=float, required=True, help="divergence budget in nats")
-    p.add_argument("--vartheta", type=float, required=True, help="weight-set half width")
+    half_width = f"weight-set half width in {interval}; the set in force is |w/n - q| <= vartheta"
+    p.add_argument("--vartheta", type=float, required=True, help=half_width)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full covertability report for a channel")
     _add_model_args(p)
-    _add_budget_args(p)
+    _add_budget_args(p, "(0, 1)")
     p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("srl-curve", help="square-root scaling curve as CSV")
     _add_model_args(p)
-    _add_budget_args(p)
+    _add_budget_args(p, "(0, 1)")
     p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_srl_curve)
@@ -432,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "detect-sim", help="exact warden detection figures and bound chain at one n"
     )
     _add_model_args(p)
-    _add_budget_args(p)
+    _add_budget_args(p, "(0, 1]")
     p.add_argument("--n", dest="n_single", type=int, required=True)
     p.add_argument("--seed", type=int, default=0, help="reserved; detection is exact")
     p.add_argument("--out", default=None)

@@ -80,13 +80,16 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
 
 
-def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
-    """max |m - m^dag| <= tol, the max taken over blocks of ``BLOCK`` rows so
-    that no temporary of m's size forms; it equals the whole-matrix max."""
-    if m.shape[0] != m.shape[1]:
-        return False
-    gaps = [np.max(np.abs(m[s] - dagger(m[:, s]))) for s in _blocks(m.shape[0])]
-    return np.max(gaps) <= tol
+def hermitian_gap(m: np.ndarray) -> float:
+    """max |m - m^dag| of a square matrix, taken over blocks of ``BLOCK`` rows
+    so that no temporary of m's size forms; a NaN or infinite entry is
+    refused with ``ValueError``. The one Hermiticity scan of the package."""
+    gap = 0.0
+    for s in _blocks(len(m)):
+        if not np.isfinite(m[s]).all():
+            raise ValueError("matrix entries must be finite")
+        gap = max(gap, float(np.max(np.abs(m[s] - dagger(m[:, s])))))
+    return gap
 
 
 def kron_into(
@@ -124,21 +127,13 @@ def tensor_power(m, k: int) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, such as a
-    difference of states; any other matrix is refused with ``ValueError``.
-    The finiteness test, the scale max|m| and the Hermiticity gap
-    max|m - m^dag| are taken in one pass over blocks of ``BLOCK`` rows, so
-    no temporary of m's size forms before the solve."""
+    difference of states. A matrix whose ``hermitian_gap`` passes
+    ``TAU_HERM``, or that is not square, is refused with ``ValueError``."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace norm is defined for square matrices here")
-    scale = gap = 0.0
-    for s in _blocks(len(a)):
-        rows = a[s]
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("matrix entries must be finite")
-        scale = max(scale, np.max(np.abs(rows)))
-        gap = max(gap, np.max(np.abs(rows - dagger(a[:, s]))))
-    if gap > 1e-12 * max(1.0, float(scale)) + TAU_HERM:
+    gap = hermitian_gap(a)
+    if gap > TAU_HERM:
         raise ValueError(f"trace norm needs a Hermitian matrix, max |m - m^dag| = {gap:.3e}")
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
@@ -172,18 +167,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace complex matrix.
 
-    Validation happens on construction: Hermiticity within ``TAU_HERM``,
-    eigenvalues >= -``TAU_PSD``, trace within ``TAU_TRACE`` of 1, and the
-    dense dimension cap. The validated matrix is kept read-only, as a copy.
+    Validation happens on construction: finite entries and Hermiticity
+    within ``TAU_HERM`` (``hermitian_gap``), eigenvalues >= -``TAU_PSD``,
+    trace within ``TAU_TRACE`` of 1, and the dense dimension cap. A matrix
+    that enters is kept read-only as its Hermitian part (m + m^dag)/2, which
+    is m bit for bit when m is exactly Hermitian.
 
-    ``_derived`` marks a new array that the package computed from checked
-    states: ``channels.apply`` outputs, ``sparse.WardenStates.mix``,
-    ``power`` and ``sparse.willie_state_exact``. It is kept in place, and its
-    trace is not tested again, since that test belongs where a matrix enters.
-    A derived trace may differ from 1 by more than ``TAU_TRACE`` with no
-    fault: a power's is tr(rho)^n, and a channel output's is off by as much
-    as the channel misses trace preservation, which ``channels.TAU_TP``
-    bounds entrywise.
+    ``_derived`` means the matrix did not enter: the package computed it from
+    checked states (``channels.apply`` outputs, ``sparse.WardenStates.mix``,
+    ``power`` and ``sparse.willie_state_exact``). It is adopted as it is, not
+    made Hermitian, and its trace is not tested, since that test belongs
+    where a matrix enters. A derived trace may differ from 1 by more than
+    ``TAU_TRACE`` with no fault: a power's is tr(rho)^n, and a channel
+    output's is off by as much as the channel misses trace preservation,
+    which ``channels.TAU_TP`` bounds entrywise.
 
     The spectrum is cached. The eigenvalues that validation computes are
     kept (``eigvals``), and the eigenvectors are computed on first use
@@ -204,8 +201,8 @@ class DensityOperator:
     _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self, _derived: bool):
-        a = as_complex_matrix(self.mat)
-        if a.shape[0] != a.shape[1]:
+        a = np.asarray(self.mat, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"density operator must be square, got {a.shape}")
         if a.shape[0] > DIM_CAP:
             raise DimensionCapError(
@@ -213,11 +210,13 @@ class DensityOperator:
             )
         # Unit-trace operators have entries of order 1, so the absolute
         # tolerances are meaningful at every dimension under the cap.
-        if not is_hermitian(a, tol=TAU_HERM):
+        if hermitian_gap(a) > TAU_HERM:
             raise ValueError("density operator must be Hermitian")
-        tr = complex(np.trace(a))
-        if not _derived and abs(tr - 1.0) > TAU_TRACE:
-            raise ValueError(f"density operator must have unit trace, got {tr}")
+        if not _derived:
+            a = (a + dagger(a)) / 2
+            tr = complex(np.trace(a))
+            if abs(tr - 1.0) > TAU_TRACE:
+                raise ValueError(f"density operator must have unit trace, got {tr}")
         if self._power is None:
             vals = np.linalg.eigvalsh(a)
             kernel = vals <= SUPPORT_TOL
@@ -226,7 +225,7 @@ class DensityOperator:
         lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
-        object.__setattr__(self, "mat", _frozen(a if _derived else a.copy()))
+        object.__setattr__(self, "mat", _frozen(a))
         object.__setattr__(self, "_vals", _frozen(vals))
         object.__setattr__(self, "_kernel", _frozen(kernel))
 

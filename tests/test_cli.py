@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import itertools
@@ -204,7 +205,11 @@ class TestReport:
     @pytest.mark.parametrize(
         "field,value",
         [("d_in", 2.7), ("d_in", "2"), ("d_out", False), ("kraus", []),
-         ("kraus", [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]])],
+         ("kraus", [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]),
+         # Each entry part must be a finite JSON number; a bool is not one.
+         ("kraus", [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+         ("kraus", [[[[1, 0], [0, 0]], [[0, 0], [1, False]]]]),
+         ("kraus", [[[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]])],
     )
     def test_spec_file_fields_are_channel_format(self, field, value, capsys, tmp_path):
         doc = json.loads(AD_SPEC.read_text(encoding="utf-8"))
@@ -506,6 +511,54 @@ class TestTraceTestedWhereMatricesEnter:
         )
         assert code == 0, err
         assert "error" not in err and out
+
+
+class TestHermitianPartWhereMatricesEnter:
+    """An entering matrix is kept as its Hermitian part, so a gap within
+    TAU_HERM is not carried into, and compounded by, the n-fold powers."""
+
+    @pytest.mark.parametrize("n", [2, 6, 9])
+    def test_innocent_within_hermiticity_tolerance(self, n, ident_spec, capsys):
+        # The diagonal entry 0.99 + 4.5e-11i gives a gap of 9e-11.
+        qre = []
+        for innocent in ("[[[0.99,4.5e-11],0],[0,0.01]]", "[[0.99,0],[0,0.01]]"):
+            code, _, err = run_cli(
+                ["detect-sim", "--channel", AD_SPEC, "--willie-file", ident_spec,
+                 "--innocent", innocent, "--delta", "0.05", "--vartheta", "0.5", "--n", str(n)],
+                capsys,
+            )
+            assert code == 0, err
+            qre.append(next(l for l in err.splitlines() if l.startswith("qre-exact: ")))
+        assert qre[0] == qre[1]
+
+
+class TestInlineEntriesAreFiniteNumbers:
+    """channels.complex_entry is the one rule for a matrix entry, in an
+    inline --innocent matrix as in a spec file; a plain number is [e, 0]."""
+
+    @pytest.mark.parametrize(
+        "inline",
+        ['[[0,0],[0,"1"]]', '[[0,0],[0,"1+0j"]]', "[[0,0],[0,[true,false]]]", "[[0,0],[0,true]]",
+         "[[NaN,0],[0,1]]", "[[0,0],[0,[1,Infinity]]]"],
+    )
+    def test_innocent_entry(self, inline, capsys):
+        code, out, err = run_cli(
+            ["report", *BASE[:2], "--innocent", inline, "--delta", "0.05",
+             "--vartheta", "0.1", "--n", "1000"],
+            capsys,
+        )
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith('covertq: error code=innocent-format msg="cannot parse'), err
+
+
+def test_vartheta_help_names_the_set_and_range():
+    for cmd, interval in [("report", "(0, 1)"), ("srl-curve", "(0, 1)"), ("detect-sim", "(0, 1]")]:
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices[cmd]
+        (action,) = [a for a in sub._actions if a.dest == "vartheta"]
+        assert f"in {interval};" in action.help
+        assert "set in force is |w/n - q| <= vartheta" in action.help
 
 
 def _compositions(n, parts):

@@ -6,9 +6,12 @@ import pytest
 from covertq.covert import qre
 from covertq.errors import DimensionCapError
 from covertq.linops import (
+    BLOCK,
     SUPPORT_TOL,
+    TAU_HERM,
     DensityOperator,
     check_exact_block,
+    hermitian_gap,
     max_exact_block,
     tensor_power,
     trace_norm,
@@ -73,6 +76,23 @@ class TestTraceNorm:
         with pytest.raises(ValueError, match="Hermitian"):
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_hermitian_tolerance_does_not_grow_with_scale(self):
+        # The one rule is gap <= TAU_HERM at every scale.
+        m = np.array([[100.0, 1.5e-10], [0.0, -100.0]])
+        assert hermitian_gap(m) == 1.5e-10 > TAU_HERM
+        with pytest.raises(ValueError, match="Hermitian"):
+            trace_norm(m)
+        m[0, 1] = 0.5e-10
+        assert trace_norm(m) == pytest.approx(200.0)
+
+    def test_gap_scan_refuses_nonfinite(self):
+        # Past the first block, so every block is tested.
+        for bad in (np.nan, np.inf, complex(0, np.inf)):
+            m = np.eye(3 * BLOCK, dtype=np.complex128)
+            m[-1, 2 * BLOCK] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                hermitian_gap(m)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_state_difference_matches_singular_values(self, seed):
         rng = np.random.default_rng(seed)
@@ -117,6 +137,16 @@ class TestDensityOperator:
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
             DensityOperator(m)
+
+    def test_entering_matrix_kept_as_hermitian_part(self, rng):
+        m = random_density(3, rng).mat.copy()
+        exact = m.copy()
+        m[0, 1] += 8e-11
+        assert hermitian_gap(m) == pytest.approx(8e-11, rel=1e-3)
+        assert np.array_equal(DensityOperator(m).mat, (m + m.conj().T) / 2)
+        assert hermitian_gap(DensityOperator(m).mat) == 0.0
+        # An exactly Hermitian matrix is kept bit for bit.
+        assert np.array_equal(DensityOperator(exact).mat, exact)
 
     def test_basis_and_mixed_constructors(self):
         assert DensityOperator.basis_state(3, 1).mat[1, 1] == 1.0

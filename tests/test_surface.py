@@ -116,12 +116,14 @@ def test_readme_tolerances_match_the_code():
         "tp": r"`sum K\^dag K = I` within (\S+?);",
         "trace": r"trace within (\S+) of 1",
         "support": r"at most (\S+) per site",
+        "hermitian": r"Hermitian within (\S+) ",
     }
     found = {key: [float(x) for x in re.findall(p, text)] for key, p in stated.items()}
     assert found == {
         "tp": [channels.TAU_TP],
         "trace": [linops.TAU_TRACE],
         "support": [linops.SUPPORT_TOL],
+        "hermitian": [linops.TAU_HERM],
     }
 
 
@@ -178,6 +180,14 @@ def _raisers(exc_name: str) -> list:
     return _owners(raises)
 
 
+def _subtracts_dagger(node) -> bool:
+    """A subtraction with a ``dagger(...)`` call on either side."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and any(
+        isinstance(side, ast.Call) and getattr(side.func, "id", None) == "dagger"
+        for side in (node.left, node.right)
+    )
+
+
 def test_each_rule_is_decided_once():
     assert _raisers("SupportViolationError") == [("covert", "require_support")]
     # The block-length cap, the operator-size cap and the qubit-input check.
@@ -188,7 +198,10 @@ def test_each_rule_is_decided_once():
     ]
     sources = [p.read_text(encoding="utf-8") for p in (REPO / "src" / "covertq").glob("*.py")]
     assert sum(s.count("failure probability must be in [0, 1]") for s in sources) == 1
-    # Spelled in two parts so that this file does not name it either.
-    gone = "trace_norm" + "_diff"
+    # Hermiticity: one blocked scan, whose gap both callers hold to TAU_HERM.
+    assert _owners(_subtracts_dagger) == [("linops", "hermitian_gap")]
+    # Spelled in two parts so that this file does not name them either.
+    gone = ["trace_norm" + "_diff", "is_" + "hermitian"]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
-        assert gone not in path.read_text(encoding="utf-8"), path
+        text = path.read_text(encoding="utf-8")
+        assert not [name for name in gone if name in text], path
