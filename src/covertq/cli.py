@@ -325,6 +325,7 @@ def cmd_detect_sim(args) -> tuple[str, str]:
     chain = sparse.bound_chain(states)
     report = sparse.decomposition_report(states)
     res = detect.detection_at_n(states, args.delta)
+    fig = states.figures
     header = "n,q,vartheta,d_exact,d_product,d_chi2_bound,epsilon,chernoff,fannes,holder"
     holder = "" if report.holder_bound is None else _fmt(report.holder_bound)
     row = ",".join(
@@ -332,10 +333,10 @@ def cmd_detect_sim(args) -> tuple[str, str]:
             str(cfg.n),
             _fmt(cfg.q),
             _fmt(cfg.vartheta),
-            _fmt(chain.d_exact),
-            _fmt(chain.d_product),
+            _fmt(fig.d_exact),
+            _fmt(fig.d_product),
             _fmt(chain.d_chi2_bound),
-            _fmt(report.epsilon),
+            _fmt(fig.epsilon),
             _fmt(report.chernoff_bound),
             _fmt(report.fannes_bound),
             holder,
@@ -344,10 +345,10 @@ def cmd_detect_sim(args) -> tuple[str, str]:
     summary = [
         f"willie-mode: {mode}",
         f"c_q: {_fmt(c_q)}",
-        f"trace-distance: {_fmt(res.trace_distance)}",
+        f"trace-distance: {_fmt(fig.trace_distance)}",
         f"p_e_willie: {_fmt(res.p_e_willie)}",
-        f"qre-exact: {_fmt(res.qre_exact)}",
-        f"qre-budget: {_fmt(res.qre_budget)}",
+        f"qre-exact: {_fmt(fig.d_exact)}",
+        f"qre-budget: {_fmt(args.delta)}",
         f"covert-ok: {'true' if res.covert_ok else 'false'}",
     ]
     return header + "\n" + row + "\n", "\n".join(summary) + "\n"

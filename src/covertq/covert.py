@@ -24,6 +24,7 @@ from .linops import SUPPORT_TOL, DensityOperator, clip_spectrum
 from .channels import WillieModel
 
 LN2 = math.log(2.0)
+QRE_FLOOR = 1e-14  # round-off allowed below 0 in a relative entropy, bits per site
 
 
 def _xlogx_bits(vals: np.ndarray) -> float:
@@ -64,14 +65,24 @@ def vn_entropy(rho: DensityOperator) -> float:
 def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Quantum relative entropy tr(rho log rho - rho log sigma) in bits.
 
-    Returns +inf when rho has support outside the support of sigma.
+    Returns +inf when rho has support outside the support of sigma. A value
+    below zero by at most its floor is returned as 0.0, and one further below
+    raises ``RuntimeError``. The floor is ``QRE_FLOOR`` per site of sigma,
+    plus m log2(e d / m) for a tolerated mass m of rho on sigma's kernel,
+    whose log is dropped: that bounds h(m) + m log2 d, the most the kernel
+    block can add to rho's entropy.
     """
     frame = _in_frame(rho, sigma)
     if frame is None:
         return math.inf
     b, live, overlap, _ = frame
     term_sigma = float(np.sum(overlap[live] * np.log2(b[live])))
-    return _xlogx_bits(rho.eigvals) - term_sigma
+    val = _xlogx_bits(rho.eigvals) - term_sigma
+    m = float(np.sum(overlap[~live]))
+    floor = QRE_FLOOR * sigma.sites + (m * math.log2(math.e * sigma.dim / m) if m > 0 else 0.0)
+    if val < -floor:
+        raise RuntimeError(f"relative entropy {val} is below its round-off floor {-floor}")
+    return 0.0 if val <= 0.0 else val
 
 
 def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -12,7 +12,7 @@ is exact, not an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -176,18 +176,16 @@ def willie_state_exact(model: WillieModel, cfg: SparseSignalConfig) -> DensityOp
 
 
 class BoundChain(NamedTuple):
-    """Exact divergence, its product-state surrogate computed two ways, and
-    the chi-square upper bound (all in bits)."""
+    """What the bound chain adds to ``WardenFigures`` (both in bits)."""
 
-    d_exact: float
-    d_product: float
-    d_single_scaled: float
-    d_chi2_bound: float
+    d_single_scaled: float  # n D(mix || rho0), equal to d_product by additivity
+    d_chi2_bound: float  # q^2 n chi2(rho_pi || rho0) / ln 2, bounds both
 
 
 class WardenFigures(NamedTuple):
     """n-use figures, in bits: rho_n is the exact warden state, mix^n the
-    power of the single-use mixture and rho0^n the innocent product."""
+    power of the single-use mixture and rho0^n the innocent product. The
+    one record of each; the reports return only what they add to it."""
 
     d_exact: float  # D(rho_n || rho0^n)
     d_product: float  # D(mix^n || rho0^n)
@@ -245,18 +243,16 @@ class WardenStates:
 
 
 def bound_chain(st: WardenStates) -> BoundChain:
-    """Evaluate the covertness bound chain at one configuration.
-
-    d_exact is the divergence of the exact warden state from the innocent
-    product; d_product replaces the warden state with the n-fold power of
-    the single-use mixture; d_single_scaled is n times the single-use
-    divergence (equal to d_product by additivity); d_chi2_bound is
-    q^2 n chi2(rho_pi || rho0) converted to bits, which upper-bounds both
-    product forms.
+    """Evaluate the covertness bound chain at one configuration: the chain
+    runs from d_exact through d_product (``WardenFigures``) to the two
+    figures returned here. d_single_scaled is n times the single-use
+    divergence, checked equal to d_product by additivity; d_chi2_bound is
+    q^2 n chi2(rho_pi || rho0) converted to bits, checked to upper-bound
+    both product forms.
     """
     model, cfg = st.model, st.cfg
     require_support(model)
-    d_exact, d_product = st.figures.d_exact, st.figures.d_product
+    d_product = st.figures.d_product
     d_single = cfg.n * qre(st.mix, model.rho0)
     d_bound = cfg.q**2 * cfg.n * chi2(model.rho_pi, model.rho0) / LN2
     if abs(d_product - d_single) > 1e-9 * max(1.0, abs(d_single)):
@@ -267,7 +263,7 @@ def bound_chain(st: WardenStates) -> BoundChain:
         raise RuntimeError(
             f"chi-square bound violated: {d_single} > {d_bound}"
         )
-    return BoundChain(d_exact, d_product, d_single, d_bound)
+    return BoundChain(d_single, d_bound)
 
 
 def binary_entropy(x: float) -> float:
@@ -279,27 +275,20 @@ def binary_entropy(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Exact three-term decomposition of the warden divergence and the
-    closed-form bounds on its correction terms (all divergences in bits).
+class DecompositionReport(NamedTuple):
+    """What the three-term decomposition of the warden divergence adds to
+    ``WardenFigures`` (divergences in bits).
 
-    ``qre_total`` equals ``term_product + term_entropy + term_cross`` up to
-    round-off: the decomposition is an identity, not a bound. ``epsilon`` is
-    half the trace distance between the product surrogate and the exact
-    state; it obeys epsilon <= 1 - p(A) <= chernoff_bound. The entropy term
-    obeys the entropy-continuity bound ``fannes_bound``; the cross term obeys
-    the Hoelder bound ``holder_bound``, which is unavailable when rho0 is
-    singular."""
+    d_exact equals d_product + entropy_gap + ``term_cross`` up to round-off:
+    the decomposition is an identity, not a bound. epsilon obeys
+    epsilon <= 1 - p(A) <= ``chernoff_bound``. The entropy gap obeys the
+    entropy-continuity bound ``fannes_bound``; the cross term obeys the
+    Hoelder bound ``holder_bound``, which is None when rho0 is singular."""
 
-    qre_total: float
-    term_product: float
-    term_entropy: float
     term_cross: float
-    epsilon: float
     chernoff_bound: float
     fannes_bound: float
-    holder_bound: Optional[float] = field(default=None)
+    holder_bound: Optional[float]
 
 
 def _log2_on_support(rho: DensityOperator) -> np.ndarray:
@@ -321,8 +310,7 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     n, d = cfg.n, model.dim
 
     fig = st.figures
-    qre_total, term_product = fig.d_exact, fig.d_product
-    term_entropy, epsilon = fig.entropy_gap, fig.epsilon
+    epsilon, term_entropy = fig.epsilon, fig.entropy_gap
     # Cross term tr(delta log2 rho0^{(x)n}) with delta = mix^n - rho_n.
     # The log of a product is a sum of site logs, so this is the sum over
     # sites of tr(delta_i log2 rho0), delta_i the one-site marginals; it is
@@ -339,10 +327,10 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
         else None
     )
 
-    recon = term_product + term_entropy + term_cross
-    if not math.isinf(qre_total) and abs(qre_total - recon) > 1e-7:
+    recon = fig.d_product + term_entropy + term_cross
+    if not math.isinf(fig.d_exact) and abs(fig.d_exact - recon) > 1e-7:
         raise RuntimeError(
-            f"decomposition identity failed: {qre_total} vs {recon}"
+            f"decomposition identity failed: {fig.d_exact} vs {recon}"
         )
     if epsilon > p_abar + 1e-9:
         raise RuntimeError(f"data-processing step failed: {epsilon} > {p_abar}")
@@ -354,13 +342,4 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
         )
     if holder is not None and abs(term_cross) > holder + 1e-9:
         raise RuntimeError(f"cross-term bound failed: {term_cross} vs {holder}")
-    return DecompositionReport(
-        qre_total=qre_total,
-        term_product=term_product,
-        term_entropy=term_entropy,
-        term_cross=term_cross,
-        epsilon=epsilon,
-        chernoff_bound=chern,
-        fannes_bound=fannes,
-        holder_bound=holder,
-    )
+    return DecompositionReport(term_cross, chern, fannes, holder)

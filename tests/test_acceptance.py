@@ -82,21 +82,23 @@ def _model_suite():
 
 @lru_cache(maxsize=1)
 def _report_suite():
-    """Decomposition reports for the model suite across n in 2..6."""
+    """Decomposition reports and their figures for the model suite across n
+    in 2..6."""
     out = []
     for model in _model_suite():
         for n in range(2, 7):
             cfg = SparseSignalConfig(n=n, q=0.3, vartheta=0.25)
-            out.append((model, cfg, decomposition_report(WardenStates(model, cfg))))
+            st = WardenStates(model, cfg)
+            out.append((model, cfg, decomposition_report(st), st.figures))
     return tuple(out)
 
 
 def test_criterion_1_decomposition_identity():
     t0 = time.monotonic()
     worst = 0.0
-    for _, _, rep in _report_suite():
-        recon = rep.term_product + rep.term_entropy + rep.term_cross
-        gap = abs(rep.qre_total - recon)
+    for _, _, rep, fig in _report_suite():
+        recon = fig.d_product + fig.entropy_gap + rep.term_cross
+        gap = abs(fig.d_exact - recon)
         worst = max(worst, gap)
         assert gap <= 1e-7
     _finish(
@@ -115,11 +117,10 @@ def test_criterion_2_bound_chain():
     worst_add = 0.0
     for _ in range(500):
         model = random_willie_model(gen, floor=0.05)
-        chain = bound_chain(
-            WardenStates(model, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
-        )
-        worst_add = max(worst_add, abs(chain.d_product - chain.d_single_scaled))
-        assert abs(chain.d_product - chain.d_single_scaled) <= 1e-9
+        st = WardenStates(model, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        gap = abs(st.figures.d_product - bound_chain(st).d_single_scaled)
+        worst_add = max(worst_add, gap)
+        assert gap <= 1e-9
         d_chi = chi2(model.rho_pi, model.rho0)
         for q in q_grid:
             mix = DensityOperator((1 - q) * model.rho0.mat + q * model.rho_pi.mat)
@@ -215,8 +216,8 @@ def test_criterion_3_data_processing_and_tail_bounds():
 def test_criterion_4_correction_term_bounds():
     t0 = time.monotonic()
     n_checked = 0
-    for _, _, rep in _report_suite():
-        assert abs(rep.term_entropy) <= rep.fannes_bound + 1e-9
+    for _, _, rep, fig in _report_suite():
+        assert abs(fig.entropy_gap) <= rep.fannes_bound + 1e-9
         assert rep.holder_bound is not None  # full-rank models only
         assert abs(rep.term_cross) <= rep.holder_bound + 1e-9
         n_checked += 1
@@ -328,9 +329,8 @@ def test_criterion_9_worked_covert_number():
     assert c_q == pytest.approx(0.75, abs=1e-13)
     delta, n = 0.05, 6
     q = q_for_budget(c_q, delta, n)
-    res = detection_at_n(
-        WardenStates(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5)), delta
-    )
+    st = WardenStates(WORKED, SparseSignalConfig(n=n, q=q, vartheta=0.5))
+    res = detection_at_n(st, delta)
     assert res.covert_ok
     floor = 0.5 - math.sqrt(delta / 8)
     assert res.p_e_willie >= floor
@@ -339,7 +339,7 @@ def test_criterion_9_worked_covert_number():
         t0,
         10.0,
         f"c_q=0.75 exactly; budgeted detection at n=6 stays covert "
-        f"(divergence {res.qre_exact:.4f} <= {delta}, "
+        f"(divergence {st.figures.d_exact:.4f} <= {delta}, "
         f"P_e {res.p_e_willie:.4f} >= {floor:.4f})",
     )
 

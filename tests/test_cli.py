@@ -532,6 +532,20 @@ class TestHermitianPartWhereMatricesEnter:
         assert qre[0] == qre[1]
 
 
+def test_relative_entropy_round_off_is_floored_at_zero(ident_spec, capsys):
+    # At n = 1 the weight set is {0}, so rho_n is rho0 and d_exact is 0; its
+    # dense round-off lies below zero and is returned as 0.
+    code, out, err = run_cli(
+        ["detect-sim", "--channel", AD_SPEC, "--willie-file", ident_spec, "--innocent",
+         "[[0.99,0],[0,0.01]]", "--delta", "0.05", "--vartheta", "0.5", "--n", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["d_exact"] == "0"
+    assert "qre-exact: 0" in err.splitlines()
+
+
 class TestInlineEntriesAreFiniteNumbers:
     """channels.complex_entry is the one rule for a matrix entry, in an
     inline --innocent matrix as in a spec file; a plain number is [e, 0]."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from covertq import covert
 from covertq.channels import WillieModel, amplitude_damping, complementary, willie_model
 from covertq.covert import (
     LN2,
@@ -45,6 +46,19 @@ class TestQre:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qre(DIAG_HALF, DensityOperator.maximally_mixed(3))
+
+    def test_round_off_below_zero_is_floored(self, monkeypatch, rng):
+        # A qubit pair whose live block is one-dimensional: the exact
+        # divergence of the tolerated leak is h(m) + m log2 d below zero.
+        rho, sigma = _leaky_pair(2, 0.5 * SUPPORT_TOL, False, rng)
+        assert qre(rho, sigma) == 0.0
+        rho = random_density(3, rng)
+        shift = covert._xlogx_bits
+        monkeypatch.setattr(covert, "_xlogx_bits", lambda v: shift(v) - 0.5 * covert.QRE_FLOOR)
+        assert qre(rho, rho) == 0.0
+        monkeypatch.setattr(covert, "_xlogx_bits", lambda v: shift(v) - 2.0 * covert.QRE_FLOOR)
+        with pytest.raises(RuntimeError, match="below its round-off floor"):
+            qre(rho, rho)
 
     def test_additive_over_products(self, rng):
         for _ in range(20):

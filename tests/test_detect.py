@@ -11,7 +11,7 @@ from covertq.channels import (
     qubit_leak,
 )
 from covertq.covert import LN2, covert_constant, q_for_budget
-from covertq.detect import DetectionResult, detection_at_n
+from covertq.detect import detection_at_n
 from covertq.errors import DimensionCapError
 from covertq.linops import DensityOperator, max_exact_block
 from covertq.sparse import SparseSignalConfig, WardenStates, bound_chain
@@ -44,10 +44,9 @@ class TestDetection:
     def test_identical_outputs_blind_the_warden(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        res = detection_at_n(
-            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3)), 0.05
-        )
-        assert res.trace_distance == pytest.approx(0.0, abs=1e-10)
+        st = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        res = detection_at_n(st, 0.05)
+        assert st.figures.trace_distance == pytest.approx(0.0, abs=1e-10)
         assert res.p_e_willie == pytest.approx(0.5, abs=1e-10)
         assert res.covert_ok
 
@@ -73,10 +72,11 @@ class TestDetection:
         for _ in range(10):
             model = random_willie_model(rng)
             cfg = SparseSignalConfig(n=3, q=0.3, vartheta=0.4)
-            res = detection_at_n(WardenStates(model, cfg), 0.05)
-            if math.isinf(res.qre_exact):
+            st = WardenStates(model, cfg)
+            res = detection_at_n(st, 0.05)
+            if math.isinf(st.figures.d_exact):
                 continue
-            floor = 0.5 - math.sqrt(LN2 * res.qre_exact / 8)
+            floor = 0.5 - math.sqrt(LN2 * st.figures.d_exact / 8)
             assert res.p_e_willie >= floor - 1e-10
 
     def test_support_violation_reported_not_raised(self):
@@ -84,12 +84,11 @@ class TestDetection:
             rho0=DensityOperator.basis_state(2, 0),
             rho_pi=DensityOperator.maximally_mixed(2),
         )
-        res = detection_at_n(
-            WardenStates(model, SparseSignalConfig(n=2, q=0.4, vartheta=0.3)), 0.1
-        )
-        assert math.isinf(res.qre_exact)
+        st = WardenStates(model, SparseSignalConfig(n=2, q=0.4, vartheta=0.3))
+        res = detection_at_n(st, 0.1)
+        assert math.isinf(st.figures.d_exact)
         assert not res.covert_ok
-        assert res.trace_distance > 0
+        assert st.figures.trace_distance > 0
 
     def test_budgeted_density_is_sufficient(self, rng):
         # Whenever the chi-square end of the chain sits inside the budget,
@@ -126,18 +125,6 @@ class TestDetection:
             (0.99 * LN2 * d_bits, False),
         ):
             assert detection_at_n(st, delta).covert_ok is ok
-
-    def test_result_validation(self):
-        with pytest.raises(ValueError):
-            DetectionResult(
-                n=1,
-                trace_distance=0.4,
-                p_e_willie=0.1,
-                qre_exact=0.0,
-                qre_budget=0.1,
-                covert_ok=True,
-            )
-
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -1.0])
     def test_budget_rule_matches_q_for_budget(self, delta):

@@ -1,0 +1,146 @@
+"""Properties of the exact n-use figures on random qubit and qutrit warden
+models, commuting and not. Each property is checked by a route that shares
+no code with the one it tests: scipy.linalg for the chi-square divergence
+and the one-site divergence, the quantum Pinsker and data-processing
+inequalities, and a sum over all 2^n signal patterns.
+
+Qutrit models stop at n = 4 (81 dimensions), qubit models at n = 6, so that
+each property's fixed set of examples runs in a few seconds."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from covertq.channels import WillieModel
+from covertq.covert import LN2, covert_constant
+from covertq.linops import DensityOperator
+from covertq.sparse import SparseSignalConfig, WardenStates, weight_set_prob
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
+MAX_N = {2: 6, 3: 4}
+
+
+def _state(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """A full-rank state diagonal in ``basis``, eigenvalues at least
+    0.05 / dim."""
+    dim = len(basis)
+    p = 0.95 * rng.dirichlet(np.ones(dim)) + 0.05 / dim
+    return (basis * p) @ basis.conj().T
+
+
+def _unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+@st.composite
+def models(draw):
+    """(rho0, rho_pi) as matrices: a qubit or qutrit pair with full-rank
+    rho0, sharing an eigenbasis (commuting) or not."""
+    dim = draw(st.sampled_from([2, 3]))
+    commuting = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = _unitary(rng, dim)
+    rho0 = _state(rng, basis)
+    rho_pi = _state(rng, basis if commuting else _unitary(rng, dim))
+    return rho0, rho_pi
+
+
+def _weights(n: int, q: float, vartheta: float) -> list:
+    """The weight set {w : |q - w/n| <= vartheta}, written out; a weight
+    within 1e-9 of the boundary is rejected, so no rounding can move it."""
+    assume(all(abs(abs(q - w / n) - vartheta) > 1e-9 for w in range(n + 1)))
+    ws = [w for w in range(n + 1) if abs(q - w / n) <= vartheta]
+    assume(ws)
+    return ws
+
+
+@st.composite
+def configs(draw, dim: int = 2):
+    n = draw(st.integers(1, MAX_N[dim]))
+    q = draw(st.floats(0.05, 0.95))
+    vartheta = draw(st.floats(0.05, 1.0))
+    _weights(n, q, vartheta)
+    return SparseSignalConfig(n=n, q=q, vartheta=vartheta)
+
+
+@st.composite
+def models_and_configs(draw):
+    rho0, rho_pi = draw(models())
+    return rho0, rho_pi, draw(configs(len(rho0)))
+
+
+def _willie(rho0: np.ndarray, rho_pi: np.ndarray) -> WillieModel:
+    return WillieModel(rho0=DensityOperator(rho0), rho_pi=DensityOperator(rho_pi))
+
+
+def _log2m(rho: np.ndarray) -> np.ndarray:
+    vals, vecs = scipy.linalg.eigh(rho)
+    return (vecs * np.log2(vals)) @ vecs.conj().T
+
+
+@given(models())
+@PROPERTY
+def test_covert_constant_inverts_chi2(pair):
+    rho0, rho_pi = pair
+    chi2 = np.trace(rho_pi @ rho_pi @ scipy.linalg.inv(rho0)).real - 1.0
+    assume(chi2 > 1e-6)
+    assert covert_constant(_willie(rho0, rho_pi)) ** 2 * chi2 == pytest.approx(1.0, rel=1e-9)
+
+
+@given(models_and_configs())
+@PROPERTY
+def test_d_exact_is_nonnegative(case):
+    rho0, rho_pi, cfg = case
+    assert WardenStates(_willie(rho0, rho_pi), cfg).figures.d_exact >= 0.0
+
+
+@given(models_and_configs())
+@PROPERTY
+def test_d_exact_vanishes_for_identical_outputs(case):
+    rho0, _, cfg = case
+    d = WardenStates(_willie(rho0, rho0), cfg).figures.d_exact
+    assert 0.0 <= d <= cfg.n * 1e-14
+
+
+@given(models_and_configs())
+@PROPERTY
+def test_quantum_pinsker(case):
+    # trace_distance is the full norm ||rho_n - rho0^n||_1, d_exact in bits.
+    rho0, rho_pi, cfg = case
+    fig = WardenStates(_willie(rho0, rho_pi), cfg).figures
+    assert 0.5 * fig.trace_distance <= math.sqrt(LN2 * fig.d_exact / 2.0) + 1e-12
+
+
+@given(models_and_configs())
+@PROPERTY
+def test_one_site_marginal_processes_the_divergence(case):
+    # By permutation symmetry each site of rho_n carries rho_pi with the
+    # conditional mean weight E[w/n | A] and rho0 otherwise.
+    rho0, rho_pi, cfg = case
+    n, q = cfg.n, cfg.q
+    ws = _weights(n, q, cfg.vartheta)
+    law = [math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws]
+    p1 = math.fsum(p * w / n for p, w in zip(law, ws)) / math.fsum(law)
+    marg = (1.0 - p1) * rho0 + p1 * rho_pi
+    d1 = np.trace(marg @ (_log2m(marg) - _log2m(rho0))).real
+    d_exact = WardenStates(_willie(rho0, rho_pi), cfg).figures.d_exact
+    assert d1 <= d_exact + 1e-12
+
+
+@given(configs())
+@PROPERTY
+def test_weight_set_prob_sums_all_patterns(cfg):
+    n, q = cfg.n, cfg.q
+    inside = set(_weights(n, q, cfg.vartheta))
+    total = math.fsum(
+        q ** sum(x) * (1.0 - q) ** (n - sum(x))
+        for x in itertools.product((0, 1), repeat=n)
+        if sum(x) in inside
+    )
+    assert weight_set_prob(cfg) == pytest.approx(total, rel=1e-12)

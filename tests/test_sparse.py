@@ -395,9 +395,11 @@ def _check_detect_figures(model, n):
     spectrum as the sorted outer product of the mixture's eigenvalues."""
     cfg = SparseSignalConfig(n=n, q=0.2, vartheta=0.5)
     st = WardenStates(model, cfg)
-    chain = bound_chain(st)
-    rep = decomposition_report(st)
-    det = detection_at_n(st, 0.05)
+    # The reports' self-checks pass on the figures compared below.
+    bound_chain(st)
+    decomposition_report(st)
+    detection_at_n(st, 0.05)
+    fig = st.figures
 
     rho_n = _kron_recursion_state(model, cfg)
     prod_inn = _kron_chain(model.rho0.mat, n)
@@ -408,10 +410,10 @@ def _check_detect_figures(model, n):
         vals = np.multiply.outer(vals, mix_vals).ravel()
     d_exact = _qre_full_frame(rho_n, np.linalg.eigvalsh(rho_n), model.rho0, n)
     d_product = _qre_full_frame(prod_mix, np.sort(vals), model.rho0, n)
-    assert chain.d_exact == d_exact
-    assert chain.d_product == d_product
-    assert rep.epsilon == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(prod_mix - rho_n))))
-    assert det.trace_distance == float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn))))
+    assert fig.d_exact == d_exact
+    assert fig.d_product == d_product
+    assert fig.epsilon == 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(prod_mix - rho_n))))
+    assert fig.trace_distance == float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn))))
 
 
 class TestBitIdentity:
@@ -444,16 +446,16 @@ class TestBoundChain:
     def test_identical_outputs_vanish(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        chain = bound_chain(
-            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
-        )
-        for v in chain:
+        st = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        chain = bound_chain(st)
+        for v in (st.figures.d_exact, st.figures.d_product, *chain):
             assert v == pytest.approx(0.0, abs=1e-9)
 
     def test_worked_model_chain(self):
         cfg = SparseSignalConfig(n=4, q=0.25, vartheta=0.3)
-        chain = bound_chain(WardenStates(WORKED, cfg))
-        assert chain.d_product == pytest.approx(chain.d_single_scaled, abs=1e-9)
+        st = WardenStates(WORKED, cfg)
+        chain = bound_chain(st)
+        assert st.figures.d_product == pytest.approx(chain.d_single_scaled, abs=1e-9)
         assert chain.d_single_scaled <= chain.d_chi2_bound + 1e-12
         # Exact enumeration oracle for d_exact on the commuting model.
         n, q = 4, 0.25
@@ -478,12 +480,12 @@ class TestBoundChain:
                     )
             p0 = r0[1] ** k * r0[0] ** (n - k)
             d += math.comb(n, k) * pc * math.log2(pc / p0)
-        assert chain.d_exact == pytest.approx(d, abs=1e-10)
+        assert st.figures.d_exact == pytest.approx(d, abs=1e-10)
 
     def test_full_coverage_collapses_gap(self):
         cfg = SparseSignalConfig(n=4, q=0.25, vartheta=1.0)
-        chain = bound_chain(WardenStates(WORKED, cfg))
-        assert chain.d_exact == pytest.approx(chain.d_product, abs=1e-10)
+        fig = WardenStates(WORKED, cfg).figures
+        assert fig.d_exact == pytest.approx(fig.d_product, abs=1e-10)
 
     def test_gap_vanishes_with_tail(self):
         # The exact-versus-product gap is controlled by the correction-term
@@ -492,9 +494,9 @@ class TestBoundChain:
         bounds, gaps = [], []
         for vth in (0.15, 0.3, 0.5, 0.75):
             cfg = SparseSignalConfig(n=6, q=0.25, vartheta=vth)
-            chain = bound_chain(WardenStates(WORKED, cfg))
-            rep = decomposition_report(WardenStates(WORKED, cfg))
-            gaps.append(abs(chain.d_exact - chain.d_product))
+            st = WardenStates(WORKED, cfg)
+            rep = decomposition_report(st)
+            gaps.append(abs(st.figures.d_exact - st.figures.d_product))
             bounds.append(rep.fannes_bound + rep.holder_bound)
             assert gaps[-1] <= bounds[-1] + 1e-9
         assert bounds == sorted(bounds, reverse=True)
@@ -515,41 +517,39 @@ class TestDecompositionReport:
     def test_identical_outputs_vanish(self, rng):
         rho = random_density(2, rng, floor=0.2)
         model = WillieModel(rho0=rho, rho_pi=rho)
-        rep = decomposition_report(
-            WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
-        )
-        assert rep.qre_total == pytest.approx(0.0, abs=1e-9)
-        assert rep.term_product == pytest.approx(0.0, abs=1e-9)
-        assert rep.term_entropy == pytest.approx(0.0, abs=1e-9)
+        st = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.3))
+        rep, fig = decomposition_report(st), st.figures
+        assert fig.d_exact == pytest.approx(0.0, abs=1e-9)
+        assert fig.d_product == pytest.approx(0.0, abs=1e-9)
+        assert fig.entropy_gap == pytest.approx(0.0, abs=1e-9)
         assert rep.term_cross == pytest.approx(0.0, abs=1e-9)
-        assert rep.epsilon == pytest.approx(0.0, abs=1e-9)
+        assert fig.epsilon == pytest.approx(0.0, abs=1e-9)
         assert rep.chernoff_bound >= 0 and rep.fannes_bound >= 0
 
     def test_decomposition_identity_worked_model(self):
-        rep = decomposition_report(
-            WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
-        )
-        recon = rep.term_product + rep.term_entropy + rep.term_cross
-        assert rep.qre_total == pytest.approx(recon, abs=1e-7)
+        st = WardenStates(WORKED, SparseSignalConfig(n=4, q=0.25, vartheta=0.3))
+        rep, fig = decomposition_report(st), st.figures
+        recon = fig.d_product + fig.entropy_gap + rep.term_cross
+        assert fig.d_exact == pytest.approx(recon, abs=1e-7)
 
     def test_terms_within_bounds(self, rng):
         for _ in range(5):
             model = random_willie_model(rng)
-            rep = decomposition_report(
-                WardenStates(model, SparseSignalConfig(n=4, q=0.3, vartheta=0.25))
-            )
-            assert abs(rep.term_entropy) <= rep.fannes_bound + 1e-9
+            st = WardenStates(model, SparseSignalConfig(n=4, q=0.3, vartheta=0.25))
+            rep, fig = decomposition_report(st), st.figures
+            assert abs(fig.entropy_gap) <= rep.fannes_bound + 1e-9
             assert rep.holder_bound is not None
             assert abs(rep.term_cross) <= rep.holder_bound + 1e-9
-            assert rep.epsilon <= rep.chernoff_bound + 1e-12
+            assert fig.epsilon <= rep.chernoff_bound + 1e-12
 
     def test_triangle_over_decomposition(self, rng):
         for _ in range(5):
             model = random_willie_model(rng)
             cfg = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
-            rep = decomposition_report(WardenStates(model, cfg))
-            assert rep.qre_total <= (
-                rep.term_product + abs(rep.term_entropy) + abs(rep.term_cross) + 1e-9
+            st = WardenStates(model, cfg)
+            rep, fig = decomposition_report(st), st.figures
+            assert fig.d_exact <= (
+                fig.d_product + abs(fig.entropy_gap) + abs(rep.term_cross) + 1e-9
             )
 
     def test_singular_innocent_without_violation(self):
@@ -558,12 +558,11 @@ class TestDecompositionReport:
         rho0 = DensityOperator(np.diag([0.7, 0.3, 0.0]).astype(complex))
         rho_pi = DensityOperator(np.diag([0.4, 0.6, 0.0]).astype(complex))
         model = WillieModel(rho0=rho0, rho_pi=rho_pi)
-        rep = decomposition_report(
-            WardenStates(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
-        )
+        st = WardenStates(model, SparseSignalConfig(n=2, q=0.3, vartheta=0.4))
+        rep, fig = decomposition_report(st), st.figures
         assert rep.holder_bound is None
-        assert rep.qre_total == pytest.approx(
-            rep.term_product + rep.term_entropy + rep.term_cross, abs=1e-7
+        assert fig.d_exact == pytest.approx(
+            fig.d_product + fig.entropy_gap + rep.term_cross, abs=1e-7
         )
 
     def test_support_violation_raises(self):
@@ -589,12 +588,12 @@ def test_exact_state_agrees_with_qre_paths(rng):
     # Divergence of the exact state computed through two library paths.
     model = random_willie_model(rng)
     cfg = SparseSignalConfig(n=3, q=0.4, vartheta=0.35)
-    chain = bound_chain(WardenStates(model, cfg))
+    fig = WardenStates(model, cfg).figures
     direct = qre(
         willie_state_exact(model, cfg),
         DensityOperator(tensor_power(model.rho0.mat, 3)),
     )
-    assert chain.d_exact == pytest.approx(direct, abs=1e-10)
+    assert fig.d_exact == pytest.approx(direct, abs=1e-10)
 
 
 def test_shared_states_match_fresh_ones(rng):
@@ -602,9 +601,7 @@ def test_shared_states_match_fresh_ones(rng):
     cfg = SparseSignalConfig(n=4, q=0.3, vartheta=0.25)
     states = WardenStates(model, cfg)
     assert bound_chain(states) == bound_chain(WardenStates(model, cfg))
-    shared = decomposition_report(states)
-    assert shared.qre_total == states.figures.d_exact
-    assert shared == decomposition_report(WardenStates(model, cfg))
+    assert decomposition_report(states) == decomposition_report(WardenStates(model, cfg))
     assert detection_at_n(states, 0.05) == detection_at_n(
         WardenStates(model, cfg), 0.05
     )

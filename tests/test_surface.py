@@ -3,12 +3,13 @@ use, so that trimming the package cannot silently break either."""
 
 import ast
 import collections
+import dataclasses
 import importlib
 import re
 import types
 from pathlib import Path
 
-from covertq import channels, cli, linops
+from covertq import channels, cli, covert, linops
 from covertq.linops import DensityOperator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,6 +118,7 @@ def test_readme_tolerances_match_the_code():
         "trace": r"trace within (\S+) of 1",
         "support": r"at most (\S+) per site",
         "hermitian": r"Hermitian within (\S+) ",
+        "qre": r"its floor, (\S+) bits per site",
     }
     found = {key: [float(x) for x in re.findall(p, text)] for key, p in stated.items()}
     assert found == {
@@ -124,6 +126,7 @@ def test_readme_tolerances_match_the_code():
         "trace": [linops.TAU_TRACE],
         "support": [linops.SUPPORT_TOL],
         "hermitian": [linops.TAU_HERM],
+        "qre": [covert.QRE_FLOOR],
     }
 
 
@@ -205,3 +208,19 @@ def test_each_rule_is_decided_once():
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
         assert not [name for name in gone if name in text], path
+
+
+def test_each_n_use_figure_is_held_once():
+    # sparse.WardenFigures holds every n-use figure; each report returns only
+    # what its own function adds, and none re-checks its producer's formulas.
+    from covertq import detect, sparse
+
+    records = [sparse.WardenFigures, sparse.BoundChain, sparse.DecompositionReport,
+               detect.DetectionResult]
+    names = [
+        getattr(rec, "_fields", None) or tuple(f.name for f in dataclasses.fields(rec))
+        for rec in records
+    ]
+    shared = collections.Counter(n for fields in names for n in fields)
+    assert [n for n, count in shared.items() if count > 1] == []
+    assert [rec.__name__ for rec in records[1:] if "__post_init__" in vars(rec)] == []
