@@ -224,8 +224,7 @@ def _analyze(args) -> tuple:
 def _pauli_line(p: twirl.PauliDistribution) -> str:
     from .twirl import PAULI_LABELS
 
-    v = p.as_array()
-    return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(PAULI_LABELS, v))
+    return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(PAULI_LABELS, p.weights))
 
 
 def _write(text: str, path: Optional[str], stream) -> None:
@@ -361,7 +360,7 @@ def cmd_twirl_check(args) -> tuple[str, str]:
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
     empirical = twirl.monte_carlo_twirl(ch, args.samples, args.seed)
-    gap = float(np.max(np.abs(analytic.as_array() - empirical.as_array())))
+    gap = float(np.max(np.abs(analytic.weights - empirical.weights)))
     lines = [
         f"channel-id: {_channel_id(ch)}",
         f"tp-residual: {_fmt(ch.residual)}",
@@ -431,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_budget_args(p, "(0, 1]")
     p.add_argument("--n", dest="n_single", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="reserved; detection is exact")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_detect_sim)
 

@@ -92,22 +92,15 @@ def hermitian_gap(m: np.ndarray) -> float:
     return gap
 
 
-def kron_into(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: Optional[np.ndarray] = None
-) -> np.ndarray:
+def kron_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the Kronecker product of a and b, square or not, into ``out``,
     one strided block a * b[i, j] per entry of b; the values are exactly
-    ``np.kron``'s. With ``scratch`` (a's shape) the product is added to
-    ``out`` instead, each block passing through it, so no temporary of
-    out's size forms."""
+    ``np.kron``'s."""
     (ra, ca), (rb, cb) = a.shape, b.shape
     o4 = out.reshape(ra, rb, ca, cb)
     for i in range(rb):
         for j in range(cb):
-            if scratch is None:
-                np.multiply(a, b[i, j], out=o4[:, i, :, j])
-            else:
-                o4[:, i, :, j] += np.multiply(a, b[i, j], out=scratch)
+            np.multiply(a, b[i, j], out=o4[:, i, :, j])
     return out
 
 

@@ -9,8 +9,7 @@ bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +26,7 @@ def _entropy_bits(rows: np.ndarray) -> np.ndarray:
 
 def entropy4(p: PauliDistribution) -> float:
     """Shannon entropy of the Pauli weight vector in bits."""
-    return float(_entropy_bits(p.as_array()))
+    return float(_entropy_bits(p.weights))
 
 
 def hashing_rate(p: PauliDistribution) -> float:
@@ -43,8 +42,7 @@ def distillation_rate(q_tw: PauliDistribution, p_f: float) -> float:
     return (1.0 - p_f) * max(0.0, 1.0 - entropy4(q_tw))
 
 
-@dataclass(frozen=True)
-class ThroughputBound:
+class ThroughputBound(NamedTuple):
     """A square-root scaling bound: at block length n, at least ``m_lower``
     qubits move covertly and reliably; with classical assistance the two-way
     classical cost stays below ``classical_bits_upper``."""
@@ -52,12 +50,6 @@ class ThroughputBound:
     rate: float
     m_lower: float
     classical_bits_upper: Optional[float] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.m_lower < 0:
-            raise ValueError("qubit count bound cannot be negative")
 
 
 def _m_lower(n: int, vartheta: float, c_q: float, rate: float, delta_qre: float) -> float:

@@ -122,9 +122,10 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     set can still reach. Rows of a Kronecker product are products of rows of
     its factors, so each block grows from one row per class at the lower
     levels. ``linops.kron_into`` writes each product, the rho_pi branch
-    added through a scratch buffer, and each top-level class block is scaled
-    and added to the mixture, so every entry is bit for bit that of the full
-    ``np.kron`` recursion. Live: the result and blocks smaller than it."""
+    into its own block that is then added, and each top-level class block is
+    scaled and added to the mixture, so every entry is bit for bit that of
+    the full ``np.kron`` recursion. Live: the result and blocks smaller than
+    it."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
     check_exact_block(n, d)
 
@@ -134,7 +135,6 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
         free -= 1
     height = d**free
     out = np.zeros((d**n, d**n), dtype=np.complex128)
-    block = np.empty((height, d**n), dtype=np.complex128)
     for top in range(0, d**n, height):
         prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
         for k in range(1, n + 1):
@@ -144,13 +144,13 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
             b0, b_pi = rho0[site].reshape(-1, d), rho_pi[site].reshape(-1, d)
             shape = (len(prev[0]) * len(b0), prev[0].shape[1] * d)
             cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
-            scratch, cur = np.empty_like(prev[0]), []
+            cur = []
             for w in cls:
-                acc = block if k == n else np.empty(shape, dtype=np.complex128)
+                acc = np.empty(shape, dtype=np.complex128)
                 if w < k:
                     kron_into(prev[w - base], b0, acc)
                     if w > 0:
-                        kron_into(prev[w - 1 - base], b_pi, acc, scratch)
+                        acc += kron_into(prev[w - 1 - base], b_pi, np.empty_like(acc))
                 else:
                     kron_into(prev[w - 1 - base], b_pi, acc)
                 if k < n:

@@ -37,29 +37,21 @@ _BELL = bell_vectors()
 
 @dataclass(frozen=True)
 class PauliDistribution:
-    """Probability vector over the Pauli labels (I, X, Y, Z)."""
+    """Probability vector over the Pauli labels (I, X, Y, Z), held as one
+    read-only array of four floats."""
 
-    p_i: float
-    p_x: float
-    p_y: float
-    p_z: float
+    weights: np.ndarray
 
     def __post_init__(self):
-        v = self.as_array()
+        v = np.array(self.weights, dtype=float).reshape(-1)
+        if v.shape != (4,):
+            raise ValueError("need exactly four weights")
         if np.any(v < -1e-12):
             raise ValueError(f"Pauli weights must be nonnegative, got {tuple(v)}")
         if abs(v.sum() - 1.0) > 1e-10:
             raise ValueError(f"Pauli weights must sum to 1, got {v.sum()!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_i, self.p_x, self.p_y, self.p_z], dtype=float)
-
-    @classmethod
-    def from_array(cls, v) -> "PauliDistribution":
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape != (4,):
-            raise ValueError("need exactly four weights")
-        return cls(float(v[0]), float(v[1]), float(v[2]), float(v[3]))
+        v.flags.writeable = False
+        object.__setattr__(self, "weights", v)
 
 
 def check_failure_probability(p_f: float) -> None:
@@ -125,13 +117,18 @@ def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     return ProjectionStats(p_f=p_f, conditional_choi=block / succ)
 
 
+def _bell_diagonal(j: np.ndarray) -> np.ndarray:
+    """Bell-diagonal entries <b|j|b> of a 4x4 two-qubit operator, clipped
+    at 0 and renormalized to sum 1."""
+    q = np.array([float(np.real(b.conj() @ j @ b)) for b in _BELL])
+    q = np.clip(q, 0.0, None)
+    return q / q.sum()
+
+
 def twirl_parameters(stats: ProjectionStats) -> PauliDistribution:
     """Pauli weights of the twirled conditional channel: Bell-diagonal
     entries of the conditional Choi matrix, renormalized to sum 1."""
-    j = stats.conditional_choi
-    q = np.array([float(np.real(b.conj() @ j @ b)) for b in _BELL])
-    q = np.clip(q, 0.0, None)
-    return PauliDistribution.from_array(q / q.sum())
+    return PauliDistribution(_bell_diagonal(stats.conditional_choi))
 
 
 def compose_with_failure(q_tw: PauliDistribution, p_f: float) -> PauliDistribution:
@@ -142,9 +139,7 @@ def compose_with_failure(q_tw: PauliDistribution, p_f: float) -> PauliDistributi
         p_j = (1 - 3/4 p_f) q_j + 1/4 p_f   for j in {X, Y, Z}
     """
     check_failure_probability(p_f)
-    return PauliDistribution.from_array(
-        _compose_rows(q_tw.as_array()[None, :], p_f)[0]
-    )
+    return PauliDistribution(_compose_rows(q_tw.weights[None, :], p_f)[0])
 
 
 def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
@@ -182,11 +177,7 @@ def _twirl_branches(ch: QuantumChannel):
         s = float(np.trace(block).real)
         succ[j] = s
         if s > 0.0:
-            cond = block / s
-            undone = np.kron(eye2, dagger(p)) @ cond @ np.kron(eye2, p)
-            row = np.array([float(np.real(b.conj() @ undone @ b)) for b in _BELL])
-            row = np.clip(row, 0.0, None)
-            outcome[j] = row / row.sum()
+            outcome[j] = _bell_diagonal(np.kron(eye2, dagger(p)) @ (block / s) @ np.kron(eye2, p))
     return succ, outcome
 
 
@@ -217,4 +208,4 @@ def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistr
     counts = _categorical_counts([*bell, 1.0 - bell.sum()], samples, seed)[:4]
     if counts.sum() == 0:
         raise EstimationFailureError("every sample failed the qubit projection")
-    return PauliDistribution.from_array(counts / counts.sum())
+    return PauliDistribution(counts / counts.sum())

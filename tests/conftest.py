@@ -90,7 +90,7 @@ def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDis
     # Bell outcome exactly uniform, whatever the reference side holds.
     probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0
     counts = _categorical_counts(probs, samples, seed)
-    return PauliDistribution.from_array(counts / counts.sum())
+    return PauliDistribution(counts / counts.sum())
 
 
 @pytest.fixture

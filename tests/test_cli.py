@@ -310,20 +310,6 @@ class TestDetectSim:
         assert "covert-ok: true" in summary
         assert "p_e_willie:" in summary
 
-    def test_seed_changes_nothing(self, capsys, tmp_path):
-        # --seed is reserved: detection is exact, so no byte depends on it.
-        runs = []
-        for seed in (0, 12345):
-            out_file = tmp_path / f"detect{seed}.csv"
-            code, summary, _ = run_cli(
-                ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "5",
-                 "--seed", seed, "--out", out_file],
-                capsys,
-            )
-            assert code == 0
-            runs.append((summary, out_file.read_bytes()))
-        assert runs[0] == runs[1]
-
     def test_csv_relations(self, capsys):
         code, out, err = run_cli(
             ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"], capsys
@@ -688,6 +674,8 @@ class TestExitTable:
             ["twirl-check", "--channel", AD_SPEC, "--samples", "many"],
             ["bogus"],
             [],
+            # Detection is exact, so detect-sim takes no seed.
+            ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6", "--seed", "3"],
         ],
     )
     def test_usage_error_is_coded(self, argv, capsys):
@@ -782,7 +770,7 @@ class TestRefusedParameters:
         with pytest.raises(ValueError):
             covert.q_for_budget(1.0, float(delta), 4)
         with pytest.raises(ValueError):
-            rates.unassisted_bound(1000, 0.5, 1.0, float(delta), twirl.PauliDistribution(1.0, 0.0, 0.0, 0.0))
+            rates.unassisted_bound(1000, 0.5, 1.0, float(delta), twirl.PauliDistribution((1.0, 0.0, 0.0, 0.0)))
 
     @pytest.mark.parametrize("spec", [",", " ", "log:1e3:1e7:0", "log:1e3:inf:3"])
     @pytest.mark.parametrize(
@@ -1005,7 +993,7 @@ class TestDeterminism:
         [
             ["report", *BASE, "--vartheta", "0.1", "--n", "1000,4096"],
             ["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e6:4"],
-            ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "5", "--seed", "3"],
+            ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "5"],
             ["twirl-check", "--channel", AD_SPEC, "--samples", "5000", "--seed", "3"],
         ],
     )

@@ -19,18 +19,27 @@ from hypothesis import strategies as st
 from covertq.channels import WillieModel
 from covertq.covert import LN2, covert_constant
 from covertq.linops import DensityOperator
-from covertq.sparse import SparseSignalConfig, WardenStates, weight_set_prob
+from covertq.sparse import (
+    SparseSignalConfig,
+    WardenStates,
+    bound_chain,
+    decomposition_report,
+    weight_set_prob,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 MAX_N = {2: 6, 3: 4}
 
 
+def _spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Eigenvalues of a full-rank state, each at least 0.05 / dim."""
+    return 0.95 * rng.dirichlet(np.ones(dim)) + 0.05 / dim
+
+
 def _state(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """A full-rank state diagonal in ``basis``, eigenvalues at least
-    0.05 / dim."""
-    dim = len(basis)
-    p = 0.95 * rng.dirichlet(np.ones(dim)) + 0.05 / dim
-    return (basis * p) @ basis.conj().T
+    """A state diagonal in the orthonormal columns ``basis``, full rank on
+    their span."""
+    return (basis * _spectrum(rng, basis.shape[1])) @ basis.conj().T
 
 
 def _unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -49,6 +58,27 @@ def models(draw):
     rho0 = _state(rng, basis)
     rho_pi = _state(rng, basis if commuting else _unitary(rng, dim))
     return rho0, rho_pi
+
+
+@st.composite
+def singular_models(draw):
+    """(rho0, rho_pi) as qutrit matrices: rho0 of rank 2, and rho_pi inside
+    its support, sharing its eigenbasis (commuting) or not."""
+    commuting = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = _unitary(rng, 3)[:, :2]
+    rho0 = _state(rng, support)
+    rho_pi = _state(rng, support if commuting else support @ _unitary(rng, 2))
+    return rho0, rho_pi
+
+
+@st.composite
+def commuting_qubit_models(draw):
+    """(a, b, basis): the spectra of rho0 and rho_pi, both diagonal in one
+    random qubit basis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = _unitary(rng, 2)
+    return _spectrum(rng, 2), _spectrum(rng, 2), basis
 
 
 def _weights(n: int, q: float, vartheta: float) -> list:
@@ -82,6 +112,16 @@ def _willie(rho0: np.ndarray, rho_pi: np.ndarray) -> WillieModel:
 def _log2m(rho: np.ndarray) -> np.ndarray:
     vals, vecs = scipy.linalg.eigh(rho)
     return (vecs * np.log2(vals)) @ vecs.conj().T
+
+
+def _one_site_marginal(rho0: np.ndarray, rho_pi: np.ndarray, cfg: SparseSignalConfig) -> np.ndarray:
+    """By permutation symmetry each site of rho_n carries rho_pi with the
+    conditional mean weight E[w/n | A] and rho0 otherwise."""
+    n, q = cfg.n, cfg.q
+    ws = _weights(n, q, cfg.vartheta)
+    law = [math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws]
+    p1 = math.fsum(p * w / n for p, w in zip(law, ws)) / math.fsum(law)
+    return (1.0 - p1) * rho0 + p1 * rho_pi
 
 
 @given(models())
@@ -120,14 +160,8 @@ def test_quantum_pinsker(case):
 @given(models_and_configs())
 @PROPERTY
 def test_one_site_marginal_processes_the_divergence(case):
-    # By permutation symmetry each site of rho_n carries rho_pi with the
-    # conditional mean weight E[w/n | A] and rho0 otherwise.
     rho0, rho_pi, cfg = case
-    n, q = cfg.n, cfg.q
-    ws = _weights(n, q, cfg.vartheta)
-    law = [math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws]
-    p1 = math.fsum(p * w / n for p, w in zip(law, ws)) / math.fsum(law)
-    marg = (1.0 - p1) * rho0 + p1 * rho_pi
+    marg = _one_site_marginal(rho0, rho_pi, cfg)
     d1 = np.trace(marg @ (_log2m(marg) - _log2m(rho0))).real
     d_exact = WardenStates(_willie(rho0, rho_pi), cfg).figures.d_exact
     assert d1 <= d_exact + 1e-12
@@ -144,3 +178,72 @@ def test_weight_set_prob_sums_all_patterns(cfg):
         if sum(x) in inside
     )
     assert weight_set_prob(cfg) == pytest.approx(total, rel=1e-12)
+
+
+@given(singular_models())
+@PROPERTY
+def test_covert_constant_inverts_chi2_on_singular_rho0(pair):
+    rho0, rho_pi = pair
+    chi2 = np.trace(rho_pi @ rho_pi @ scipy.linalg.pinv(rho0, atol=1e-10)).real - 1.0
+    assume(chi2 > 1e-6)
+    assert covert_constant(_willie(rho0, rho_pi)) ** 2 * chi2 == pytest.approx(1.0, rel=1e-9)
+
+
+@given(singular_models(), configs(dim=3))
+@PROPERTY
+def test_singular_rho0_figures_and_reports(pair, cfg):
+    # rho_pi and the one-site marginal live on rho0's support, so each
+    # divergence is taken there, in the orthonormal support basis.
+    rho0, rho_pi = pair
+    vals, vecs = scipy.linalg.eigh(rho0)
+    sup = vecs[:, vals > 1e-10]
+    assert sup.shape[1] == 2
+    marg = sup.conj().T @ _one_site_marginal(rho0, rho_pi, cfg) @ sup
+    d1 = np.trace(marg @ (_log2m(marg) - _log2m(sup.conj().T @ rho0 @ sup))).real
+    states = WardenStates(_willie(rho0, rho_pi), cfg)
+    fig = states.figures
+    assert fig.d_exact >= 0.0
+    assert 0.5 * fig.trace_distance <= math.sqrt(LN2 * fig.d_exact / 2.0) + 1e-12
+    assert d1 <= fig.d_exact + 1e-12
+    bound_chain(states)
+    assert decomposition_report(states).holder_bound is None
+
+
+def _type_class_figures(a: np.ndarray, b: np.ndarray, cfg: SparseSignalConfig) -> tuple:
+    """(d_exact, d_product, epsilon, trace distance) of a commuting qubit
+    model with spectra a (rho0) and b (rho_pi), as sums over the output
+    weight K. Every state is diagonal in the product basis, and an output
+    string's probability depends only on its weight K; under rho_n it sums,
+    over pattern weights w in A and the j signal slots among the K ones,
+    C(K, j) C(n - K, w - j) b1^j a1^(K-j) b0^(w-j) a0^(n-K-w+j)."""
+    n, q = cfg.n, cfg.q
+    ws = _weights(n, q, cfg.vartheta)
+    p_a = math.fsum(math.comb(n, w) * q**w * (1.0 - q) ** (n - w) for w in ws)
+    m = (1.0 - q) * a + q * b
+    d_exact = d_product = eps = td = 0.0
+    for k in range(n + 1):
+        r_n = math.fsum(
+            q**w * (1.0 - q) ** (n - w)
+            * math.comb(k, j) * math.comb(n - k, w - j)
+            * b[1] ** j * a[1] ** (k - j) * b[0] ** (w - j) * a[0] ** (n - k - w + j)
+            for w in ws
+            for j in range(max(0, w - (n - k)), min(k, w) + 1)
+        ) / p_a
+        r_0 = a[1] ** k * a[0] ** (n - k)
+        r_m = m[1] ** k * m[0] ** (n - k)
+        c = math.comb(n, k)
+        d_exact += c * r_n * math.log2(r_n / r_0)
+        d_product += c * r_m * math.log2(r_m / r_0)
+        eps += 0.5 * c * abs(r_m - r_n)
+        td += c * abs(r_n - r_0)
+    return d_exact, d_product, eps, td
+
+
+@given(commuting_qubit_models(), configs())
+@PROPERTY
+def test_commuting_figures_equal_a_type_class_sum(model, cfg):
+    a, b, basis = model
+    rho0, rho_pi = ((basis * p) @ basis.conj().T for p in (a, b))
+    fig = WardenStates(_willie(rho0, rho_pi), cfg).figures
+    got = (fig.d_exact, fig.d_product, fig.epsilon, fig.trace_distance)
+    assert got == pytest.approx(_type_class_figures(a, b, cfg), rel=0, abs=1e-12)
