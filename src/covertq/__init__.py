@@ -19,25 +19,3 @@ Subpackage layout:
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "linops",
-    "channels",
-    "twirl",
-    "covert",
-    "sparse",
-    "rates",
-    "detect",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    # Lazy submodule access keeps `import covertq` cheap so the CLI can pin
-    # BLAS thread counts before numpy loads.
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"covertq.{name}")
-    raise AttributeError(f"module 'covertq' has no attribute {name!r}")

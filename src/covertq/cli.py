@@ -66,7 +66,6 @@ from .errors import (  # noqa: E402
     ChannelFormatError,
     DegenerateChannelError,
     DimensionCapError,
-    EstimationFailureError,
     SupportViolationError,
     TracePreservationError,
 )
@@ -97,9 +96,8 @@ class _NFormatError(ValueError):
 
 # Exit code and error name per exception class, the only such map. An
 # exception takes the entry of the first class along its MRO, so subclasses
-# listed here override their bases: EstimationFailureError is a RuntimeError
-# but exits 7, while the other RuntimeErrors are failed self-checks. Any
-# other exception is a bug; its message carries its class name.
+# listed here override their bases. A RuntimeError is a failed self-check;
+# any other exception is a bug, and its message carries its class name.
 _EXIT_TABLE = {
     _UsageError: (EXIT_USAGE, "usage"),
     _InnocentFormatError: (EXIT_PARSE, "innocent-format"),
@@ -109,7 +107,6 @@ _EXIT_TABLE = {
     SupportViolationError: (EXIT_SUPPORT, "support-violation"),
     DimensionCapError: (EXIT_DIM, "dimension"),
     DegenerateChannelError: (EXIT_DEGENERATE, "degenerate"),
-    EstimationFailureError: (EXIT_DEGENERATE, "degenerate"),
     ValueError: (EXIT_PARSE, "invalid-input"),
     RuntimeError: (EXIT_INTERNAL, "internal-check"),
     Exception: (EXIT_INTERNAL, "internal-check"),
@@ -410,19 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", help="full covertability report for a channel")
-    _add_model_args(p)
-    _add_budget_args(p, "(0, 1)")
-    p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_report)
-
-    p = sub.add_parser("srl-curve", help="square-root scaling curve as CSV")
-    _add_model_args(p)
-    _add_budget_args(p, "(0, 1)")
-    p.add_argument("--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_srl_curve)
+    for name, fn, help_text in (
+        ("report", cmd_report, "full covertability report for a channel"),
+        ("srl-curve", cmd_srl_curve, "square-root scaling curve as CSV"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_model_args(p)
+        _add_budget_args(p, "(0, 1)")
+        p.add_argument(
+            "--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT"
+        )
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser(
         "detect-sim", help="exact warden detection figures and bound chain at one n"

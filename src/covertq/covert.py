@@ -20,18 +20,20 @@ import sys
 import numpy as np
 
 from .errors import SupportViolationError
-from .linops import SUPPORT_TOL, DensityOperator, clip_spectrum
+from .linops import SUPPORT_TOL, DensityOperator
 from .channels import WillieModel
 
 LN2 = math.log(2.0)
 QRE_FLOOR = 1e-14  # round-off allowed below 0 in a relative entropy, bits per site
 
 
-def _xlogx_bits(vals: np.ndarray) -> float:
-    """sum(x log2 x) over the positive clipped eigenvalues, with 0 log 0 = 0."""
-    pos = clip_spectrum(vals)
-    pos = pos[pos > 0.0]
-    return float(np.sum(pos * np.log2(pos)))
+def entropy_bits(p) -> float:
+    """Shannon entropy -sum(p log2 p) in bits of a 1-D array, such as a
+    spectrum or a Pauli vector, with 0 log 0 = 0: entries that are not
+    positive are dropped before the sum."""
+    p = np.asarray(p, dtype=float)
+    pos = p[p > 0.0]
+    return -float(np.sum(pos * np.log2(pos)))
 
 
 def _in_frame(rho: DensityOperator, sigma: DensityOperator):
@@ -59,7 +61,7 @@ def _in_frame(rho: DensityOperator, sigma: DensityOperator):
 
 def vn_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, with 0 log 0 = 0."""
-    return -_xlogx_bits(rho.eigvals)
+    return entropy_bits(rho.eigvals)
 
 
 def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -77,7 +79,7 @@ def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
         return math.inf
     b, live, overlap, _ = frame
     term_sigma = float(np.sum(overlap[live] * np.log2(b[live])))
-    val = _xlogx_bits(rho.eigvals) - term_sigma
+    val = -entropy_bits(rho.eigvals) - term_sigma
     m = float(np.sum(overlap[~live]))
     floor = QRE_FLOOR * sigma.sites + (m * math.log2(math.e * sigma.dim / m) if m > 0 else 0.0)
     if val < -floor:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps each class to a distinct exit code, so keep this hierarchy flat
-and stable.
+``cli._EXIT_TABLE`` maps each class to its exit code and ``code=`` name;
+several classes share an exit code. Keep this hierarchy flat and stable.
 """
 
 
@@ -26,7 +26,3 @@ class DimensionCapError(ValueError):
 class DegenerateChannelError(ValueError):
     """Channel has no overlap with the qubit subspace (projection always
     fails) or an analysis degenerates (infinite c_q, or signal density 1)."""
-
-
-class EstimationFailureError(RuntimeError):
-    """Monte Carlo sampling produced no usable samples."""

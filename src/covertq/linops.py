@@ -131,14 +131,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
-def clip_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues in [-TAU_PSD, 0) to 0; anything more negative is a
-    genuine positivity failure and passes through for the caller to reject."""
-    out = np.array(vals, dtype=float)
-    out[(out < 0.0) & (out >= -TAU_PSD)] = 0.0
-    return out
-
-
 class _PowerSpectrum(NamedTuple):
     """Exact spectrum of a k-fold tensor power, ascending: eigenvalue,
     kernel flag, and the permutation that sorts the Kronecker-power

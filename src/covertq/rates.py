@@ -11,35 +11,21 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-import numpy as np
-
-from .covert import check_block_length, check_budget
+from .covert import check_block_length, check_budget, entropy_bits
 from .twirl import PauliDistribution, check_failure_probability
-
-
-def _entropy_bits(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row in bits, 0 log 0 = 0."""
-    r = np.asarray(rows, dtype=float)
-    safe = np.where(r > 0.0, r, 1.0)
-    return -np.sum(r * np.log2(safe), axis=-1)
-
-
-def entropy4(p: PauliDistribution) -> float:
-    """Shannon entropy of the Pauli weight vector in bits."""
-    return float(_entropy_bits(p.weights))
 
 
 def hashing_rate(p: PauliDistribution) -> float:
     """Achievable qubit rate of random stabilizer coding over a Pauli
     channel: max(0, 1 - H(p))."""
-    return max(0.0, 1.0 - entropy4(p))
+    return max(0.0, 1.0 - entropy_bits(p.weights))
 
 
 def distillation_rate(q_tw: PauliDistribution, p_f: float) -> float:
     """Entanglement distillation rate when failed projections are flagged
     instead of replaced: (1 - p_f) max(0, 1 - H(q_tw))."""
     check_failure_probability(p_f)
-    return (1.0 - p_f) * max(0.0, 1.0 - entropy4(q_tw))
+    return (1.0 - p_f) * max(0.0, 1.0 - entropy_bits(q_tw.weights))
 
 
 class ThroughputBound(NamedTuple):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateChannelError, DimensionCapError, EstimationFailureError
+from .errors import DegenerateChannelError, DimensionCapError
 from .linops import as_complex_matrix, dagger
 from .channels import PAULIS, QuantumChannel, choi
 
@@ -207,5 +207,5 @@ def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistr
     bell = succ @ outcome / 4.0
     counts = _categorical_counts([*bell, 1.0 - bell.sum()], samples, seed)[:4]
     if counts.sum() == 0:
-        raise EstimationFailureError("every sample failed the qubit projection")
+        raise DegenerateChannelError("every sample failed the qubit projection")
     return PauliDistribution(counts / counts.sum())

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import entr
 
 from covertq import cli
 from covertq.channels import (
@@ -24,10 +25,10 @@ from covertq.channels import (
     pauli_channel,
     qubit_leak,
 )
-from covertq.covert import LN2, chi2, covert_constant, q_for_budget, qre
+from covertq.covert import LN2, chi2, covert_constant, entropy_bits, q_for_budget, qre
 from covertq.detect import detection_at_n
 from covertq.linops import DensityOperator, tensor_power, trace_norm
-from covertq.rates import _entropy_bits, distillation_rate, entropy4, hashing_rate
+from covertq.rates import distillation_rate, hashing_rate
 from covertq.sparse import (
     SparseSignalConfig,
     WardenStates,
@@ -269,12 +270,17 @@ def test_criterion_7_hashing_rate_zero_crossing():
     t0 = time.monotonic()
 
     def margin(p):
-        return 1.0 - entropy4(PauliDistribution((1 - p, p / 3, p / 3, p / 3)))
+        return 1.0 - entropy_bits(PauliDistribution((1 - p, p / 3, p / 3, p / 3)).weights)
 
     root = brentq(margin, 0.05, 0.35, xtol=1e-12)
     assert root == pytest.approx(0.1893, abs=5e-4)
     _finish(7, t0, 1.0, f"hashing rate crosses zero at {root:.6f} on the "
             "uniform-error family")
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row, from scipy's -x ln x."""
+    return entr(rows).sum(axis=-1) / LN2
 
 
 def test_criterion_8_distillation_dominates_hashing():
@@ -287,13 +293,13 @@ def test_criterion_8_distillation_dominates_hashing():
             for k in range(step + 1 - i - j):
                 rows.append((step - i - j - k, i, j, k))
     q_rows = np.array(rows, dtype=float) / step
-    h_q = _entropy_bits(q_rows)
+    h_q = _row_entropies(q_rows)
     r_base = np.clip(1.0 - h_q, 0.0, None)
     worst = math.inf
     for pf100 in range(0, 101, 2):
         p_f = pf100 / 100.0
         r_d = (1.0 - p_f) * r_base
-        r = np.clip(1.0 - _entropy_bits(_compose_rows(q_rows.copy(), p_f)), 0.0, None)
+        r = np.clip(1.0 - _row_entropies(_compose_rows(q_rows.copy(), p_f)), 0.0, None)
         margin = float(np.min(r_d - r))
         worst = min(worst, margin)
         assert margin >= -1e-12
@@ -306,7 +312,7 @@ def test_criterion_8_distillation_dominates_hashing():
             compose_with_failure(q, p_f)
         ) - 1e-12
         assert distillation_rate(q, p_f) == pytest.approx(
-            (1 - p_f) * max(0.0, 1.0 - entropy4(q)), abs=1e-12
+            (1 - p_f) * max(0.0, 1.0 - entropy_bits(q.weights)), abs=1e-12
         )
         np.testing.assert_allclose(
             compose_with_failure(q, p_f).weights,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from covertq import channels, cli, covert, detect, rates, sparse, twirl
-from covertq.errors import EstimationFailureError
+from covertq.errors import DegenerateChannelError
 from covertq.linops import DensityOperator
 from conftest import random_channel
 
@@ -660,7 +660,7 @@ class TestExitTable:
 
     def test_estimation_failure_keeps_degenerate_code(self, capsys, monkeypatch):
         def fail(*args):
-            raise EstimationFailureError("no samples")
+            raise DegenerateChannelError("no samples")
 
         monkeypatch.setattr(twirl, "monte_carlo_twirl", fail)
         code, _, err = run_cli(["twirl-check", "--channel", AD_SPEC, "--samples", "10"], capsys)

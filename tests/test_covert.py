@@ -53,10 +53,11 @@ class TestQre:
         rho, sigma = _leaky_pair(2, 0.5 * SUPPORT_TOL, False, rng)
         assert qre(rho, sigma) == 0.0
         rho = random_density(3, rng)
-        shift = covert._xlogx_bits
-        monkeypatch.setattr(covert, "_xlogx_bits", lambda v: shift(v) - 0.5 * covert.QRE_FLOOR)
+        # entropy_bits returns +H, so raising it lowers the divergence.
+        shift = covert.entropy_bits
+        monkeypatch.setattr(covert, "entropy_bits", lambda v: shift(v) + 0.5 * covert.QRE_FLOOR)
         assert qre(rho, rho) == 0.0
-        monkeypatch.setattr(covert, "_xlogx_bits", lambda v: shift(v) - 2.0 * covert.QRE_FLOOR)
+        monkeypatch.setattr(covert, "entropy_bits", lambda v: shift(v) + 2.0 * covert.QRE_FLOOR)
         with pytest.raises(RuntimeError, match="below its round-off floor"):
             qre(rho, rho)
 

@@ -1,8 +1,11 @@
 """Properties of the exact n-use figures on random qubit and qutrit warden
-models, commuting and not. Each property is checked by a route that shares
-no code with the one it tests: scipy.linalg for the chi-square divergence
-and the one-site divergence, the quantum Pinsker and data-processing
-inequalities, and a sum over all 2^n signal patterns.
+models, commuting and not, and of the receiver's projection and twirl on
+random qubit-input channels, leaky ones included. Each property is checked
+by a route that shares no code with the one it tests: scipy.linalg for the
+chi-square divergence and the one-site divergence, the quantum Pinsker and
+data-processing inequalities, a sum over all 2^n signal patterns, the Kraus
+operators' qubit blocks, and the Choi matrix of the receiver map built
+functionally.
 
 Qutrit models stop at n = 4 (81 dimensions), qubit models at n = 6, so that
 each property's fixed set of examples runs in a few seconds."""
@@ -26,6 +29,8 @@ from covertq.sparse import (
     decomposition_report,
     weight_set_prob,
 )
+from covertq.twirl import projection_stats, twirl_parameters
+from conftest import random_channel, twirled_replaced_choi
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=50, deadline=None)
 MAX_N = {2: 6, 3: 4}
@@ -95,6 +100,14 @@ def configs(draw, dim: int = 2):
     n = draw(st.integers(1, MAX_N[dim]))
     q = draw(st.floats(0.05, 0.95))
     vartheta = draw(st.floats(0.05, 1.0))
+    # Hypothesis favours round values such as q = vartheta = 0.5, which put
+    # a weight on the set's edge, and a small vartheta can leave the set
+    # empty. Widen the set instead of rejecting the example: off the edge,
+    # and out to the nearest weight. Both stay below 1, as |q - w/n| <= 0.95.
+    gaps = [abs(q - w / n) for w in range(n + 1)]
+    if any(abs(g - vartheta) <= 1e-9 for g in gaps):
+        vartheta += 1e-6
+    vartheta = max(vartheta, min(gaps) + 1e-6)
     _weights(n, q, vartheta)
     return SparseSignalConfig(n=n, q=q, vartheta=vartheta)
 
@@ -247,3 +260,38 @@ def test_commuting_figures_equal_a_type_class_sum(model, cfg):
     fig = WardenStates(_willie(rho0, rho_pi), cfg).figures
     got = (fig.d_exact, fig.d_product, fig.epsilon, fig.trace_distance)
     assert got == pytest.approx(_type_class_figures(a, b, cfg), rel=0, abs=1e-12)
+
+
+# Bell vectors (id x P)|Phi> for P = I, X, Y, Z, reference qubit first.
+BELL = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]]) / math.sqrt(2.0)
+
+
+@st.composite
+def receiver_channels(draw):
+    """A qubit-input channel with 2 to 4 output levels and 1 to 4 Kraus
+    operators; output levels above 1 leak out of the qubit subspace."""
+    d_out = draw(st.integers(2, 4))
+    kraus_count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_channel(2, d_out, kraus_count, rng)
+
+
+@given(receiver_channels())
+@PROPERTY
+def test_failure_probability_is_the_kraus_leak(ch):
+    # On the maximally mixed input the kept mass is tr(sum_k B_k B_k^dag) / 2
+    # for the qubit blocks B_k = K_k[:2, :].
+    kept = 0.5 * sum(np.linalg.norm(k[:2, :]) ** 2 for k in ch.kraus)
+    assert projection_stats(ch).p_f == pytest.approx(1.0 - kept, rel=0, abs=1e-12)
+
+
+@given(receiver_channels())
+@PROPERTY
+def test_twirl_weights_convolved_with_failure_are_the_receiver_map(ch):
+    # A failed projection is replaced by the maximally mixed qubit, which
+    # adds p_f / 4 to every Bell-diagonal entry of the receiver map.
+    stats = projection_stats(ch)
+    got = (1.0 - stats.p_f) * twirl_parameters(stats).weights + stats.p_f / 4.0
+    j = twirled_replaced_choi(ch)
+    bell = np.array([np.real(b.conj() @ j @ b) for b in BELL])
+    np.testing.assert_allclose(got, bell, rtol=0, atol=1e-12)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from covertq.covert import entropy_bits
 from covertq.rates import (
     assisted_bound,
     distillation_rate,
-    entropy4,
     hashing_rate,
     unassisted_bound,
 )
@@ -20,15 +20,15 @@ CLEAN = PauliDistribution((1.0, 0.0, 0.0, 0.0))
 
 class TestEntropy:
     def test_deterministic_vector(self):
-        assert entropy4(CLEAN) == 0.0
+        assert entropy_bits(CLEAN.weights) == 0.0
 
     def test_uniform_vector(self):
-        assert entropy4(UNIFORM) == pytest.approx(2.0)
+        assert entropy_bits(UNIFORM.weights) == pytest.approx(2.0)
 
     def test_direct_formula(self):
         p = PauliDistribution((0.9, 1 / 30, 1 / 30, 1 / 30))
         expect = -(0.9 * math.log2(0.9) + 3 * (1 / 30) * math.log2(1 / 30))
-        assert entropy4(p) == pytest.approx(expect, abs=1e-12)
+        assert entropy_bits(p.weights) == pytest.approx(expect, abs=1e-12)
 
 
 class TestHashingRate:
@@ -40,8 +40,8 @@ class TestHashingRate:
 
     def test_depolarizing_family_zero_crossing(self):
         def margin(p):
-            return 1.0 - entropy4(
-                PauliDistribution((1 - p, p / 3, p / 3, p / 3))
+            return 1.0 - entropy_bits(
+                PauliDistribution((1 - p, p / 3, p / 3, p / 3)).weights
             )
 
         root = brentq(margin, 0.05, 0.35, xtol=1e-12)
@@ -58,7 +58,7 @@ class TestDistillationRate:
     def test_direct_formula(self):
         q = PauliDistribution((0.9, 0.05, 0.03, 0.02))
         assert distillation_rate(q, 0.2) == pytest.approx(
-            0.8 * max(0.0, 1.0 - entropy4(q))
+            0.8 * max(0.0, 1.0 - entropy_bits(q.weights))
         )
 
 

@@ -9,6 +9,7 @@ import re
 import types
 from pathlib import Path
 
+import covertq
 from covertq import channels, cli, covert, linops
 from covertq.linops import DensityOperator
 
@@ -73,7 +74,7 @@ def test_every_public_name_is_reached():
     # A public one may instead be named by a README python block, traced by
     # the benchmark or listed above; a private one has no caller outside the
     # package, so it may not. Anything else is a helper only its own tests
-    # call. Dunder hooks, such as a module's __getattr__, are called by Python.
+    # call. Dunder hooks are called by Python.
     defs, used = [], collections.Counter()
     for path in sorted((REPO / "src" / "covertq").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -192,6 +193,16 @@ def _subtracts_dagger(node) -> bool:
     )
 
 
+def _calls_np_log2(node) -> bool:
+    """A call of ``np.log2``."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "log2"
+        and getattr(func.value, "id", None) == "np"
+    )
+
+
 def test_each_rule_is_decided_once():
     assert _raisers("SupportViolationError") == [("covert", "require_support")]
     # The block-length cap, the operator-size cap and the qubit-input check.
@@ -205,10 +216,30 @@ def test_each_rule_is_decided_once():
     # Hermiticity: one blocked scan, whose gap both callers hold to TAU_HERM.
     assert _owners(_subtracts_dagger) == [("linops", "hermitian_gap")]
     # Spelled in two parts so that this file does not name them either.
-    gone = ["trace_norm" + "_diff", "is_" + "hermitian"]
+    gone = [
+        "trace_norm" + "_diff",
+        "is_" + "hermitian",
+        "clip_" + "spectrum",
+        "_xlogx" + "_bits",
+        "_entropy" + "_bits",
+        "entropy" + "4",
+        "Estimation" + "FailureError",
+        "_SUB" + "MODULES",
+    ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
         assert not [name for name in gone if name in text], path
+    # One Shannon entropy: covert.entropy_bits is the one sum of p log2 p;
+    # qre and sparse._log2_on_support take the logs of a reference state.
+    assert sorted(_owners(_calls_np_log2)) == [
+        ("covert", "entropy_bits"),
+        ("covert", "qre"),
+        ("sparse", "_log2_on_support"),
+    ]
+    # The package init imports nothing and resolves no submodule lazily.
+    init = ast.parse((REPO / "src" / "covertq" / "__init__.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert "__getattr__" not in vars(covertq)
 
 
 def test_each_n_use_figure_is_held_once():

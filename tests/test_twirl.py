@@ -211,9 +211,7 @@ class TestMonteCarlo:
             _categorical_counts([1.0], 0, seed=0)
 
     def test_all_samples_failing_raises(self):
-        from covertq.errors import EstimationFailureError
-
-        with pytest.raises(EstimationFailureError):
+        with pytest.raises(DegenerateChannelError):
             monte_carlo_twirl(qubit_leak(1.0), 1000, seed=0)
 
 
