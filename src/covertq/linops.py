@@ -1,9 +1,13 @@
-"""Dense complex linear algebra core.
+"""Dense linear algebra core.
 
-Everything operates on plain ``numpy`` complex arrays in row-major order.
-Operator sizes are capped at 1024 so that exact n-copy computations stay at
-desk scale. Tolerances are chosen for double-precision eigensolvers at these
-sizes and are shared across the package.
+Everything operates on plain ``numpy`` arrays in row-major order, in one of
+two dtypes: float64 for a matrix that is given as float64, such as the real
+frame of ``sparse.WardenStates``, and complex128 for every other input. A
+real matrix stays real through every product, power, spectrum and trace norm
+here, which runs its eigensolves in real arithmetic. Operator sizes are
+capped at 1024 so that exact n-copy computations stay at desk scale.
+Tolerances are chosen for double-precision eigensolvers at these sizes and
+are shared across the package.
 """
 
 from __future__ import annotations
@@ -64,12 +68,22 @@ def check_exact_block(n: int, d: int) -> None:
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
-    a = np.asarray(m, dtype=np.complex128)
+    return _finite_matrix(np.asarray(m, dtype=np.complex128))
+
+
+def _finite_matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _as_array(m) -> np.ndarray:
+    """m as an array of one of the two dtypes the package computes in:
+    float64 when m already is a float64 array, complex128 otherwise."""
+    a = np.asarray(m)
+    return a if a.dtype == np.float64 else np.asarray(a, dtype=np.complex128)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -106,23 +120,25 @@ def kron_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def tensor_power(m, k: int) -> np.ndarray:
     """k-fold Kronecker power with the dense-size cap enforced, always in a
-    new array that the caller may write (at k = 1 a copy of m)."""
+    new array that the caller may write (at k = 1 a copy of m), in m's dtype
+    (``_as_array``)."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
-    a = as_complex_matrix(m)
+    a = _finite_matrix(_as_array(m))
     check_exact_block(k, a.shape[0])
     out = a.copy()
     for _ in range(k - 1):
         size = len(out) * len(a)
-        out = kron_into(out, a, np.empty((size, size), dtype=np.complex128))
+        out = kron_into(out, a, np.empty((size, size), dtype=a.dtype))
     return out
 
 
 def trace_norm(m) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, such as a
     difference of states. A matrix whose ``hermitian_gap`` passes
-    ``TAU_HERM``, or that is not square, is refused with ``ValueError``."""
-    a = np.asarray(m, dtype=np.complex128)
+    ``TAU_HERM``, or that is not square, is refused with ``ValueError``. A
+    float64 matrix is solved in real arithmetic (``_as_array``)."""
+    a = _as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace norm is defined for square matrices here")
     gap = hermitian_gap(a)
@@ -150,7 +166,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace complex matrix.
+    """Hermitian, positive semidefinite, unit-trace matrix: real symmetric
+    and float64 when it is given as float64, complex128 otherwise
+    (``_as_array``), so that a real state's spectrum, powers and products
+    are all computed in real arithmetic.
 
     Validation happens on construction: finite entries and Hermiticity
     within ``TAU_HERM`` (``hermitian_gap``), eigenvalues >= -``TAU_PSD``,
@@ -186,7 +205,7 @@ class DensityOperator:
     _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self, _derived: bool):
-        a = np.asarray(self.mat, dtype=np.complex128)
+        a = _as_array(self.mat)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"density operator must be square, got {a.shape}")
         if a.shape[0] > DIM_CAP:

@@ -124,19 +124,20 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     levels. ``linops.kron_into`` writes each product, the rho_pi branch
     into its own block that is then added, and each top-level class block is
     scaled and added to the mixture, so every entry is bit for bit that of
-    the full ``np.kron`` recursion. Live: the result and blocks smaller than
-    it."""
+    the full ``np.kron`` recursion. The matrix takes the model's dtype, real
+    for two real states. Live: the result and blocks smaller than it."""
     rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
     check_exact_block(n, d)
+    dtype = np.result_type(rho0, rho_pi)
 
     ws = cfg.weight_range()
     free = n  # levels at which a block spans more than one row
     while free > 1 and d**free > BLOCK:
         free -= 1
     height = d**free
-    out = np.zeros((d**n, d**n), dtype=np.complex128)
+    out = np.zeros((d**n, d**n), dtype=dtype)
     for top in range(0, d**n, height):
-        prev, base = [np.ones((1, 1), dtype=np.complex128)], 0
+        prev, base = [np.ones((1, 1), dtype=dtype)], 0
         for k in range(1, n + 1):
             # Below the free levels the block is one row of level k,
             # top // d^(n-k), so it takes one row of each site factor.
@@ -146,7 +147,7 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
             cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
             cur = []
             for w in cls:
-                acc = np.empty(shape, dtype=np.complex128)
+                acc = np.empty(shape, dtype=dtype)
                 if w < k:
                     kron_into(prev[w - base], b0, acc)
                     if w > 0:
@@ -159,7 +160,10 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
                     acc *= q**w * (1.0 - q) ** (n - w)
                     out[top : top + height] += acc
             prev, base = cur, cls.start
-    out /= weight_set_prob(cfg)
+    # A multiply by the reciprocal, which is what numpy's complex division by
+    # a real is bit for bit, so a real frame's entries round as a complex
+    # model's do.
+    out *= 1.0 / weight_set_prob(cfg)
     return out
 
 
@@ -190,7 +194,9 @@ class WardenFigures(NamedTuple):
     d_exact: float  # D(rho_n || rho0^n)
     d_product: float  # D(mix^n || rho0^n)
     entropy_gap: float  # S(mix^n) - S(rho_n)
-    marginal_gap: np.ndarray  # sum over sites of the one-site marginals of mix^n - rho_n
+    # Sum over sites of the one-site marginals of mix^n - rho_n, in the frame
+    # of ``WardenStates.model``.
+    marginal_gap: np.ndarray
     epsilon: float  # ||mix^n - rho_n||_1 / 2
     trace_distance: float  # ||rho_n - rho0^n||_1
 
@@ -201,18 +207,54 @@ def _marginal_sum(mat: np.ndarray, n: int, d: int) -> np.ndarray:
     return sum(np.einsum("aibajb->ij", mat.reshape(s + s)) for s in shapes)
 
 
+def _real_frame(model: WillieModel) -> WillieModel:
+    """The model seen through a unitary U that makes both states real, or the
+    model itself where no such U is taken.
+
+    Two states without an imaginary part keep their real parts (U = 1). A
+    qubit pair is turned into rho0's eigenbasis V (``rho0.eigh``), where
+    B = V^dag rho_pi V, and the phase of B01 is moved off:
+    rho0' = diag(eigvals) and rho_pi' = [[Re B00, |B01|], [|B01|, Re B11]],
+    which is U^dag rho U for U = V diag(1, e^{-i arg B01}). Any two 2x2
+    Hermitian matrices are made real so, and the states are real by
+    construction. A complex pair of larger dimension is kept.
+
+    Every figure of the warden pass is invariant under U^(x)n: the
+    entropies, relative entropies, chi2 and both trace norms; and the cross
+    term, since ``WardenFigures.marginal_gap`` and log2 rho0 rotate
+    together."""
+    rho0, rho_pi = model.rho0.mat, model.rho_pi.mat
+    if not rho0.imag.any() and not rho_pi.imag.any():
+        r0, r_pi = rho0.real.copy(), rho_pi.real.copy()
+    elif model.dim == 2:
+        vals, v = model.rho0.eigh()
+        b = v.conj().T @ rho_pi @ v
+        r0, off = np.diag(vals), abs(b[0, 1])
+        r_pi = np.array([[b[0, 0].real, off], [off, b[1, 1].real]])
+    else:
+        return model
+    return WillieModel(DensityOperator(r0, _derived=True), DensityOperator(r_pi, _derived=True))
+
+
 class WardenStates:
     """The ``WardenFigures`` of one configuration, computed in one pass on
     first use and shared by ``bound_chain``, ``decomposition_report`` and
     ``detect.detection_at_n``, which read nothing else.
 
+    ``model`` is the given model in its real frame (``_real_frame``), taken
+    once here: every qubit model and every real one is held as float64, so
+    the whole pass, from the n-use state to each eigensolve, runs in real
+    arithmetic; only a complex model of dimension above 2 stays complex.
+    Every figure is the given model's except ``marginal_gap``, which is
+    held in the frame.
+
     The pass frees each d^n-square state after its last use, and each trace
     norm overwrites a fresh tensor power with its difference. So numpy
-    holds at most two d^n-square complex matrices and blocks of others at
-    any time, and an eigensolve adds LAPACK's copy of its input."""
+    holds at most two d^n-square matrices and blocks of others at any time,
+    and an eigensolve adds LAPACK's copy of its input."""
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
-        self.model = model
+        self.model = _real_frame(model)
         self.cfg = cfg
 
     @cached_property

@@ -15,9 +15,9 @@ from covertq.channels import (
     complementary,
     willie_model,
 )
-from covertq.covert import qre
+from covertq.covert import LN2, chi2, qre, vn_entropy
 from covertq.errors import DimensionCapError, SupportViolationError
-from covertq.linops import DensityOperator, tensor_power
+from covertq.linops import SUPPORT_TOL, DensityOperator, tensor_power
 from covertq.detect import detection_at_n
 from covertq.sparse import (
     SparseSignalConfig,
@@ -30,7 +30,7 @@ from covertq.sparse import (
     weight_set_prob,
     willie_state_exact,
 )
-from conftest import random_channel, random_density, random_willie_model
+from conftest import random_channel, random_density, random_pure, random_willie_model
 
 
 def _tensor_all(mats):
@@ -268,9 +268,10 @@ class TestWillieStateExact:
 
 def _kron_recursion_state(model, cfg):
     """Reference build of the n-use warden state: every weight class at every
-    level as a fresh np.kron result, then the weighted sum over the weight
-    set."""
-    level = [np.ones((1, 1), dtype=np.complex128)]
+    level as a fresh np.kron result in the model's dtype, then the weighted
+    sum over the weight set, scaled by the reciprocal of its probability as
+    the package scales it."""
+    level = [np.ones((1, 1), dtype=np.result_type(model.rho0.mat, model.rho_pi.mat))]
     for _ in range(cfg.n):
         nxt = []
         for w in range(len(level) + 1):
@@ -285,7 +286,7 @@ def _kron_recursion_state(model, cfg):
     out = np.zeros_like(level[0])
     for w in cfg.weight_range():
         out += cfg.q**w * (1.0 - cfg.q) ** (cfg.n - w) * level[w]
-    return out / weight_set_prob(cfg)
+    return out * (1.0 / weight_set_prob(cfg))
 
 
 def _inner_weight_config(n, rng):
@@ -342,13 +343,14 @@ class TestBufferedBuild:
             tracemalloc.stop()
         return peak / (model.dim**cfg.n) ** 2 / 16
 
-    # At the dense cap, the detect path fits in three d^n-square complex
-    # matrices of numpy memory: two live states (or one state and the
-    # difference a trace norm takes), and the row or column blocks of
-    # everything else.
+    # At the dense cap, the detect path fits in three d^n-square matrices of
+    # numpy memory: two live states (or one state and the difference a trace
+    # norm takes), and the row or column blocks of everything else. A qubit
+    # model runs in its real frame, so those are float64 matrices: 1.5 units
+    # of 16 bytes an entry. A complex qutrit model stays complex: 3 units.
     def test_detect_path_memory_at_n9(self, rng):
         cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
-        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 3
+        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 1.5
 
     def test_detect_path_memory_qutrit_n6(self, rng):
         cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
@@ -392,7 +394,9 @@ def _check_detect_figures(model, n):
     """Every detect-sim figure at block length n equals, with ==, its value
     from whole d^n-square matrices: the np.kron recursion for the warden
     state, np.kron chains for the products, and the mixture power's
-    spectrum as the sorted outer product of the mixture's eigenvalues."""
+    spectrum as the sorted outer product of the mixture's eigenvalues. The
+    references are built from ``st.model``, the frame the pass computes in,
+    and in its dtype."""
     cfg = SparseSignalConfig(n=n, q=0.2, vartheta=0.5)
     st = WardenStates(model, cfg)
     # The reports' self-checks pass on the figures compared below.
@@ -400,6 +404,7 @@ def _check_detect_figures(model, n):
     decomposition_report(st)
     detection_at_n(st, 0.05)
     fig = st.figures
+    model = st.model
 
     rho_n = _kron_recursion_state(model, cfg)
     prod_inn = _kron_chain(model.rho0.mat, n)
@@ -440,6 +445,137 @@ class TestBitIdentity:
             order = np.argsort(_kron_chain(np.diag(site.eigvals), k).diagonal().real, kind="stable")
             assert np.array_equal(vecs, _kron_chain(site.eigh()[1], k)[:, order])
             assert vecs.flags.f_contiguous
+
+
+
+def _frame_unitary(model):
+    """The U of ``sparse._real_frame`` for a qubit model: 1 for a real pair,
+    else rho0's eigenvectors V times diag(1, e^{-i arg B01}), B = V^dag rho_pi V."""
+    if not model.rho0.mat.imag.any() and not model.rho_pi.mat.imag.any():
+        return np.eye(2)
+    v = model.rho0.eigh()[1]
+    b01 = (v.conj().T @ model.rho_pi.mat @ v)[0, 1]
+    return v * np.array([1.0, np.exp(-1j * np.angle(b01))])
+
+
+def _site_marginals(m, n, d):
+    """Sum over sites of the one-site partial traces, by np.trace."""
+    total = np.zeros((d, d), dtype=m.dtype)
+    for i in range(n):
+        t = m.reshape(d**i, d, d ** (n - 1 - i), d**i, d, d ** (n - 1 - i))
+        total += np.trace(np.trace(t, axis1=0, axis2=3), axis1=1, axis2=3)
+    return total
+
+
+def _whole_matrix_figures(model, cfg):
+    """Every figure of ``WardenFigures``, ``BoundChain`` and
+    ``DecompositionReport``, by name, from whole complex d^n-square matrices
+    of the given model: no frame, no power spectra, no blocks. log2 rho0^n
+    is the whole-matrix sum of site logs, since an eigensolve of the power
+    itself loses the relative accuracy of its smallest eigenvalues."""
+    n, q, d = cfg.n, cfg.q, model.dim
+    rho0, rho_pi = model.rho0.mat, model.rho_pi.mat
+    mix = (1.0 - q) * rho0 + q * rho_pi
+    rho_n = _kron_recursion_state(model, cfg)
+    prod_inn, prod_mix = _kron_chain(rho0, n), _kron_chain(mix, n)
+    n_op, mix_op = (DensityOperator(m, _derived=True) for m in (rho_n, prod_mix))
+    delta = prod_mix - rho_n
+    vals, vecs = np.linalg.eigh(rho0)
+    logs = np.where(vals > SUPPORT_TOL, np.log2(np.maximum(vals, SUPPORT_TOL)), 0.0)
+    log_site = (vecs * logs) @ vecs.conj().T
+    log_n = sum(_tensor_all([np.eye(d**i), log_site, np.eye(d ** (n - 1 - i))]) for i in range(n))
+    epsilon = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+
+    def d_to_inn(op):
+        # Floored at 0 as ``qre`` floors it: a tolerated kernel mass of rho0^n
+        # adds its entropy to -S but drops out of the log term.
+        return max(0.0, -vn_entropy(op) - float(np.real(np.trace(op.mat @ log_n))))
+
+    return {
+        "d_exact": d_to_inn(n_op),
+        "d_product": d_to_inn(mix_op),
+        "entropy_gap": vn_entropy(mix_op) - vn_entropy(n_op),
+        "marginal_gap": _site_marginals(delta, n, d),
+        "epsilon": epsilon,
+        "trace_distance": float(np.sum(np.abs(np.linalg.eigvalsh(rho_n - prod_inn)))),
+        "d_single_scaled": n * qre(DensityOperator(mix, _derived=True), model.rho0),
+        "d_chi2_bound": q**2 * n * chi2(model.rho_pi, model.rho0) / LN2,
+        "term_cross": float(np.real(np.trace(delta @ log_n))),
+        "chernoff_bound": chernoff_epsilon(cfg),
+        "fannes_bound": epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon)),
+        "holder_bound": (
+            2.0 * epsilon * n * math.log2(1.0 / vals[0]) if vals[0] > SUPPORT_TOL else None
+        ),
+    }
+
+
+def _singular_model(rng):
+    """Pure complex rho0, and rho_pi in its support up to 1e-12 of mass on its
+    kernel."""
+    rho0 = random_pure(2, rng)
+    rho_pi = (1.0 - 1e-12) * rho0.mat + 1e-12 * (np.eye(2) - rho0.mat)
+    return WillieModel(rho0=rho0, rho_pi=DensityOperator(rho_pi))
+
+
+def _real_model(rng):
+    """Non-commuting states with real entries, held as complex."""
+    def real_state():
+        g = rng.normal(size=(2, 2))
+        m = g @ g.T + 0.1 * np.eye(2)
+        return DensityOperator((m / np.trace(m)).astype(complex))
+    return WillieModel(rho0=real_state(), rho_pi=real_state())
+
+
+QUBIT_MODELS = {
+    "mixed-ad": _mixed_ad_model,
+    "non-commuting": random_willie_model,
+    "singular": _singular_model,
+    "real": _real_model,
+}
+
+
+class TestRealFrame:
+    """``WardenStates`` computes in a real frame; every figure is the given
+    model's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", sorted(QUBIT_MODELS))
+    def test_qubit_figures_match_whole_complex_matrices(self, kind, seed):
+        model = QUBIT_MODELS[kind](np.random.default_rng(seed))
+        cfg = SparseSignalConfig(n=6, q=0.3, vartheta=0.5)
+        st = WardenStates(model, cfg)
+        u = _frame_unitary(model)
+        for given, frame in ((model.rho0, st.model.rho0), (model.rho_pi, st.model.rho_pi)):
+            assert frame.mat.dtype == np.float64
+            assert np.abs(u.conj().T @ given.mat @ u - frame.mat).max() <= 1e-15
+        got = {
+            **st.figures._asdict(),
+            **bound_chain(st)._asdict(),
+            **decomposition_report(st)._asdict(),
+        }
+        want = _whole_matrix_figures(model, cfg)
+        assert set(got) == set(want)
+        # The marginal gap is held in the frame; rotated back, it is the model's.
+        got["marginal_gap"] = u @ got["marginal_gap"] @ u.conj().T
+        for name, value in want.items():
+            if value is None:
+                assert got[name] is None, name
+            else:
+                assert np.abs(got[name] - value).max() <= 1e-12, (name, got[name], value)
+
+    def test_real_pair_keeps_the_identity_frame(self, rng):
+        model = _real_model(rng)
+        frame = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.5)).model
+        for given, held in ((model.rho0, frame.rho0), (model.rho_pi, frame.rho_pi)):
+            assert held.mat.dtype == np.float64
+            assert np.array_equal(held.mat, given.mat.real)
+
+    def test_complex_qutrit_pair_stays_complex(self, rng):
+        model = random_willie_model(rng, dim=3)
+        st = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.5))
+        assert st.model is model
+        assert st.model.rho0.mat.dtype == st.model.rho_pi.mat.dtype == np.complex128
+        assert willie_state_exact(st.model, st.cfg).mat.dtype == np.complex128
 
 
 class TestBoundChain:

@@ -242,6 +242,19 @@ def test_each_rule_is_decided_once():
     assert "__getattr__" not in vars(covertq)
 
 
+def test_warden_pass_takes_its_dtype_from_the_frame():
+    # sparse never names complex128: the n-use pass computes in the dtype of
+    # WardenStates.model, which the real-frame rule alone decides.
+    tree = ast.parse((REPO / "src" / "covertq" / "sparse.py").read_text(encoding="utf-8"))
+    named = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "complex128")
+        or (isinstance(node, ast.Attribute) and node.attr == "complex128")
+        or (isinstance(node, ast.Constant) and node.value == "complex128")
+    ]
+    assert named == []
+
+
 def test_each_n_use_figure_is_held_once():
     # sparse.WardenFigures holds every n-use figure; each report returns only
     # what its own function adds, and none re-checks its producer's formulas.
