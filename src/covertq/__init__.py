@@ -2,8 +2,9 @@
 
 Subpackage layout:
 
-- ``linops``    dense complex linear algebra (tensor powers, trace norms),
-  the dense-size cap, and the validated density operator type
+- ``linops``    dense linear algebra in float64 or complex128 (tensor
+  powers, trace norms), the dense-size cap, and the validated density
+  operator type
 - ``channels``  Kraus-form channels, Choi matrices, complementary channels,
   standard builders, channel spec file I/O, and the warden-side model
 - ``twirl``     qubit-subspace projection statistics, Pauli twirling of the

@@ -36,27 +36,22 @@ def entropy_bits(p) -> float:
     return -float(np.sum(pos * np.log2(pos)))
 
 
-def _in_frame(rho: DensityOperator, sigma: DensityOperator):
-    """rho seen in sigma's eigenbasis V: sigma's eigenvalues, its support
-    mask, the overlaps diag(V^dag rho V) and the squared norms |rho v|^2 of
-    V's live columns. None when rho's mass on sigma's kernel exceeds
-    ``SUPPORT_TOL`` per site of sigma; this is the package's one support test.
-
-    The products are formed one column block of V at a time
-    (``DensityOperator.eigvec_blocks``). Each column is summed whole, in the
-    layout a full V has, so no value depends on the block width."""
+def _overlaps(rho: DensityOperator, sigma: DensityOperator):
+    """rho's overlaps diag(V^dag rho V) with sigma's eigenbasis V, and rho V,
+    for two states of one dimension."""
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
-    overlap, norms = np.empty(sigma.dim), np.zeros(sigma.dim)
-    for s, v in sigma.eigvec_blocks():
-        rv = rho.mat @ v
-        overlap[s] = np.real(np.sum(v.conj() * rv, axis=0))
-        live = ~sigma.kernel[s]
-        norms[s][live] = np.sum(np.abs(rv[:, live]) ** 2, axis=0)
-    overlap = np.clip(overlap, 0.0, None)
-    if float(np.sum(overlap[sigma.kernel])) > SUPPORT_TOL * sigma.sites:
-        return None
-    return sigma.eigvals, ~sigma.kernel, overlap, norms
+    v = sigma.eigh()[1]
+    rv = rho.mat @ v
+    return np.real(np.sum(v.conj() * rv, axis=0)), rv
+
+
+def _kernel_mass(overlap: np.ndarray, kernel: np.ndarray, sites: int):
+    """A state's mass on a reference's kernel, its overlaps clipped at 0, or
+    None when that mass exceeds ``SUPPORT_TOL`` per site of the reference;
+    this is the package's one support test."""
+    m = float(np.sum(np.clip(overlap[kernel], 0.0, None)))
+    return None if m > SUPPORT_TOL * sites else m
 
 
 def vn_entropy(rho: DensityOperator) -> float:
@@ -64,27 +59,36 @@ def vn_entropy(rho: DensityOperator) -> float:
     return entropy_bits(rho.eigvals)
 
 
-def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Quantum relative entropy tr(rho log rho - rho log sigma) in bits.
+def qre_spectral(vals, overlap, ref_vals, ref_kernel, sites: int) -> float:
+    """Quantum relative entropy tr(rho log rho - rho log sigma) in bits, from
+    rho's eigenvalues ``vals``, its overlaps diag(V^dag rho V) with sigma's
+    eigenbasis V, and sigma's eigenvalues and kernel mask in V's order;
+    sigma is a product of ``sites`` one-site states.
 
-    Returns +inf when rho has support outside the support of sigma. A value
-    below zero by at most its floor is returned as 0.0, and one further below
-    raises ``RuntimeError``. The floor is ``QRE_FLOOR`` per site of sigma,
-    plus m log2(e d / m) for a tolerated mass m of rho on sigma's kernel,
-    whose log is dropped: that bounds h(m) + m log2 d, the most the kernel
-    block can add to rho's entropy.
+    Returns +inf when rho has support outside the support of sigma
+    (``_kernel_mass``). A value below zero by at most its floor is returned
+    as 0.0, and one further below raises ``RuntimeError``. The floor is
+    ``QRE_FLOOR`` per site, plus m log2(e d / m) for a tolerated mass m of
+    rho on sigma's kernel, whose log is dropped: that bounds h(m) + m log2 d,
+    the most the kernel block can add to rho's entropy.
     """
-    frame = _in_frame(rho, sigma)
-    if frame is None:
+    m = _kernel_mass(overlap, ref_kernel, sites)
+    if m is None:
         return math.inf
-    b, live, overlap, _ = frame
-    term_sigma = float(np.sum(overlap[live] * np.log2(b[live])))
-    val = -entropy_bits(rho.eigvals) - term_sigma
-    m = float(np.sum(overlap[~live]))
-    floor = QRE_FLOOR * sigma.sites + (m * math.log2(math.e * sigma.dim / m) if m > 0 else 0.0)
+    live = ~ref_kernel
+    term_sigma = float(np.sum(np.clip(overlap[live], 0.0, None) * np.log2(ref_vals[live])))
+    val = -entropy_bits(vals) - term_sigma
+    floor = QRE_FLOOR * sites + (m * math.log2(math.e * len(ref_vals) / m) if m > 0 else 0.0)
     if val < -floor:
         raise RuntimeError(f"relative entropy {val} is below its round-off floor {-floor}")
     return 0.0 if val <= 0.0 else val
+
+
+def qre(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Quantum relative entropy D(rho || sigma) in bits of two one-site
+    states (``qre_spectral``)."""
+    overlap, _ = _overlaps(rho, sigma)
+    return qre_spectral(rho.eigvals, overlap, sigma.eigvals, sigma.kernel, 1)
 
 
 def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -92,20 +96,21 @@ def chi2(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     Returns +inf when rho has support outside the support of sigma.
     """
-    frame = _in_frame(rho, sigma)
-    if frame is None:
+    overlap, rv = _overlaps(rho, sigma)
+    if _kernel_mass(overlap, sigma.kernel, 1) is None:
         return math.inf
-    b, live, _, norms = frame
+    live = ~sigma.kernel
     # tr(rho^2 sigma^+) = sum over live eigenvectors v of |rho v|^2 / b.
-    val = float(np.sum(norms[live] / b[live]))
+    norms = np.sum(np.abs(rv[:, live]) ** 2, axis=0)
+    val = float(np.sum(norms / sigma.eigvals[live]))
     return max(0.0, val - 1.0)
 
 
 def support_contained(rho: DensityOperator, sigma: DensityOperator) -> bool:
-    """True when rho's mass on sigma's kernel is at most ``SUPPORT_TOL`` per
-    site of sigma: the test of ``_in_frame``, so it holds exactly when
-    ``qre`` and ``chi2`` of the pair are finite."""
-    return _in_frame(rho, sigma) is not None
+    """True when rho's mass on sigma's kernel is at most ``SUPPORT_TOL``
+    (``_kernel_mass``), so it holds exactly when ``qre`` and ``chi2`` of the
+    pair are finite."""
+    return _kernel_mass(_overlaps(rho, sigma)[0], sigma.kernel, 1) is not None
 
 
 def require_support(model: WillieModel) -> None:

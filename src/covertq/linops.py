@@ -1,10 +1,11 @@
 """Dense linear algebra core.
 
 Everything operates on plain ``numpy`` arrays in row-major order, in one of
-two dtypes: float64 for a matrix that is given as float64, such as the real
-frame of ``sparse.WardenStates``, and complex128 for every other input. A
-real matrix stays real through every product, power, spectrum and trace norm
-here, which runs its eigensolves in real arithmetic. Operator sizes are
+two dtypes: float64 for a matrix that is given as float64, such as a real
+pair in the frame of ``sparse.WardenStates``, and complex128 for every other
+input. A real matrix stays real through every product, tensor power,
+spectrum and trace norm here, which runs its eigensolves in real
+arithmetic. Operator sizes are
 capped at 1024 so that exact n-copy computations stay at desk scale.
 Tolerances are chosen for double-precision eigensolvers at these sizes and
 are shared across the package.
@@ -13,7 +14,7 @@ are shared across the package.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +27,10 @@ TAU_PSD = 1e-9
 # Kernel threshold for one operator's eigenvalues, and the support allowance
 # per site. An eigenvalue at or below it counts as zero in logs and inverses;
 # the kernel of a tensor power is decided site by site instead (see
-# ``DensityOperator.power``), since n-fold products legitimately have
-# eigenvalues far below it. A state may put mass up to SUPPORT_TOL *
-# sigma.sites on sigma's kernel (``covert._in_frame``): a site mass m gives
-# an n-fold product or mixture at most n * m on the kernel of the n-fold power.
+# ``sparse.WardenStates.figures``), since n-fold products legitimately have
+# eigenvalues far below it. A state may put mass up to SUPPORT_TOL per site
+# on a reference's kernel (``covert.qre_spectral``): a site mass m gives an
+# n-fold product or mixture at most n * m on the kernel of the n-fold power.
 SUPPORT_TOL = 1e-10
 # Dense-storage cap: 2**10.
 DIM_CAP = 1024
@@ -147,18 +148,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 
-class _PowerSpectrum(NamedTuple):
-    """Exact spectrum of a k-fold tensor power, ascending: eigenvalue,
-    kernel flag, and the permutation that sorts the Kronecker-power
-    eigenvectors of ``site`` into the same order."""
-
-    vals: np.ndarray
-    kernel: np.ndarray
-    site: "DensityOperator"
-    k: int
-    order: np.ndarray
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -168,8 +157,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix: real symmetric
     and float64 when it is given as float64, complex128 otherwise
-    (``_as_array``), so that a real state's spectrum, powers and products
-    are all computed in real arithmetic.
+    (``_as_array``), so that a real state's spectrum and products are
+    computed in real arithmetic.
 
     Validation happens on construction: finite entries and Hermiticity
     within ``TAU_HERM`` (``hermitian_gap``), eigenvalues >= -``TAU_PSD``,
@@ -178,27 +167,22 @@ class DensityOperator:
     is m bit for bit when m is exactly Hermitian.
 
     ``_derived`` means the matrix did not enter: the package computed it from
-    checked states (``channels.apply`` outputs, ``sparse.WardenStates.mix``,
-    ``power`` and ``sparse.willie_state_exact``). It is adopted as it is, not
-    made Hermitian, and its trace is not tested, since that test belongs
-    where a matrix enters. A derived trace may differ from 1 by more than
-    ``TAU_TRACE`` with no fault: a power's is tr(rho)^n, and a channel
+    checked states (``channels.apply`` outputs, the states of
+    ``sparse.WardenStates`` and ``sparse.willie_state_exact``). It is adopted
+    as it is, not made Hermitian, and its trace is not tested, since that
+    test belongs where a matrix enters. A derived trace may differ from 1 by
+    more than ``TAU_TRACE`` with no fault: an n-use state's compounds to
+    tr(rho)^n, and a channel
     output's is off by as much as the channel misses trace preservation,
     which ``channels.TAU_TP`` bounds entrywise.
 
     The spectrum is cached. The eigenvalues that validation computes are
     kept (``eigvals``), and the eigenvectors are computed on first use
-    (``eigh``), which only a reference state of a divergence needs.
-    ``power`` supplies the spectrum of a tensor power exactly, from the
-    single-site one: outer-product eigenvalues, Kronecker-power
-    eigenvectors and a site-wise kernel, with no eigensolve. A power's
-    eigenvectors are built from the site's on each use and not kept;
-    ``eigvec_blocks`` hands them out a column block at a time.
+    (``eigh``), which only a one-site reference state of a divergence or
+    the frame of ``sparse.WardenStates`` needs.
     """
 
     mat: np.ndarray = field(repr=False)
-    # Set by ``power`` only.
-    _power: Optional[_PowerSpectrum] = field(default=None, repr=False, compare=False)
     _derived: InitVar[bool] = False
     _vals: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
     _vecs: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
@@ -221,17 +205,13 @@ class DensityOperator:
             tr = complex(np.trace(a))
             if abs(tr - 1.0) > TAU_TRACE:
                 raise ValueError(f"density operator must have unit trace, got {tr}")
-        if self._power is None:
-            vals = np.linalg.eigvalsh(a)
-            kernel = vals <= SUPPORT_TOL
-        else:
-            vals, kernel = self._power.vals, self._power.kernel
+        vals = np.linalg.eigvalsh(a)
         lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
         object.__setattr__(self, "mat", _frozen(a))
         object.__setattr__(self, "_vals", _frozen(vals))
-        object.__setattr__(self, "_kernel", _frozen(kernel))
+        object.__setattr__(self, "_kernel", _frozen(vals <= SUPPORT_TOL))
 
     @property
     def eigvals(self) -> np.ndarray:
@@ -241,68 +221,19 @@ class DensityOperator:
     @property
     def kernel(self) -> np.ndarray:
         """Mask over ``eigvals`` of the eigenvectors spanning the kernel:
-        eigenvalues at or below ``SUPPORT_TOL``, or for a tensor power the
-        products with a kernel factor."""
+        eigenvalues at or below ``SUPPORT_TOL``."""
         return self._kernel
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigvals`` and orthonormal eigenvectors (columns) in the same
-        order. A plain state's eigenvectors are computed on the first call
-        and kept; a power's are built on each call and not kept."""
-        if self._power is not None:
-            return self._vals, self._power_columns(slice(None))
+        order; the eigenvectors are computed on the first call and kept."""
         if self._vecs is None:
             object.__setattr__(self, "_vecs", _frozen(np.linalg.eigh(self.mat)[1]))
         return self._vals, self._vecs
 
-    def eigvec_blocks(self):
-        """The eigenvectors of ``eigh`` as (column slice, columns) pairs. A
-        plain state's are kept, so they come as one block; a power's are
-        built ``BLOCK`` columns at a time, so no d^k-square copy forms."""
-        if self._power is None:
-            yield slice(0, self.dim), self.eigh()[1]
-            return
-        for s in _blocks(self.dim):
-            yield s, self._power_columns(s)
-
-    def _power_columns(self, cols: slice) -> np.ndarray:
-        """Columns ``cols`` of a power's eigenvectors, in eigenvalue order:
-        Kronecker products of site eigenvectors, multiplied left to right as
-        ``tensor_power`` multiplies them, so each value is its exactly. The
-        block is column-major, like a column gather from the full power, so
-        sums down each column run in the same order as on the full matrix."""
-        p = self._power
-        u = p.site.eigh()[1].T  # row c is site eigenvector c
-        digits = np.unravel_index(p.order[cols], (p.site.dim,) * p.k)
-        t = u[digits[0]]
-        for dig in digits[1:]:
-            t = (t[:, :, None] * u[dig][:, None, :]).reshape(len(t), -1)
-        return t.T
-
-    def power(self, k: int) -> "DensityOperator":
-        """k-fold tensor power, with its spectrum taken from this state's.
-
-        A product eigenvector lies in the kernel exactly when one of its
-        site factors does, whatever the size of the product eigenvalue.
-        """
-        mat = tensor_power(self.mat, k)
-        vals, kernel = self._vals, self._kernel
-        for _ in range(k - 1):
-            vals = np.multiply.outer(vals, self._vals).ravel()
-            kernel = np.logical_or.outer(kernel, self._kernel).ravel()
-        order = np.argsort(vals, kind="stable")
-        return DensityOperator(
-            mat, _PowerSpectrum(vals[order], kernel[order], self, k, order), _derived=True
-        )
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def sites(self) -> int:
-        """Number of site factors: k for a k-fold ``power``, 1 otherwise."""
-        return 1 if self._power is None else self._power.k
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "DensityOperator":

@@ -19,9 +19,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linops import BLOCK, SUPPORT_TOL, DensityOperator, check_exact_block
-from .linops import kron_into, tensor_power, trace_norm
+from .linops import dagger, kron_into, tensor_power, trace_norm
 from .channels import WillieModel
-from .covert import LN2, check_block_length, chi2, qre, require_support, vn_entropy
+from .covert import LN2, check_block_length, chi2, entropy_bits, qre, qre_spectral
+from .covert import require_support, vn_entropy
 
 
 def check_vartheta(vartheta: float) -> None:
@@ -207,33 +208,43 @@ def _marginal_sum(mat: np.ndarray, n: int, d: int) -> np.ndarray:
     return sum(np.einsum("aibajb->ij", mat.reshape(s + s)) for s in shapes)
 
 
-def _real_frame(model: WillieModel) -> WillieModel:
-    """The model seen through a unitary U that makes both states real, or the
-    model itself where no such U is taken.
-
-    Two states without an imaginary part keep their real parts (U = 1). A
-    qubit pair is turned into rho0's eigenbasis V (``rho0.eigh``), where
-    B = V^dag rho_pi V, and the phase of B01 is moved off:
-    rho0' = diag(eigvals) and rho_pi' = [[Re B00, |B01|], [|B01|, Re B11]],
-    which is U^dag rho U for U = V diag(1, e^{-i arg B01}). Any two 2x2
-    Hermitian matrices are made real so, and the states are real by
-    construction. A complex pair of larger dimension is kept.
+def _eigenframe(model: WillieModel) -> WillieModel:
+    """The model in rho0's eigenbasis V (``rho0.eigh``), where rho0' is the
+    diagonal of its eigenvalues and rho_pi' is B = V^dag rho_pi V, made
+    exactly Hermitian as (B + B^dag)/2. A qubit pair also moves the phase of
+    B01 off, rho_pi' = [[Re B00, |B01|], [|B01|, Re B11]], which is
+    U^dag rho_pi U for U = V diag(1, e^{-i arg B01}). The states are float64
+    unless rho_pi' has an imaginary part: every qubit pair and every real
+    pair is real here, and only a complex pair of larger dimension stays
+    complex128.
 
     Every figure of the warden pass is invariant under U^(x)n: the
     entropies, relative entropies, chi2 and both trace norms; and the cross
     term, since ``WardenFigures.marginal_gap`` and log2 rho0 rotate
     together."""
-    rho0, rho_pi = model.rho0.mat, model.rho_pi.mat
-    if not rho0.imag.any() and not rho_pi.imag.any():
-        r0, r_pi = rho0.real.copy(), rho_pi.real.copy()
-    elif model.dim == 2:
-        vals, v = model.rho0.eigh()
-        b = v.conj().T @ rho_pi @ v
-        r0, off = np.diag(vals), abs(b[0, 1])
+    vals, v = model.rho0.eigh()
+    b = dagger(v) @ model.rho_pi.mat @ v
+    if model.dim == 2:
+        off = abs(b[0, 1])
         r_pi = np.array([[b[0, 0].real, off], [off, b[1, 1].real]])
     else:
-        return model
-    return WillieModel(DensityOperator(r0, _derived=True), DensityOperator(r_pi, _derived=True))
+        r_pi = (b + dagger(b)) / 2
+        if not r_pi.imag.any():
+            r_pi = r_pi.real
+    return WillieModel(
+        DensityOperator(np.diag(vals), _derived=True), DensityOperator(r_pi, _derived=True)
+    )
+
+
+def _outer_power(ufunc, a: np.ndarray, n: int) -> np.ndarray:
+    """``ufunc`` applied site by site over n copies of a 1-D array, in
+    Kronecker order: with ``np.multiply`` the diagonal of the n-fold tensor
+    power of diag(a), each entry multiplied left to right as
+    ``tensor_power`` multiplies it."""
+    out = a
+    for _ in range(n - 1):
+        out = ufunc.outer(out, a).ravel()
+    return out
 
 
 class WardenStates:
@@ -241,20 +252,22 @@ class WardenStates:
     first use and shared by ``bound_chain``, ``decomposition_report`` and
     ``detect.detection_at_n``, which read nothing else.
 
-    ``model`` is the given model in its real frame (``_real_frame``), taken
-    once here: every qubit model and every real one is held as float64, so
-    the whole pass, from the n-use state to each eigensolve, runs in real
-    arithmetic; only a complex model of dimension above 2 stays complex.
+    ``model`` is the given model in rho0's eigenbasis (``_eigenframe``),
+    taken once here. There rho0^(x)n is the diagonal of the outer-product
+    eigenvalues, so each n-use divergence needs only the spectrum and the
+    diagonal of its state, and every qubit or real model runs the whole
+    pass, from the n-use state to each eigensolve, in real arithmetic.
     Every figure is the given model's except ``marginal_gap``, which is
     held in the frame.
 
-    The pass frees each d^n-square state after its last use, and each trace
-    norm overwrites a fresh tensor power with its difference. So numpy
-    holds at most two d^n-square matrices and blocks of others at any time,
-    and an eigensolve adds LAPACK's copy of its input."""
+    The pass forms two d^n-square matrices: the mixture power, which its
+    trace norm overwrites with mix^n - rho_n, and the n-use state rho_n,
+    whose copy takes rho0^n off its diagonal for the innocent trace norm.
+    It frees each after its last use, so numpy holds at most two at any
+    time, and an eigensolve adds LAPACK's copy of its input."""
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
-        self.model = _real_frame(model)
+        self.model = _eigenframe(model)
         self.cfg = cfg
 
     @cached_property
@@ -265,22 +278,26 @@ class WardenStates:
     @cached_property
     def figures(self) -> WardenFigures:
         model, mix, n, d = self.model, self.mix, self.cfg.n, self.model.dim
-        prod_mix, prod_inn = mix.power(n), model.rho0.power(n)
-        d_product = qre(prod_mix, prod_inn)
-        s_mix, marg_mix = vn_entropy(prod_mix), _marginal_sum(prod_mix.mat, n, d)
-        del prod_mix
+        # rho0^n is the diagonal lam_n. Its ascending spectrum is lam_n[order],
+        # with basis vector order[j] as the eigenvector of entry j, and its
+        # kernel is decided site by site: a product with a kernel factor.
+        lam_n = _outer_power(np.multiply, model.rho0.eigvals, n)
+        order = np.argsort(lam_n, kind="stable")
+        ref = lam_n[order], _outer_power(np.logical_or, model.rho0.kernel, n)[order], n
+        mix_vals = np.sort(_outer_power(np.multiply, mix.eigvals, n))
+        buf = tensor_power(mix.mat, n)
+        d_product = qre_spectral(mix_vals, buf.diagonal().real[order], *ref)
+        marg_mix = _marginal_sum(buf, n, d)
         rho_n = willie_state_exact(model, self.cfg)
-        d_exact = qre(rho_n, prod_inn)
-        del prod_inn
-        entropy_gap = s_mix - vn_entropy(rho_n)
+        d_exact = qre_spectral(rho_n.eigvals, rho_n.mat.diagonal().real[order], *ref)
+        entropy_gap = entropy_bits(mix_vals) - vn_entropy(rho_n)
         marginal_gap = marg_mix - _marginal_sum(rho_n.mat, n, d)
-        diff = tensor_power(model.rho0.mat, n)
-        trace_distance = trace_norm(np.subtract(rho_n.mat, diff, out=diff))
-        del diff
-        diff = tensor_power(mix.mat, n)
-        np.subtract(diff, rho_n.mat, out=diff)
+        epsilon = 0.5 * trace_norm(np.subtract(buf, rho_n.mat, out=buf))
+        del buf
+        buf = rho_n.mat.copy()
         del rho_n
-        epsilon = 0.5 * trace_norm(diff)
+        buf.flat[:: len(buf) + 1] -= lam_n
+        trace_distance = trace_norm(buf)
         return WardenFigures(d_exact, d_product, entropy_gap, marginal_gap, epsilon, trace_distance)
 
 
@@ -333,13 +350,6 @@ class DecompositionReport(NamedTuple):
     holder_bound: Optional[float]
 
 
-def _log2_on_support(rho: DensityOperator) -> np.ndarray:
-    vals, vecs = rho.eigh()
-    live = ~rho.kernel
-    logs = np.where(live, np.log2(np.where(live, vals, 1.0)), 0.0)
-    return (vecs * logs) @ vecs.conj().T
-
-
 def decomposition_report(st: WardenStates) -> DecompositionReport:
     """Compute the decomposition terms exactly and check each bound.
 
@@ -355,9 +365,13 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
     epsilon, term_entropy = fig.epsilon, fig.entropy_gap
     # Cross term tr(delta log2 rho0^{(x)n}) with delta = mix^n - rho_n.
     # The log of a product is a sum of site logs, so this is the sum over
-    # sites of tr(delta_i log2 rho0), delta_i the one-site marginals; it is
-    # computed independently of the overlaps behind qre.
-    term_cross = float(np.real(np.vdot(_log2_on_support(model.rho0), fig.marginal_gap)))
+    # sites of tr(delta_i log2 rho0), delta_i the one-site marginals; rho0
+    # is the diagonal of its eigenvalues in the frame, so only their live
+    # diagonal counts. It is computed independently of the overlaps behind
+    # the relative entropies.
+    live = ~model.rho0.kernel
+    gap = np.real(np.diagonal(fig.marginal_gap))[live]
+    term_cross = float(np.sum(np.log2(model.rho0.eigvals[live]) * gap))
 
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)

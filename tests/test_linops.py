@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covertq.covert import qre
+from covertq.covert import qre, qre_spectral
 from covertq.errors import DimensionCapError
 from covertq.linops import (
     BLOCK,
@@ -16,7 +16,8 @@ from covertq.linops import (
     tensor_power,
     trace_norm,
 )
-from conftest import random_density, random_pure
+from covertq.sparse import SparseSignalConfig, WardenStates, _outer_power
+from conftest import random_density, random_pure, random_willie_model
 
 
 def _rand_hermitian(dim, rng):
@@ -100,7 +101,7 @@ class TestTraceNorm:
         pairs = [
             (random_density(dim, rng), random_density(dim, rng)),
             (random_pure(dim, rng), random_density(dim, rng, floor=0.2)),
-            (random_density(2, rng).power(4), random_pure(16, rng)),
+            (DensityOperator(tensor_power(random_density(2, rng).mat, 4)), random_pure(16, rng)),
         ]
         for rho, sigma in pairs:
             diff = rho.mat - sigma.mat
@@ -172,40 +173,56 @@ def _site_factor_in_kernel(vec, site_state, k):
     return False
 
 
+def _power_spectrum(rho, k):
+    """The spectrum of rho^(x)k as the warden pass takes it, from rho's:
+    outer-product eigenvalues and the site-wise kernel, in Kronecker order."""
+    return _outer_power(np.multiply, rho.eigvals, k), _outer_power(np.logical_or, rho.kernel, k)
+
+
 class TestPower:
+    """The spectrum of a tensor power, read from the single-site one as the
+    warden pass reads that of rho0^(x)n."""
+
     def _cases(self, rng):
         _, _, qutrit = _rank_two_qutrit(rng)
         return [(random_density(2, rng), 6), (qutrit, 4)]
 
     def test_spectrum_matches_dense_power(self, rng):
         for rho, k in self._cases(rng):
-            p = rho.power(k)
+            vals, _ = _power_spectrum(rho, k)
             dense = np.linalg.eigvalsh(tensor_power(rho.mat, k))
-            np.testing.assert_allclose(p.eigvals, np.sort(dense), rtol=0, atol=1e-12)
-            vals, vecs = p.eigh()
-            np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, p.mat, atol=1e-12)
-            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(p.dim), atol=1e-12)
+            np.testing.assert_allclose(np.sort(vals), dense, rtol=0, atol=1e-12)
+            # In rho's eigenbasis the power is the diagonal of these values,
+            # each entry bit for bit what tensor_power multiplies.
+            assert np.array_equal(tensor_power(np.diag(rho.eigvals), k), np.diag(vals))
 
     def test_kernel_marks_products_with_a_kernel_factor(self, rng):
         for rho, k in self._cases(rng):
-            p = rho.power(k)
-            _, vecs = p.eigh()
-            expect = [_site_factor_in_kernel(vecs[:, i], rho, k) for i in range(p.dim)]
-            np.testing.assert_array_equal(p.kernel, expect)
-            np.testing.assert_allclose(p.mat @ vecs[:, p.kernel], 0.0, atol=1e-12)
+            _, kernel = _power_spectrum(rho, k)
+            vecs = tensor_power(rho.eigh()[1], k)
+            expect = [_site_factor_in_kernel(vecs[:, i], rho, k) for i in range(len(vecs))]
+            np.testing.assert_array_equal(kernel, expect)
+            np.testing.assert_allclose(tensor_power(rho.mat, k) @ vecs[:, kernel], 0.0, atol=1e-12)
             rank = np.count_nonzero(~rho.kernel)
-            assert np.count_nonzero(p.kernel) == rho.dim**k - rank**k
+            assert np.count_nonzero(kernel) == rho.dim**k - rank**k
 
     def test_small_product_eigenvalues_stay_in_support(self, rng):
         u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         rho = DensityOperator(u @ np.diag([0.98, 0.02]) @ u.conj().T)
-        p = rho.power(8)
-        assert p.eigvals[0] < SUPPORT_TOL
-        assert not p.kernel.any()
+        vals, kernel = _power_spectrum(rho, 8)
+        assert vals.min() < SUPPORT_TOL
+        assert not kernel.any()
 
     def test_qre_of_powers_is_additive(self, rng):
         a, b, sigma3 = _rank_two_qutrit(rng)
         inside = DensityOperator(0.3 * a + 0.7 * b)
+
+        def qre_of_powers(rho, sigma, k):
+            # Overlaps of the dense power with the Kronecker-power eigenbasis.
+            v = tensor_power(sigma.eigh()[1], k)
+            overlap = np.real(np.sum(v.conj() * (tensor_power(rho.mat, k) @ v), axis=0))
+            return qre_spectral(_power_spectrum(rho, k)[0], overlap, *_power_spectrum(sigma, k), k)
+
         pairs = [
             (random_density(2, rng), random_density(2, rng), 6),
             (inside, sigma3, 4),
@@ -214,10 +231,12 @@ class TestPower:
         for rho, sigma, k in pairs:
             single = qre(rho, sigma)
             assert math.isfinite(single)
-            assert qre(rho.power(k), sigma.power(k)) == pytest.approx(k * single, rel=1e-9)
+            assert qre_of_powers(rho, sigma, k) == pytest.approx(k * single, rel=1e-9)
         full = random_density(3, rng, floor=0.1)
-        assert qre(full.power(4), sigma3.power(4)) == math.inf
+        assert qre_of_powers(full, sigma3, 4) == math.inf
 
     def test_power_respects_cap(self, rng):
+        # The warden pass forms its first power before any n-use state.
+        st = WardenStates(random_willie_model(rng), SparseSignalConfig(n=11, q=0.2, vartheta=0.5))
         with pytest.raises(DimensionCapError):
-            random_density(2, rng).power(11)
+            st.figures

@@ -17,11 +17,13 @@ from covertq.channels import (
 )
 from covertq.covert import LN2, chi2, qre, vn_entropy
 from covertq.errors import DimensionCapError, SupportViolationError
+from covertq import linops, sparse
 from covertq.linops import SUPPORT_TOL, DensityOperator, tensor_power
 from covertq.detect import detection_at_n
 from covertq.sparse import (
     SparseSignalConfig,
     WardenStates,
+    _outer_power,
     _willie_state_matrix,
     decomposition_report,
     binary_entropy,
@@ -356,6 +358,31 @@ class TestBufferedBuild:
         cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
         assert self._detect_path_peak(random_willie_model(rng, dim=3), cfg) <= 3
 
+    def test_pass_forms_one_power_and_validates_only_rho_n(self, rng, monkeypatch):
+        # rho0^n is never formed: the pass builds the mixture power once, and
+        # no n-use state but rho_n is validated as a DensityOperator.
+        st = WardenStates(random_willie_model(rng), SparseSignalConfig(n=9, q=0.2, vartheta=0.5))
+        powers, validated = [], []
+        power, post_init = linops.tensor_power, DensityOperator.__post_init__
+
+        def counted_power(*args):
+            powers.append(args[1])
+            return power(*args)
+
+        def recorded_post_init(self, derived):
+            post_init(self, derived)
+            validated.append(self.mat)
+
+        for mod in (linops, sparse):
+            monkeypatch.setattr(mod, "tensor_power", counted_power)
+        monkeypatch.setattr(DensityOperator, "__post_init__", recorded_post_init)
+        st.figures
+        monkeypatch.undo()
+        assert powers == [9]
+        n_use = [m for m in validated if len(m) == 2**9]
+        assert len(n_use) == 1
+        assert np.array_equal(n_use[0], _willie_state_matrix(st.model, st.cfg))
+
 
 def _kron_chain(m, k):
     """Reference k-fold Kronecker power: a fresh np.kron result per factor."""
@@ -438,22 +465,22 @@ class TestBitIdentity:
     def test_detect_figures_qutrit_n6(self):
         _check_detect_figures(random_willie_model(np.random.default_rng(6), dim=3), 6)
 
-    def test_power_eigenvectors_match_kron_chain(self, rng):
+    def test_frame_power_is_the_outer_product_diagonal(self, rng):
+        # In its frame rho0^(x)k is the diagonal of the outer-product
+        # eigenvalues, bit for bit; the pass reads its spectrum from them.
         for d, k in ((2, 9), (3, 5)):
-            site = random_density(d, rng)
-            vals, vecs = site.power(k).eigh()
-            order = np.argsort(_kron_chain(np.diag(site.eigvals), k).diagonal().real, kind="stable")
-            assert np.array_equal(vecs, _kron_chain(site.eigh()[1], k)[:, order])
-            assert vecs.flags.f_contiguous
-
+            frame = WardenStates(random_willie_model(rng, dim=d), SparseSignalConfig(k, 0.3, 0.5)).model
+            lam = frame.rho0.eigvals
+            assert np.array_equal(frame.rho0.mat, np.diag(lam))
+            assert np.array_equal(_kron_chain(frame.rho0.mat, k), np.diag(_outer_power(np.multiply, lam, k)))
 
 
 def _frame_unitary(model):
-    """The U of ``sparse._real_frame`` for a qubit model: 1 for a real pair,
-    else rho0's eigenvectors V times diag(1, e^{-i arg B01}), B = V^dag rho_pi V."""
-    if not model.rho0.mat.imag.any() and not model.rho_pi.mat.imag.any():
-        return np.eye(2)
+    """The U of ``WardenStates``: rho0's eigenvectors V, times
+    diag(1, e^{-i arg B01}) for a qubit model, B = V^dag rho_pi V."""
     v = model.rho0.eigh()[1]
+    if model.dim > 2:
+        return v
     b01 = (v.conj().T @ model.rho_pi.mat @ v)[0, 1]
     return v * np.array([1.0, np.exp(-1j * np.angle(b01))])
 
@@ -534,48 +561,79 @@ QUBIT_MODELS = {
 }
 
 
+def _diagonal_model(rng):
+    """Diagonal real states, rho0's larger eigenvalue first, as in the shipped
+    model: the frame only reorders the basis."""
+    p, r = rng.uniform(0.6, 0.95), rng.uniform(0.05, 0.95)
+    return WillieModel(
+        rho0=DensityOperator(np.diag([p, 1.0 - p]).astype(complex)),
+        rho_pi=DensityOperator(np.diag([r, 1.0 - r]).astype(complex)),
+    )
+
+
+def _real_float_model(rng):
+    """Non-commuting real qubit states held as float64."""
+    model = _real_model(rng)
+    return WillieModel(*(DensityOperator(s.mat.real.copy()) for s in (model.rho0, model.rho_pi)))
+
+
+def _real_qutrit_model(rng):
+    """Non-commuting real qutrit states, rho0 of full rank, held as complex."""
+    model = random_willie_model(rng, dim=3)
+    return WillieModel(*(DensityOperator(s.mat.real.astype(complex)) for s in (model.rho0, model.rho_pi)))
+
+
+FRAME_MODELS = {
+    **QUBIT_MODELS,
+    "diagonal": _diagonal_model,
+    "real-float": _real_float_model,
+    "real-qutrit": _real_qutrit_model,
+    "complex-qutrit": lambda rng: random_willie_model(rng, dim=3),
+}
+
+
+def _check_frame(model):
+    """``WardenStates`` holds the model in rho0's eigenbasis, rho0 as the
+    exact diagonal of its eigenvalues, in float64 unless the pair is complex
+    and above qubit dimension; every figure is the given model's, within
+    1e-12 of whole complex matrices."""
+    cfg = SparseSignalConfig(n=6 if model.dim == 2 else 4, q=0.3, vartheta=0.5)
+    st = WardenStates(model, cfg)
+    assert np.array_equal(st.model.rho0.mat, np.diag(st.model.rho0.eigvals))
+    complex_pair = model.dim > 2 and (model.rho0.mat.imag.any() or model.rho_pi.mat.imag.any())
+    assert st.model.rho0.mat.dtype == np.float64
+    assert st.model.rho_pi.mat.dtype == (np.complex128 if complex_pair else np.float64)
+    u = _frame_unitary(model)
+    for given, frame in ((model.rho0, st.model.rho0), (model.rho_pi, st.model.rho_pi)):
+        assert np.abs(u.conj().T @ given.mat @ u - frame.mat).max() <= 1e-15
+    got = {
+        **st.figures._asdict(),
+        **bound_chain(st)._asdict(),
+        **decomposition_report(st)._asdict(),
+    }
+    want = _whole_matrix_figures(model, cfg)
+    assert set(got) == set(want)
+    # The marginal gap is held in the frame; rotated back, it is the model's.
+    got["marginal_gap"] = u @ got["marginal_gap"] @ u.conj().T
+    for name, value in want.items():
+        if value is None:
+            assert got[name] is None, name
+        else:
+            assert np.abs(got[name] - value).max() <= 1e-12, (name, got[name], value)
+
+
 class TestRealFrame:
-    """``WardenStates`` computes in a real frame; every figure is the given
-    model's."""
+    """``WardenStates`` computes in rho0's eigenbasis, in real arithmetic for
+    every qubit or real pair; every figure is the given model's."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("kind", sorted(QUBIT_MODELS))
     def test_qubit_figures_match_whole_complex_matrices(self, kind, seed):
-        model = QUBIT_MODELS[kind](np.random.default_rng(seed))
-        cfg = SparseSignalConfig(n=6, q=0.3, vartheta=0.5)
-        st = WardenStates(model, cfg)
-        u = _frame_unitary(model)
-        for given, frame in ((model.rho0, st.model.rho0), (model.rho_pi, st.model.rho_pi)):
-            assert frame.mat.dtype == np.float64
-            assert np.abs(u.conj().T @ given.mat @ u - frame.mat).max() <= 1e-15
-        got = {
-            **st.figures._asdict(),
-            **bound_chain(st)._asdict(),
-            **decomposition_report(st)._asdict(),
-        }
-        want = _whole_matrix_figures(model, cfg)
-        assert set(got) == set(want)
-        # The marginal gap is held in the frame; rotated back, it is the model's.
-        got["marginal_gap"] = u @ got["marginal_gap"] @ u.conj().T
-        for name, value in want.items():
-            if value is None:
-                assert got[name] is None, name
-            else:
-                assert np.abs(got[name] - value).max() <= 1e-12, (name, got[name], value)
+        _check_frame(QUBIT_MODELS[kind](np.random.default_rng(seed)))
 
-    def test_real_pair_keeps_the_identity_frame(self, rng):
-        model = _real_model(rng)
-        frame = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.5)).model
-        for given, held in ((model.rho0, frame.rho0), (model.rho_pi, frame.rho_pi)):
-            assert held.mat.dtype == np.float64
-            assert np.array_equal(held.mat, given.mat.real)
-
-    def test_complex_qutrit_pair_stays_complex(self, rng):
-        model = random_willie_model(rng, dim=3)
-        st = WardenStates(model, SparseSignalConfig(n=3, q=0.3, vartheta=0.5))
-        assert st.model is model
-        assert st.model.rho0.mat.dtype == st.model.rho_pi.mat.dtype == np.complex128
-        assert willie_state_exact(st.model, st.cfg).mat.dtype == np.complex128
+    @pytest.mark.parametrize("kind", sorted(FRAME_MODELS))
+    def test_frame_is_the_eigenbasis_of_rho0(self, kind):
+        _check_frame(FRAME_MODELS[kind](np.random.default_rng(7)))
 
 
 class TestBoundChain:

@@ -155,12 +155,12 @@ def _owners(pred) -> list:
 
 
 def _forms_n_use_state(node) -> bool:
-    """A reference to willie_state_exact or a call of a ``.power`` method."""
-    if isinstance(node, ast.Name) and node.id == "willie_state_exact":
+    """A reference to ``tensor_power`` or ``willie_state_exact``, the two
+    builders of an n-use state."""
+    names = ("tensor_power", "willie_state_exact")
+    if isinstance(node, ast.Name) and node.id in names:
         return True
-    if isinstance(node, ast.Attribute) and node.attr == "willie_state_exact":
-        return True
-    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "power"
+    return isinstance(node, ast.Attribute) and node.attr in names
 
 
 def test_only_the_warden_pass_forms_n_use_states():
@@ -225,17 +225,26 @@ def test_each_rule_is_decided_once():
         "entropy" + "4",
         "Estimation" + "FailureError",
         "_SUB" + "MODULES",
+        "_Power" + "Spectrum",
+        "eigvec" + "_blocks",
+        "_power" + "_columns",
+        "_real" + "_frame",
+        "_log2_on" + "_support",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
         assert not [name for name in gone if name in text], path
     # One Shannon entropy: covert.entropy_bits is the one sum of p log2 p;
-    # qre and sparse._log2_on_support take the logs of a reference state.
+    # qre_spectral and the cross term take the logs of a reference spectrum.
     assert sorted(_owners(_calls_np_log2)) == [
         ("covert", "entropy_bits"),
-        ("covert", "qre"),
-        ("sparse", "_log2_on_support"),
+        ("covert", "qre_spectral"),
+        ("sparse", "decomposition_report"),
     ]
+    # A tensor power's spectrum is read from its site's by the warden pass;
+    # a DensityOperator holds one matrix and its own spectrum.
+    for attr in ("power", "eigvec" + "_blocks", "sites", "_power"):
+        assert not hasattr(DensityOperator, attr), attr
     # The package init imports nothing and resolves no submodule lazily.
     init = ast.parse((REPO / "src" / "covertq" / "__init__.py").read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
