@@ -7,6 +7,12 @@ A = {w : |q - w/n| <= vartheta}, sampled i.i.d. Bernoulli(q) conditioned on
 membership. All sums over patterns collapse to sums over weight classes
 because the conditioned distribution is permutation symmetric; the collapse
 is exact, not an approximation.
+
+The n-use figures come from one pass with two routes. A qubit pair whose
+frame coherence is nonzero takes the Schur-Weyl blocks of the three
+permutation-invariant states, at most n + 1 wide, and forms no d^n-square
+matrix. Every other pair (dimension above 2, or a diagonal qubit pair such
+as the shipped model) forms the exact d^n-square states.
 """
 
 from __future__ import annotations
@@ -109,6 +115,16 @@ def chernoff_epsilon(cfg: SparseSignalConfig) -> float:
     return 2.0 * math.exp(-cfg.q * cfg.n * cfg.vartheta**2 / 3.0)
 
 
+def _class_probs(cfg: SparseSignalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """For w = 0 .. n, the probability q^w (1 - q)^(n - w) of one pattern of
+    weight w, and the same conditioned on the weight set: 0 outside it."""
+    n, q, ws = cfg.n, cfg.q, cfg.weight_range()
+    p_all = np.array([q**w * (1.0 - q) ** (n - w) for w in range(n + 1)])
+    p_in = np.zeros(n + 1)
+    p_in[ws.start : ws.stop] = p_all[ws.start : ws.stop] * (1.0 / weight_set_prob(cfg))
+    return p_all, p_in
+
+
 # ---------------------------------------------------------------------------
 # Exact warden states
 # ---------------------------------------------------------------------------
@@ -127,11 +143,11 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     scaled and added to the mixture, so every entry is bit for bit that of
     the full ``np.kron`` recursion. The matrix takes the model's dtype, real
     for two real states. Live: the result and blocks smaller than it."""
-    rho0, rho_pi, n, q, d = model.rho0.mat, model.rho_pi.mat, cfg.n, cfg.q, model.dim
+    rho0, rho_pi, n, d = model.rho0.mat, model.rho_pi.mat, cfg.n, model.dim
     check_exact_block(n, d)
     dtype = np.result_type(rho0, rho_pi)
 
-    ws = cfg.weight_range()
+    ws, (p_all, _) = cfg.weight_range(), _class_probs(cfg)
     free = n  # levels at which a block spans more than one row
     while free > 1 and d**free > BLOCK:
         free -= 1
@@ -158,7 +174,7 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
                 if k < n:
                     cur.append(acc)
                 else:
-                    acc *= q**w * (1.0 - q) ** (n - w)
+                    acc *= p_all[w]
                     out[top : top + height] += acc
             prev, base = cur, cls.start
     # A multiply by the reciprocal, which is what numpy's complex division by
@@ -202,10 +218,18 @@ class WardenFigures(NamedTuple):
     trace_distance: float  # ||rho_n - rho0^n||_1
 
 
-def _marginal_sum(mat: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Sum over the n sites of the one-site marginals of a d^n-square matrix."""
-    shapes = ((d**i, d, d ** (n - 1 - i)) for i in range(n))
-    return sum(np.einsum("aibajb->ij", mat.reshape(s + s)) for s in shapes)
+def _marginal_gap(model: WillieModel, mix: DensityOperator, cfg: SparseSignalConfig) -> np.ndarray:
+    """Sum over the n sites of the one-site marginals of mix^n - rho_n, in
+    closed form. mix^n's sum is n tr(mix)^(n-1) mix. A weight-w class sum
+    holds rho0 at a given site in C(n-1, w) patterns, each with the other
+    sites' traces tau0^(n-1-w) tau_pi^w, and rho_pi there in C(n-1, w-1)
+    patterns, each with tau0^(n-w) tau_pi^(w-1)."""
+    n, (_, p_in) = cfg.n, _class_probs(cfg)
+    rho0, rho_pi = model.rho0.mat, model.rho_pi.mat
+    tau0, tau_pi = np.trace(rho0).real, np.trace(rho_pi).real
+    c0 = sum(p_in[w] * math.comb(n - 1, w) * tau0 ** (n - 1 - w) * tau_pi**w for w in range(n))
+    c_pi = sum(p_in[w] * math.comb(n - 1, w - 1) * tau0 ** (n - w) * tau_pi ** (w - 1) for w in range(1, n + 1))
+    return n * (np.trace(mix.mat).real ** (n - 1) * mix.mat - c0 * rho0 - c_pi * rho_pi)
 
 
 def _eigenframe(model: WillieModel) -> WillieModel:
@@ -260,11 +284,18 @@ class WardenStates:
     Every figure is the given model's except ``marginal_gap``, which is
     held in the frame.
 
-    The pass forms two d^n-square matrices: the mixture power, which its
-    trace norm overwrites with mix^n - rho_n, and the n-use state rho_n,
-    whose copy takes rho0^n off its diagonal for the innocent trace norm.
-    It frees each after its last use, so numpy holds at most two at any
-    time, and an eigensolve adds LAPACK's copy of its input."""
+    Both routes read d_product from the spectrum and the diagonal of mix^n,
+    outer products of the single-site ones, and take the marginal gap in
+    closed form (``_marginal_gap``). A qubit pair whose frame
+    coherence rho_pi'[0, 1] is nonzero then takes the block pass
+    (``_block_figures``), which holds no d^n-square matrix and runs no
+    eigensolve wider than n + 1. Every other pair takes the dense pass,
+    which forms two d^n-square matrices: the mixture power, which its trace
+    norm overwrites with mix^n - rho_n, and the n-use state rho_n, whose
+    copy takes rho0^n off its diagonal for the innocent trace norm. It frees
+    each after its last use, so numpy holds at most two at any time, and an
+    eigensolve adds LAPACK's copy of its input. Both refuse a block length
+    past the dense cap (``check_exact_block``) first."""
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
         self.model = _eigenframe(model)
@@ -278,6 +309,7 @@ class WardenStates:
     @cached_property
     def figures(self) -> WardenFigures:
         model, mix, n, d = self.model, self.mix, self.cfg.n, self.model.dim
+        check_exact_block(n, d)
         # rho0^n is the diagonal lam_n. Its ascending spectrum is lam_n[order],
         # with basis vector order[j] as the eigenvector of entry j, and its
         # kernel is decided site by site: a product with a kernel factor.
@@ -285,20 +317,97 @@ class WardenStates:
         order = np.argsort(lam_n, kind="stable")
         ref = lam_n[order], _outer_power(np.logical_or, model.rho0.kernel, n)[order], n
         mix_vals = np.sort(_outer_power(np.multiply, mix.eigvals, n))
-        buf = tensor_power(mix.mat, n)
-        d_product = qre_spectral(mix_vals, buf.diagonal().real[order], *ref)
-        marg_mix = _marginal_sum(buf, n, d)
-        rho_n = willie_state_exact(model, self.cfg)
-        d_exact = qre_spectral(rho_n.eigvals, rho_n.mat.diagonal().real[order], *ref)
-        entropy_gap = entropy_bits(mix_vals) - vn_entropy(rho_n)
-        marginal_gap = marg_mix - _marginal_sum(rho_n.mat, n, d)
-        epsilon = 0.5 * trace_norm(np.subtract(buf, rho_n.mat, out=buf))
-        del buf
-        buf = rho_n.mat.copy()
-        del rho_n
-        buf.flat[:: len(buf) + 1] -= lam_n
-        trace_distance = trace_norm(buf)
-        return WardenFigures(d_exact, d_product, entropy_gap, marginal_gap, epsilon, trace_distance)
+        mix_diag = _outer_power(np.multiply, mix.mat.diagonal().real, n)
+        d_product = qre_spectral(mix_vals, mix_diag[order], *ref)
+        if d == 2 and model.rho_pi.mat[0, 1] != 0:
+            d_exact, s_n, epsilon, trace_distance = _block_figures(model, self.cfg)
+        else:
+            buf = tensor_power(mix.mat, n)
+            rho_n = willie_state_exact(model, self.cfg)
+            d_exact = qre_spectral(rho_n.eigvals, rho_n.mat.diagonal().real[order], *ref)
+            s_n = vn_entropy(rho_n)
+            epsilon = 0.5 * trace_norm(np.subtract(buf, rho_n.mat, out=buf))
+            del buf
+            buf = rho_n.mat.copy()
+            del rho_n
+            buf.flat[:: len(buf) + 1] -= lam_n
+            trace_distance = trace_norm(buf)
+        return WardenFigures(
+            d_exact,
+            d_product,
+            entropy_bits(mix_vals) - s_n,
+            _marginal_gap(model, mix, self.cfg),
+            epsilon,
+            trace_distance,
+        )
+
+
+def _sym_blocks(p0: np.ndarray, p1: np.ndarray, n: int):
+    """The Schur-Weyl blocks of P(t)^(x)n for P(t) = p0 + t p1, two real
+    2 x 2 matrices: for each irrep k = 0 .. n // 2, its multiplicity
+    C(n, k) - C(n, k - 1) and an array [row, column, w] whose slice w is the
+    orthonormal (m + 1)-square block, m = n - 2k, of the t^w coefficient.
+
+    On irrep k a product P^(x)n acts as det(P)^k Sym^m(P). Column j of
+    Sym^m(P) in the monomial basis x^(m-j) y^j holds the coefficients of
+    (P00 x + P10 y)^(m-j) (P01 x + P11 y)^j, and the orthonormal block is
+    D^(-1/2) M D^(1/2), D = diag C(m, j). A polynomial in y and t is held as
+    one coefficient array in z, y = z^step and t = z, so every product is
+    one ``np.convolve``; no t-degree passes n, so no two terms share a
+    slot."""
+    step = n + 1
+    lin0, lin1 = np.zeros(step + 2), np.zeros(step + 2)
+    lin0[[0, 1, step, step + 1]] = p0[0, 0], p1[0, 0], p0[1, 0], p1[1, 0]
+    lin1[[0, 1, step, step + 1]] = p0[0, 1], p1[0, 1], p0[1, 1], p1[1, 1]
+    # Slots 0-1 of lin0 and lin1 hold P00 and P01 as polynomials in t, and
+    # slots step to step + 1 hold P10 and P11: det P = P00 P11 - P01 P10.
+    det = np.convolve(lin0[:2], lin1[step:]) - np.convolve(lin1[:2], lin0[step:])
+    pow0, pow1 = [np.ones(1)], [np.ones(1)]
+    for _ in range(n):
+        pow0.append(np.convolve(pow0[-1], lin0))
+        pow1.append(np.convolve(pow1[-1], lin1))
+    det_k = np.ones(1)
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        coef = np.zeros((m + 1, (m + 1) * step))
+        for j in range(m + 1):
+            col = np.convolve(np.convolve(pow0[m - j], pow1[j]), det_k)
+            coef[j, : len(col)] = col
+        root = np.sqrt([float(math.comb(m, j)) for j in range(m + 1)])
+        scale = (root / root[:, None])[..., None]
+        yield math.comb(n, k) - (math.comb(n, k - 1) if k else 0), (
+            coef.reshape(m + 1, m + 1, step).transpose(1, 0, 2) * scale
+        )
+        det_k = np.convolve(det_k, det)
+
+
+def _block_figures(model: WillieModel, cfg: SparseSignalConfig) -> tuple[float, float, float, float]:
+    """d_exact, the entropy of rho_n, epsilon and the innocent trace
+    distance of a qubit pair in its frame, from the Schur-Weyl blocks
+    (``_sym_blocks``) of rho0' + t rho_pi'.
+
+    The t^w coefficient of the n-fold power is the weight-w class sum, so
+    the blocks of rho_n and mix^n are its weight-set and binomial sums, and
+    rho0^n's is the t^0 term, the diagonal lam0^(k+m-j) lam1^(k+j), whose
+    kernel is decided site by site. In the frame every input coefficient is
+    nonnegative (rho0's eigenvalues, rho_pi's diagonal, |B01|, and
+    det rho_pi' at t^2 of the determinant), so the sums of products that
+    form the blocks do not cancel. Each block of rho_n is validated as a
+    state; each spectrum and diagonal enters ``qre_spectral`` and
+    ``entropy_bits`` repeated by its multiplicity, and each trace norm is
+    weighted by it."""
+    n, (ker0, ker1) = cfg.n, model.rho0.kernel
+    p_all, p_in = _class_probs(cfg)
+    parts, epsilon, trace_distance = [], 0.0, 0.0
+    for k, (mult, blocks) in enumerate(_sym_blocks(model.rho0.mat, model.rho_pi.mat, n)):
+        j = np.arange(len(blocks))
+        r_k, lam_k = DensityOperator(blocks @ p_in, _derived=True), blocks[..., 0]
+        ker_k = ((n - k - j > 0) & ker0) | ((k + j > 0) & ker1)
+        epsilon += mult * trace_norm(blocks @ p_all - r_k.mat)
+        trace_distance += mult * trace_norm(r_k.mat - lam_k)
+        parts.append([np.repeat(x, mult) for x in (r_k.eigvals, r_k.mat.diagonal(), lam_k.diagonal(), ker_k)])
+    vals, overlap, ref_vals, ref_kernel = map(np.concatenate, zip(*parts))
+    return qre_spectral(vals, overlap, ref_vals, ref_kernel, n), entropy_bits(vals), 0.5 * epsilon, trace_distance
 
 
 def bound_chain(st: WardenStates) -> BoundChain:

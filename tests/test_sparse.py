@@ -345,14 +345,16 @@ class TestBufferedBuild:
             tracemalloc.stop()
         return peak / (model.dim**cfg.n) ** 2 / 16
 
-    # At the dense cap, the detect path fits in three d^n-square matrices of
+    # At the dense cap, the dense pass fits in three d^n-square matrices of
     # numpy memory: two live states (or one state and the difference a trace
-    # norm takes), and the row or column blocks of everything else. A qubit
-    # model runs in its real frame, so those are float64 matrices: 1.5 units
-    # of 16 bytes an entry. A complex qutrit model stays complex: 3 units.
+    # norm takes), and the row or column blocks of everything else. A complex
+    # qutrit model runs it in complex arithmetic: 3 units of 16 bytes an
+    # entry. A coherent qubit model takes the block pass, which holds no
+    # d^n-square matrix, only blocks of at most n + 1 rows and d^n-long
+    # diagonals: under a twentieth of a unit.
     def test_detect_path_memory_at_n9(self, rng):
         cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
-        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 1.5
+        assert self._detect_path_peak(random_willie_model(rng), cfg) <= 0.05
 
     def test_detect_path_memory_qutrit_n6(self, rng):
         cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
@@ -361,7 +363,8 @@ class TestBufferedBuild:
     def test_pass_forms_one_power_and_validates_only_rho_n(self, rng, monkeypatch):
         # rho0^n is never formed: the pass builds the mixture power once, and
         # no n-use state but rho_n is validated as a DensityOperator.
-        st = WardenStates(random_willie_model(rng), SparseSignalConfig(n=9, q=0.2, vartheta=0.5))
+        # A diagonal qubit pair takes the dense pass.
+        st = WardenStates(_diagonal_model(rng), SparseSignalConfig(n=9, q=0.2, vartheta=0.5))
         powers, validated = [], []
         power, post_init = linops.tensor_power, DensityOperator.__post_init__
 
@@ -449,18 +452,28 @@ def _check_detect_figures(model, n):
 
 
 class TestBitIdentity:
-    """The row- and column-block products, the buffered builds and the
+    """On the dense pass (pairs of dimension above 2, and diagonal qubit
+    pairs), the row- and column-block products, the buffered builds and the
     one-pass figures print the same bytes as whole-matrix products."""
 
-    @pytest.mark.parametrize("kind", ["mixed-ad", "isometry"])
+    @pytest.mark.parametrize("kind", ["diagonal", "mixed-ad", "isometry"])
     def test_detect_figures_at_n9(self, kind):
         rng = np.random.default_rng(9)
+        if kind == "diagonal":
+            # A diagonal qubit pair takes the dense pass, as the shipped
+            # model does.
+            _check_detect_figures(_diagonal_model(rng), 9)
+            return
         if kind == "mixed-ad":
             model = _mixed_ad_model(rng)
         else:
             ch = complementary(random_channel(2, 2, 2, rng))
             model = willie_model(ch, DensityOperator.basis_state(2, 1))
-        _check_detect_figures(model, 9)
+        # A qubit pair with frame coherence takes the block pass, whose sums
+        # run in another order: within 1e-12 of whole complex matrices.
+        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+        assert WardenStates(model, cfg).model.rho_pi.mat[0, 1] != 0
+        _check_frame(model, cfg)
 
     def test_detect_figures_qutrit_n6(self):
         _check_detect_figures(random_willie_model(np.random.default_rng(6), dim=3), 6)
@@ -592,12 +605,12 @@ FRAME_MODELS = {
 }
 
 
-def _check_frame(model):
+def _check_frame(model, cfg=None):
     """``WardenStates`` holds the model in rho0's eigenbasis, rho0 as the
     exact diagonal of its eigenvalues, in float64 unless the pair is complex
     and above qubit dimension; every figure is the given model's, within
     1e-12 of whole complex matrices."""
-    cfg = SparseSignalConfig(n=6 if model.dim == 2 else 4, q=0.3, vartheta=0.5)
+    cfg = cfg or SparseSignalConfig(n=6 if model.dim == 2 else 4, q=0.3, vartheta=0.5)
     st = WardenStates(model, cfg)
     assert np.array_equal(st.model.rho0.mat, np.diag(st.model.rho0.eigvals))
     complex_pair = model.dim > 2 and (model.rho0.mat.imag.any() or model.rho_pi.mat.imag.any())
@@ -634,6 +647,64 @@ class TestRealFrame:
     @pytest.mark.parametrize("kind", sorted(FRAME_MODELS))
     def test_frame_is_the_eigenbasis_of_rho0(self, kind):
         _check_frame(FRAME_MODELS[kind](np.random.default_rng(7)))
+
+
+class TestSchurWeylBlocks:
+    """A qubit pair with a nonzero frame coherence takes the block pass: its
+    figures come from the Schur-Weyl blocks of the permutation-invariant
+    states, at most n + 1 wide."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_split(self, n):
+        # The irreps of (C^2)^(x)n fill the space, and on them a product
+        # A^(x)n has the spectrum of the Kronecker chain.
+        g = np.random.default_rng(n).normal(size=(2, 2))
+        a = g + g.T
+        split = list(sparse._sym_blocks(a, np.zeros((2, 2)), n))
+        assert sum(mult * len(blocks) for mult, blocks in split) == 2**n
+        assert all(not blocks[..., 1:].any() for _, blocks in split)
+        vals = np.concatenate([np.repeat(np.linalg.eigvalsh(b[..., 0]), mult) for mult, b in split])
+        assert np.abs(np.sort(vals) - np.linalg.eigvalsh(_kron_chain(a, n))).max() <= 1e-13
+
+    def test_coherent_pair_forms_no_n_use_state(self, rng, monkeypatch):
+        # Neither n-use builder runs, and no validated state is wider than
+        # an irrep.
+        st = WardenStates(random_willie_model(rng), SparseSignalConfig(n=9, q=0.2, vartheta=0.5))
+        assert st.model.rho_pi.mat[0, 1] != 0
+        built, widths = [], []
+        post_init = DensityOperator.__post_init__
+
+        def refused(*args):
+            built.append(args)
+            raise AssertionError("an n-use state is formed")
+
+        def recorded_post_init(self, derived):
+            post_init(self, derived)
+            widths.append(len(self.mat))
+
+        for mod in (linops, sparse):
+            for name in ("tensor_power", "willie_state_exact"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refused)
+        monkeypatch.setattr(DensityOperator, "__post_init__", recorded_post_init)
+        st.figures
+        monkeypatch.undo()
+        assert built == []
+        assert widths and max(widths) <= 10
+
+    @pytest.mark.parametrize("kind", [*sorted(QUBIT_MODELS), "flat-rho0"])
+    def test_figures_match_whole_matrices(self, kind):
+        # For n = 1 .. 10, on weight sets that leave out weights 0 and n
+        # (at n = 1 the set holds both), every figure is within 1e-12 of
+        # whole complex matrices.
+        rng = np.random.default_rng(22)
+        for n in range(1, 11):
+            if kind == "flat-rho0":
+                model = WillieModel(DensityOperator.maximally_mixed(2), random_willie_model(rng).rho_pi)
+            else:
+                model = QUBIT_MODELS[kind](rng)
+            cfg = _inner_weight_config(n, rng) if n > 1 else SparseSignalConfig(1, 0.4, 0.7)
+            _check_frame(model, cfg)
 
 
 class TestBoundChain:
