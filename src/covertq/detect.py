@@ -26,7 +26,7 @@ def detection_at_n(st: WardenStates, delta_qre: float) -> DetectionResult:
     product, with the covertness flag for the budget ``delta_qre`` in nats,
     which must be finite and nonnegative (``covert.check_budget``). Block
     lengths past the dense cap (``linops.check_exact_block``) raise
-    ``DimensionCapError`` when the warden state is built.
+    ``DimensionCapError`` from ``st.figures`` before any state is built.
 
     A support violation is reported through an infinite divergence (and a
     false flag) rather than an exception, since the trace-distance figures

@@ -8,11 +8,12 @@ membership. All sums over patterns collapse to sums over weight classes
 because the conditioned distribution is permutation symmetric; the collapse
 is exact, not an approximation.
 
-The n-use figures come from one pass with two routes. A qubit pair whose
-frame coherence is nonzero takes the Schur-Weyl blocks of the three
-permutation-invariant states, at most n + 1 wide, and forms no d^n-square
-matrix. Every other pair (dimension above 2, or a diagonal qubit pair such
-as the shipped model) forms the exact d^n-square states.
+The n-use figures come from one loop over blocks of the three
+permutation-invariant states, and two routes cut the blocks. A qubit pair
+whose frame coherence is nonzero takes its Schur-Weyl blocks, at most
+n + 1 wide, and forms no d^n-square matrix. Every other pair (dimension
+above 2, or a diagonal qubit pair such as the shipped model) is one block,
+the exact d^n-square states.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linops import BLOCK, SUPPORT_TOL, DensityOperator, check_exact_block
-from .linops import dagger, kron_into, tensor_power, trace_norm
+from .linops import dagger, kron, tensor_power, trace_norm
 from .channels import WillieModel
 from .covert import LN2, check_block_length, chi2, entropy_bits, qre, qre_spectral
-from .covert import require_support, vn_entropy
+from .covert import require_support
 
 
 def check_vartheta(vartheta: float) -> None:
@@ -138,11 +139,11 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
     rho0 + S_{k-1}[w-1] (x) rho_pi; level k keeps only the classes the weight
     set can still reach. Rows of a Kronecker product are products of rows of
     its factors, so each block grows from one row per class at the lower
-    levels. ``linops.kron_into`` writes each product, the rho_pi branch
-    into its own block that is then added, and each top-level class block is
-    scaled and added to the mixture, so every entry is bit for bit that of
-    the full ``np.kron`` recursion. The matrix takes the model's dtype, real
-    for two real states. Live: the result and blocks smaller than it."""
+    levels. Each product is one ``linops.kron``, the rho_pi branch added to
+    the rho0 branch, and each top-level class block is scaled and added to
+    the mixture, so every entry is bit for bit that of the full ``np.kron``
+    recursion. The matrix takes the model's dtype, real for two real states.
+    Live: the result and blocks smaller than it."""
     rho0, rho_pi, n, d = model.rho0.mat, model.rho_pi.mat, cfg.n, model.dim
     check_exact_block(n, d)
     dtype = np.result_type(rho0, rho_pi)
@@ -160,17 +161,15 @@ def _willie_state_matrix(model: WillieModel, cfg: SparseSignalConfig) -> np.ndar
             # top // d^(n-k), so it takes one row of each site factor.
             site = slice(None) if k > n - free else (top // d ** (n - k)) % d
             b0, b_pi = rho0[site].reshape(-1, d), rho_pi[site].reshape(-1, d)
-            shape = (len(prev[0]) * len(b0), prev[0].shape[1] * d)
             cls = range(max(0, ws.start - (n - k)), min(k + 1, ws.stop))
             cur = []
             for w in cls:
-                acc = np.empty(shape, dtype=dtype)
                 if w < k:
-                    kron_into(prev[w - base], b0, acc)
+                    acc = kron(prev[w - base], b0)
                     if w > 0:
-                        acc += kron_into(prev[w - 1 - base], b_pi, np.empty_like(acc))
+                        acc += kron(prev[w - 1 - base], b_pi)
                 else:
-                    kron_into(prev[w - 1 - base], b_pi, acc)
+                    acc = kron(prev[w - 1 - base], b_pi)
                 if k < n:
                     cur.append(acc)
                 else:
@@ -284,18 +283,19 @@ class WardenStates:
     Every figure is the given model's except ``marginal_gap``, which is
     held in the frame.
 
-    Both routes read d_product from the spectrum and the diagonal of mix^n,
-    outer products of the single-site ones, and take the marginal gap in
-    closed form (``_marginal_gap``). A qubit pair whose frame
-    coherence rho_pi'[0, 1] is nonzero then takes the block pass
-    (``_block_figures``), which holds no d^n-square matrix and runs no
-    eigensolve wider than n + 1. Every other pair takes the dense pass,
-    which forms two d^n-square matrices: the mixture power, which its trace
-    norm overwrites with mix^n - rho_n, and the n-use state rho_n, whose
-    copy takes rho0^n off its diagonal for the innocent trace norm. It frees
-    each after its last use, so numpy holds at most two at any time, and an
-    eigensolve adds LAPACK's copy of its input. Both refuse a block length
-    past the dense cap (``check_exact_block``) first."""
+    d_product is read from the spectrum and the diagonal of mix^n, outer
+    products of the single-site ones, and the marginal gap has a closed
+    form (``_marginal_gap``). Every other figure comes from one loop over
+    blocks (multiplicity, rho_n's block as a validated state, mix^n's
+    block, rho0^n's diagonal and kernel): multiplicity-weighted trace norms,
+    and d_exact and S(rho_n) from one helper that d_product shares
+    (``_divergence_and_entropy``). A qubit pair whose frame coherence
+    rho_pi'[0, 1] is nonzero has a block per Schur-Weyl irrep
+    (``_sym_state_blocks``), none wider than n + 1. Every other pair is one
+    block, the d^n-square states, formed only when the loop asks for them;
+    numpy holds at most two at any time, and an eigensolve adds LAPACK's
+    copy of its input. The block length is checked against the dense cap
+    (``check_exact_block``) before any state is built."""
 
     def __init__(self, model: WillieModel, cfg: SparseSignalConfig):
         self.model = _eigenframe(model)
@@ -308,38 +308,45 @@ class WardenStates:
 
     @cached_property
     def figures(self) -> WardenFigures:
-        model, mix, n, d = self.model, self.mix, self.cfg.n, self.model.dim
-        check_exact_block(n, d)
-        # rho0^n is the diagonal lam_n. Its ascending spectrum is lam_n[order],
-        # with basis vector order[j] as the eigenvector of entry j, and its
-        # kernel is decided site by site: a product with a kernel factor.
+        model, mix, cfg, n = self.model, self.mix, self.cfg, self.cfg.n
+        check_exact_block(n, model.dim)
+        # rho0^n is the diagonal lam_n, and its kernel is decided site by
+        # site: a product with a kernel factor.
         lam_n = _outer_power(np.multiply, model.rho0.eigvals, n)
-        order = np.argsort(lam_n, kind="stable")
-        ref = lam_n[order], _outer_power(np.logical_or, model.rho0.kernel, n)[order], n
+        ker_n = _outer_power(np.logical_or, model.rho0.kernel, n)
         mix_vals = np.sort(_outer_power(np.multiply, mix.eigvals, n))
         mix_diag = _outer_power(np.multiply, mix.mat.diagonal().real, n)
-        d_product = qre_spectral(mix_vals, mix_diag[order], *ref)
-        if d == 2 and model.rho_pi.mat[0, 1] != 0:
-            d_exact, s_n, epsilon, trace_distance = _block_figures(model, self.cfg)
-        else:
-            buf = tensor_power(mix.mat, n)
-            rho_n = willie_state_exact(model, self.cfg)
-            d_exact = qre_spectral(rho_n.eigvals, rho_n.mat.diagonal().real[order], *ref)
-            s_n = vn_entropy(rho_n)
-            epsilon = 0.5 * trace_norm(np.subtract(buf, rho_n.mat, out=buf))
-            del buf
-            buf = rho_n.mat.copy()
-            del rho_n
-            buf.flat[:: len(buf) + 1] -= lam_n
-            trace_distance = trace_norm(buf)
+        d_product, s_mix = _divergence_and_entropy(mix_vals, mix_diag, lam_n, ker_n, n)
+        if model.dim == 2 and model.rho_pi.mat[0, 1] != 0:
+            blocks = _sym_state_blocks(model, cfg)
+        else:  # one block, the whole space, formed when the loop asks for it
+            blocks = ((1, willie_state_exact(model, cfg), tensor_power(mix.mat, n), lam_n, ker_n) for _ in [0])
+        parts, epsilon, trace_distance = [], 0.0, 0.0
+        for mult, r, mix_b, lam_b, ker_b in blocks:
+            parts.append([np.repeat(x, mult) for x in (r.eigvals, r.mat.diagonal().real, lam_b, ker_b)])
+            epsilon += mult * trace_norm(np.subtract(mix_b, r.mat, out=mix_b))
+            del mix_b  # before rho_n's copy forms: two d^n-square matrices at most
+            buf = r.mat.copy()
+            buf.flat[:: len(buf) + 1] -= lam_b
+            trace_distance += mult * trace_norm(buf)
+        d_exact, s_n = _divergence_and_entropy(*map(np.concatenate, zip(*parts)), n)
         return WardenFigures(
             d_exact,
             d_product,
-            entropy_bits(mix_vals) - s_n,
-            _marginal_gap(model, mix, self.cfg),
-            epsilon,
+            s_mix - s_n,
+            _marginal_gap(model, mix, cfg),
+            0.5 * epsilon,
             trace_distance,
         )
+
+
+def _divergence_and_entropy(vals, diag, ref_diag, ref_kernel, sites: int) -> tuple[float, float]:
+    """D(rho || sigma) and S(rho) in bits, from rho's spectrum and diagonal
+    where sigma, a product of ``sites`` one-site states, is the diagonal
+    ``ref_diag`` with kernel ``ref_kernel``; summed in ref_diag's stable
+    ascending order (``covert.qre_spectral``)."""
+    o = np.argsort(ref_diag, kind="stable")
+    return qre_spectral(vals, diag[o], ref_diag[o], ref_kernel[o], sites), entropy_bits(vals)
 
 
 def _sym_blocks(p0: np.ndarray, p1: np.ndarray, n: int):
@@ -381,10 +388,11 @@ def _sym_blocks(p0: np.ndarray, p1: np.ndarray, n: int):
         det_k = np.convolve(det_k, det)
 
 
-def _block_figures(model: WillieModel, cfg: SparseSignalConfig) -> tuple[float, float, float, float]:
-    """d_exact, the entropy of rho_n, epsilon and the innocent trace
-    distance of a qubit pair in its frame, from the Schur-Weyl blocks
-    (``_sym_blocks``) of rho0' + t rho_pi'.
+def _sym_state_blocks(model: WillieModel, cfg: SparseSignalConfig):
+    """The blocks that ``WardenStates.figures`` reads for a qubit pair in its
+    frame, one per Schur-Weyl irrep of rho0' + t rho_pi' (``_sym_blocks``):
+    its multiplicity, rho_n's block validated as a state, mix^n's block,
+    and the diagonal and kernel mask of rho0^n's.
 
     The t^w coefficient of the n-fold power is the weight-w class sum, so
     the blocks of rho_n and mix^n are its weight-set and binomial sums, and
@@ -392,22 +400,14 @@ def _block_figures(model: WillieModel, cfg: SparseSignalConfig) -> tuple[float, 
     kernel is decided site by site. In the frame every input coefficient is
     nonnegative (rho0's eigenvalues, rho_pi's diagonal, |B01|, and
     det rho_pi' at t^2 of the determinant), so the sums of products that
-    form the blocks do not cancel. Each block of rho_n is validated as a
-    state; each spectrum and diagonal enters ``qre_spectral`` and
-    ``entropy_bits`` repeated by its multiplicity, and each trace norm is
-    weighted by it."""
+    form the blocks do not cancel."""
     n, (ker0, ker1) = cfg.n, model.rho0.kernel
     p_all, p_in = _class_probs(cfg)
-    parts, epsilon, trace_distance = [], 0.0, 0.0
     for k, (mult, blocks) in enumerate(_sym_blocks(model.rho0.mat, model.rho_pi.mat, n)):
         j = np.arange(len(blocks))
-        r_k, lam_k = DensityOperator(blocks @ p_in, _derived=True), blocks[..., 0]
         ker_k = ((n - k - j > 0) & ker0) | ((k + j > 0) & ker1)
-        epsilon += mult * trace_norm(blocks @ p_all - r_k.mat)
-        trace_distance += mult * trace_norm(r_k.mat - lam_k)
-        parts.append([np.repeat(x, mult) for x in (r_k.eigvals, r_k.mat.diagonal(), lam_k.diagonal(), ker_k)])
-    vals, overlap, ref_vals, ref_kernel = map(np.concatenate, zip(*parts))
-    return qre_spectral(vals, overlap, ref_vals, ref_kernel, n), entropy_bits(vals), 0.5 * epsilon, trace_distance
+        r_k = DensityOperator(blocks @ p_in, _derived=True)
+        yield mult, r_k, blocks @ p_all, blocks[..., 0].diagonal(), ker_k
 
 
 def bound_chain(st: WardenStates) -> BoundChain:

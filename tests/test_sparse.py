@@ -347,14 +347,19 @@ class TestBufferedBuild:
 
     # At the dense cap, the dense pass fits in three d^n-square matrices of
     # numpy memory: two live states (or one state and the difference a trace
-    # norm takes), and the row or column blocks of everything else. A complex
-    # qutrit model runs it in complex arithmetic: 3 units of 16 bytes an
-    # entry. A coherent qubit model takes the block pass, which holds no
-    # d^n-square matrix, only blocks of at most n + 1 rows and d^n-long
-    # diagonals: under a twentieth of a unit.
+    # norm takes), and the row or column blocks of everything else. A
+    # diagonal qubit model runs it in real arithmetic, 8 bytes an entry:
+    # 1.5 units of 16 bytes. A complex qutrit model runs it in complex
+    # arithmetic: 3 units. A coherent qubit model takes the block pass, which
+    # holds no d^n-square matrix, only blocks of at most n + 1 rows and
+    # d^n-long diagonals: under a twentieth of a unit.
     def test_detect_path_memory_at_n9(self, rng):
         cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
         assert self._detect_path_peak(random_willie_model(rng), cfg) <= 0.05
+
+    def test_detect_path_memory_dense_qubit_n9(self, rng):
+        cfg = SparseSignalConfig(n=9, q=0.2, vartheta=0.5)
+        assert self._detect_path_peak(_diagonal_model(rng), cfg) <= 1.5
 
     def test_detect_path_memory_qutrit_n6(self, rng):
         cfg = SparseSignalConfig(n=6, q=0.2, vartheta=0.5)
@@ -691,6 +696,29 @@ class TestSchurWeylBlocks:
         monkeypatch.undo()
         assert built == []
         assert widths and max(widths) <= 10
+
+    @pytest.mark.parametrize("kind", ["non-commuting", "singular", "pure-basis"])
+    def test_innocent_blocks_are_the_outer_power(self, kind):
+        # Repeated by multiplicity, the diagonals and kernel masks of rho0^n's
+        # blocks are, as a multiset of pairs, the outer-product eigenvalues of
+        # rho0 and its site-wise kernel, which the dense pass reads.
+        for n in range(1, 9):
+            rng = np.random.default_rng(n)
+            if kind == "pure-basis":
+                model = WillieModel(DensityOperator.basis_state(2, 0), random_willie_model(rng).rho_pi)
+            else:
+                model = QUBIT_MODELS[kind](rng)
+            st = WardenStates(model, SparseSignalConfig(n, 0.3, 0.5))
+            blocks = list(sparse._sym_state_blocks(st.model, st.cfg))
+            lam, ker = (np.concatenate([np.repeat(b[i], b[0]) for b in blocks]) for i in (3, 4))
+            want_lam = _outer_power(np.multiply, st.model.rho0.eigvals, n)
+            want_ker = _outer_power(np.logical_or, st.model.rho0.kernel, n)
+            got, want = np.argsort(lam, kind="stable"), np.argsort(want_lam, kind="stable")
+            assert len(lam) == 2**n
+            assert np.abs(lam[got] - want_lam[want]).max() <= 1e-15 * want_lam.max()
+            assert np.array_equal(ker[got], want_ker[want])
+            if kind != "non-commuting":
+                assert want_ker.any() and not want_ker.all()
 
     @pytest.mark.parametrize("kind", [*sorted(QUBIT_MODELS), "flat-rho0"])
     def test_figures_match_whole_matrices(self, kind):

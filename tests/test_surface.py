@@ -230,6 +230,8 @@ def test_each_rule_is_decided_once():
         "_power" + "_columns",
         "_real" + "_frame",
         "_log2_on" + "_support",
+        "kron" + "_into",
+        "_block" + "_figures",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
@@ -249,6 +251,27 @@ def test_each_rule_is_decided_once():
     init = ast.parse((REPO / "src" / "covertq" / "__init__.py").read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert "__getattr__" not in vars(covertq)
+
+
+def _calls(name: str):
+    """A predicate for a call of ``name``, plain or as an attribute."""
+
+    def pred(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
+
+    return pred
+
+
+def test_both_warden_routes_share_one_block_loop():
+    # A route only cuts the states into blocks: every n-use trace norm is
+    # taken in WardenStates.figures, and one helper turns spectra and
+    # diagonals into divergences.
+    def in_sparse(name):
+        return {owner for owner in _owners(_calls(name)) if owner[0] == "sparse"}
+
+    assert in_sparse("trace_norm") == {("sparse", "figures")}
+    assert len(in_sparse("qre_spectral")) == 1
 
 
 def test_warden_pass_takes_its_dtype_from_the_frame():
