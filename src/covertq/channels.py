@@ -8,9 +8,7 @@ and the two-output warden model derived from a channel and an innocent input.
 from __future__ import annotations
 
 import json
-import logging
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,8 +18,6 @@ from .linops import (
     as_complex_matrix,
     dagger,
 )
-
-log = logging.getLogger(__name__)
 
 # Trace-preservation tolerance for sum_k K^dag K = I.
 TAU_TP = 1e-9
@@ -33,20 +29,19 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 
 
-@dataclass(frozen=True)
 class QuantumChannel:
     """Completely positive trace-preserving map as a list of Kraus operators.
 
-    Each operator is d_out x d_in. The environment dimension equals the
-    number of supplied operators; the Kraus rank is not minimized.
-    ``residual`` is the ``tp_residual`` that validation computed.
+    Each operator is d_out x d_in and held read-only. The environment
+    dimension equals the number of supplied operators; the Kraus rank is
+    not minimized. ``residual`` is the ``tp_residual`` that validation
+    computed, and ``__slots__`` admits no other attribute.
     """
 
-    kraus: tuple = field(repr=False)
-    residual: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("kraus", "residual")
 
-    def __post_init__(self):
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
+    def __init__(self, kraus):
+        ops = tuple(as_complex_matrix(k) for k in kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -54,8 +49,8 @@ class QuantumChannel:
             raise ValueError("all Kraus operators must share one shape")
         for k in ops:
             k.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "residual", tp_residual(self))
+        self.kraus = ops
+        self.residual = tp_residual(self)
         if self.residual > TAU_TP:
             raise TracePreservationError(
                 f"Kraus operators are not trace preserving (residual {self.residual:.3e})"
@@ -215,7 +210,8 @@ def load_channel(path) -> QuantumChannel:
 
     The trace-preservation residual that validation computed is logged at
     INFO level so callers can surface it in diagnostics even when
-    validation passes.
+    validation passes. It is emitted only if ``logging`` is already
+    loaded, since no handler could show it otherwise.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,7 +239,10 @@ def load_channel(path) -> QuantumChannel:
         raise ChannelFormatError(
             f"channel file {path} is malformed: {exc}"
         ) from exc
-    log.info("loaded channel %s, trace-preservation residual %.3e", path, ch.residual)
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(__name__).info(
+            "loaded channel %s, trace-preservation residual %.3e", path, ch.residual
+        )
     return ch
 
 
@@ -252,7 +251,6 @@ def load_channel(path) -> QuantumChannel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WillieModel:
     """The warden's two single-use output states.
 
@@ -262,12 +260,13 @@ class WillieModel:
     covertness operations downstream and is checked there, not here.
     """
 
-    rho0: DensityOperator
-    rho_pi: DensityOperator
+    __slots__ = ("rho0", "rho_pi")
 
-    def __post_init__(self):
-        if self.rho0.dim != self.rho_pi.dim:
+    def __init__(self, rho0: DensityOperator, rho_pi: DensityOperator):
+        if rho0.dim != rho_pi.dim:
             raise ValueError("warden output states must share a dimension")
+        self.rho0 = rho0
+        self.rho_pi = rho_pi
 
     @property
     def dim(self) -> int:

@@ -31,6 +31,7 @@ from import into each call and make no call faster. ``twirl`` and
 ``detect`` inside detect-sim, and ``hashlib``, which maps OpenSSL's
 libcrypto, only where report and twirl-check compute the channel id.
 twirl-check's sampler maps libcrypto anyway, through ``numpy.random``.
+No call loads ``dataclasses`` or ``logging`` (see ``channels.load_channel``).
 """
 
 from __future__ import annotations

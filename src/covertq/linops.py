@@ -13,9 +13,6 @@ are shared across the package.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import DimensionCapError
@@ -153,7 +150,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace matrix: real symmetric
     and float64 when it is given as float64, complex128 otherwise
@@ -176,17 +172,20 @@ class DensityOperator:
     output's is off by as much as the channel misses trace preservation,
     which ``channels.TAU_TP`` bounds entrywise.
 
-    The spectrum is cached. The eigenvalues that validation computes are
-    kept (``eigvals``), and the eigenvectors are computed on first use
-    (``eigh``), which only a one-site reference state of a divergence or
-    the frame of ``sparse.WardenStates`` needs.
+    The spectrum is cached, read-only like ``mat``. The eigenvalues that
+    validation computes are kept (``eigvals``, ``kernel``), and the
+    eigenvectors are computed on first use (``eigh``), which only a one-site
+    reference state of a divergence or the frame of ``sparse.WardenStates``
+    needs. ``__slots__`` admits no other attribute. Validation is
+    ``__post_init__``, which perfbench's tracer wraps by name.
     """
 
-    mat: np.ndarray = field(repr=False)
-    _derived: InitVar[bool] = False
-    _vals: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _vecs: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
-    _kernel: Optional[np.ndarray] = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("mat", "_vals", "_vecs", "_kernel")
+
+    def __init__(self, mat, _derived: bool = False):
+        self.mat = mat
+        self._vecs = None
+        self.__post_init__(_derived)
 
     def __post_init__(self, _derived: bool):
         a = _as_array(self.mat)
@@ -209,9 +208,9 @@ class DensityOperator:
         lo = float(vals[0])
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
-        object.__setattr__(self, "mat", _frozen(a))
-        object.__setattr__(self, "_vals", _frozen(vals))
-        object.__setattr__(self, "_kernel", _frozen(vals <= SUPPORT_TOL))
+        self.mat = _frozen(a)
+        self._vals = _frozen(vals)
+        self._kernel = _frozen(vals <= SUPPORT_TOL)
 
     @property
     def eigvals(self) -> np.ndarray:
@@ -228,7 +227,7 @@ class DensityOperator:
         """``eigvals`` and orthonormal eigenvectors (columns) in the same
         order; the eigenvectors are computed on the first call and kept."""
         if self._vecs is None:
-            object.__setattr__(self, "_vecs", _frozen(np.linalg.eigh(self.mat)[1]))
+            self._vecs = _frozen(np.linalg.eigh(self.mat)[1])
         return self._vals, self._vecs
 
     @property

@@ -19,7 +19,6 @@ the exact d^n-square states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -38,22 +37,22 @@ def check_vartheta(vartheta: float) -> None:
         raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
 
 
-@dataclass(frozen=True)
 class SparseSignalConfig:
     """Block length n, signal density q, and weight-set half-width vartheta."""
 
-    n: int
-    q: float
-    vartheta: float
+    __slots__ = ("n", "q", "vartheta")
 
-    def __post_init__(self):
-        check_block_length(self.n)
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"signal density must lie in (0, 1), got {self.q}")
-        check_vartheta(self.vartheta)
+    def __init__(self, n: int, q: float, vartheta: float):
+        check_block_length(n)
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"signal density must lie in (0, 1), got {q}")
+        check_vartheta(vartheta)
+        self.n = n
+        self.q = q
+        self.vartheta = vartheta
         if not self.weight_range():
             raise ValueError(
-                f"weight set is empty for n={self.n}, q={self.q}, vartheta={self.vartheta}"
+                f"weight set is empty for n={n}, q={q}, vartheta={vartheta}"
             )
 
     def weight_range(self) -> range:

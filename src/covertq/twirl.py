@@ -10,8 +10,6 @@ and a Monte Carlo sampling route are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError
@@ -35,15 +33,14 @@ def bell_vectors() -> np.ndarray:
 _BELL = bell_vectors()
 
 
-@dataclass(frozen=True)
 class PauliDistribution:
     """Probability vector over the Pauli labels (I, X, Y, Z), held as one
     read-only array of four floats."""
 
-    weights: np.ndarray
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        v = np.array(self.weights, dtype=float).reshape(-1)
+    def __init__(self, weights):
+        v = np.array(weights, dtype=float).reshape(-1)
         if v.shape != (4,):
             raise ValueError("need exactly four weights")
         if np.any(v < -1e-12):
@@ -51,7 +48,7 @@ class PauliDistribution:
         if abs(v.sum() - 1.0) > 1e-10:
             raise ValueError(f"Pauli weights must sum to 1, got {v.sum()!r}")
         v.flags.writeable = False
-        object.__setattr__(self, "weights", v)
+        self.weights = v
 
 
 def check_failure_probability(p_f: float) -> None:
@@ -60,24 +57,23 @@ def check_failure_probability(p_f: float) -> None:
         raise ValueError(f"failure probability must be in [0, 1], got {p_f}")
 
 
-@dataclass(frozen=True)
 class ProjectionStats:
     """Projection failure probability and the renormalized conditional Choi
-    matrix of the post-projection qubit map (trace 1, PSD)."""
+    matrix of the post-projection qubit map (trace 1, PSD), read-only."""
 
-    p_f: float
-    conditional_choi: np.ndarray = field(repr=False)
+    __slots__ = ("p_f", "conditional_choi")
 
-    def __post_init__(self):
-        check_failure_probability(self.p_f)
-        j = as_complex_matrix(self.conditional_choi)
+    def __init__(self, p_f: float, conditional_choi):
+        check_failure_probability(p_f)
+        j = as_complex_matrix(conditional_choi)
         if j.shape != (4, 4):
             raise ValueError("conditional Choi matrix must be 4x4")
         if abs(np.trace(j).real - 1.0) > 1e-9 or abs(np.trace(j).imag) > 1e-9:
             raise ValueError("conditional Choi matrix must have trace 1")
         j = j.copy()
         j.flags.writeable = False
-        object.__setattr__(self, "conditional_choi", j)
+        self.p_f = p_f
+        self.conditional_choi = j
 
 
 def require_qubit_input(ch: QuantumChannel) -> None:

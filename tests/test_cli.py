@@ -934,19 +934,20 @@ def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
     "argv,absent",
     [
         (["report", *BASE, "--vartheta", "0.1", "--n", "1000"],
-         ["covertq.sparse", "covertq.detect"]),
+         ["covertq.sparse", "covertq.detect", "logging", "dataclasses"]),
         (["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"],
-         ["_hashlib", "covertq.sparse", "covertq.detect"]),
+         ["_hashlib", "covertq.sparse", "covertq.detect", "logging", "dataclasses"]),
         (["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"],
-         ["_hashlib", "covertq.twirl", "covertq.rates"]),
+         ["_hashlib", "covertq.twirl", "covertq.rates", "logging", "dataclasses"]),
         (["twirl-check", "--channel", AD_SPEC, "--samples", "1000"],
-         ["covertq.sparse", "covertq.detect", "covertq.rates"]),
+         ["covertq.sparse", "covertq.detect", "covertq.rates", "logging", "dataclasses"]),
     ],
     ids=["report", "srl-curve", "detect-sim", "twirl-check"],
 )
 def test_subcommand_loads_only_what_it_needs(argv, absent, tmp_path):
     # One fresh interpreter per subcommand: no scipy module, and none of the
-    # layers or the OpenSSL binding that its output does not need.
+    # layers or the OpenSSL binding that its output does not need. No call
+    # loads ``logging`` or ``dataclasses``.
     script = f"""
 import sys
 from covertq import cli

@@ -3,11 +3,13 @@ use, so that trimming the package cannot silently break either."""
 
 import ast
 import collections
-import dataclasses
 import importlib
 import re
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import covertq
 from covertq import channels, cli, covert, linops
@@ -294,12 +296,35 @@ def test_each_n_use_figure_is_held_once():
 
     records = [sparse.WardenFigures, sparse.BoundChain, sparse.DecompositionReport,
                detect.DetectionResult]
-    names = [
-        getattr(rec, "_fields", None) or tuple(f.name for f in dataclasses.fields(rec))
-        for rec in records
-    ]
+    names = [rec._fields for rec in records]
     shared = collections.Counter(n for fields in names for n in fields)
     assert [n for n, count in shared.items() if count > 1] == []
     # Nor does a throughput bound re-check what its two producers guarantee.
     checked = [*records[1:], rates.ThroughputBound]
     assert [rec.__name__ for rec in checked if "__post_init__" in vars(rec)] == []
+
+
+def test_records_hold_read_only_arrays_and_no_new_attributes():
+    # The records are plain slotted classes: what keeps them unchanged is
+    # that every array they hold is read-only and no attribute can be added.
+    from covertq import sparse, twirl
+
+    ch = channels.amplitude_damping(0.3)
+    entered = DensityOperator(np.diag([0.75, 0.25, 0.0]))
+    derived = channels.apply(ch, DensityOperator.basis_state(2, 1))
+    model = channels.willie_model(channels.complementary(ch), DensityOperator.basis_state(2, 0))
+    stats = twirl.projection_stats(ch)
+    q_tw = twirl.twirl_parameters(stats)
+    records = [entered, derived, ch, model, sparse.SparseSignalConfig(n=4, q=0.5, vartheta=0.25),
+               q_tw, stats]
+    arrays = [*ch.kraus, q_tw.weights, stats.conditional_choi]
+    for rho in (entered, derived, model.rho0, model.rho_pi):
+        arrays += [rho.mat, rho.eigvals, rho.kernel, rho.eigh()[1]]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    for rec in records:
+        assert not hasattr(rec, "__dict__"), type(rec).__name__
+        with pytest.raises(AttributeError):
+            rec.extra = None
