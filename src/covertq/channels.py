@@ -13,11 +13,7 @@ import sys
 import numpy as np
 
 from .errors import ChannelFormatError, TracePreservationError
-from .linops import (
-    DensityOperator,
-    as_complex_matrix,
-    dagger,
-)
+from .linops import DensityOperator, dagger, read_only_copy
 
 # Trace-preservation tolerance for sum_k K^dag K = I.
 TAU_TP = 1e-9
@@ -32,23 +28,22 @@ PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 class QuantumChannel:
     """Completely positive trace-preserving map as a list of Kraus operators.
 
-    Each operator is d_out x d_in and held read-only. The environment
-    dimension equals the number of supplied operators; the Kraus rank is
-    not minimized. ``residual`` is the ``tp_residual`` that validation
-    computed, and ``__slots__`` admits no other attribute.
+    Each operator is d_out x d_in, held as the channel's own read-only copy
+    (``linops.read_only_copy``). The environment dimension equals the
+    number of supplied operators; the Kraus rank is not minimized.
+    ``residual`` is the ``tp_residual`` that validation computed, and
+    ``__slots__`` admits no other attribute.
     """
 
     __slots__ = ("kraus", "residual")
 
     def __init__(self, kraus):
-        ops = tuple(as_complex_matrix(k) for k in kraus)
+        ops = tuple(read_only_copy(k) for k in kraus)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise ValueError("all Kraus operators must share one shape")
-        for k in ops:
-            k.flags.writeable = False
         self.kraus = ops
         self.residual = tp_residual(self)
         if self.residual > TAU_TP:
@@ -110,7 +105,7 @@ def complementary(ch: QuantumChannel) -> QuantumChannel:
     output satisfies [N_c(rho)]_{ij} = tr(K_i rho K_j^dag).
     """
     stacked = np.stack(ch.kraus)  # (environment, d_out, d_in)
-    ops = tuple(stacked[:, b, :].copy() for b in range(ch.d_out))
+    ops = tuple(stacked[:, b, :] for b in range(ch.d_out))
     return QuantumChannel(ops)
 
 
@@ -125,7 +120,7 @@ def identity_channel(d: int = 2) -> QuantumChannel:
 
 def pauli_channel(weights) -> QuantumChannel:
     """Qubit Pauli channel sum_j p_j P_j rho P_j for weights (I, X, Y, Z)."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = read_only_copy(weights, float, ndim=1)
     if w.shape != (4,):
         raise ValueError("Pauli channel needs four weights (I, X, Y, Z)")
     if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:

@@ -162,7 +162,7 @@ def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     The clamp at 1 marks the degenerate non-sparse regime (tiny n or a
     trivially covert channel); callers should report it.
     """
-    if c_q < 0:
+    if not c_q >= 0:
         raise ValueError("covert constant must be nonnegative")
     check_budget(delta_qre)
     check_block_length(n)

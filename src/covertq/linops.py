@@ -64,16 +64,19 @@ def check_exact_block(n: int, d: int) -> None:
         )
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
-    return _finite_matrix(np.asarray(m, dtype=np.complex128))
-
-
-def _finite_matrix(a: np.ndarray) -> np.ndarray:
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+def read_only_copy(m, dtype=np.complex128, ndim: int = 2) -> np.ndarray:
+    """m copied into ``dtype`` and returned read-only: the one way a record
+    keeps an array it is given, so a caller's array is never frozen or
+    changed. An array of another rank than ``ndim``, an empty array or a
+    non-finite entry is refused with ``ValueError``."""
+    a = np.array(m, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-D array, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"expected a non-empty array, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("array entries must be finite")
+    a.flags.writeable = False
     return a
 
 
@@ -123,7 +126,7 @@ def tensor_power(m, k: int) -> np.ndarray:
     (``_as_array``)."""
     if k < 1:
         raise ValueError("tensor power needs k >= 1")
-    a = _finite_matrix(_as_array(m))
+    a = read_only_copy(m, _as_array(m).dtype)
     check_exact_block(k, a.shape[0])
     out = a.copy()
     for _ in range(k - 1):

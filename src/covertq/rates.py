@@ -47,7 +47,7 @@ def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> 
     if not 0.0 < vartheta < 1.0:
         raise ValueError(f"weight tolerance must lie in (0, 1), got {vartheta}")
     check_budget(delta_qre)
-    if c_q <= 0 or delta_qre <= 0:
+    if not (c_q > 0 and delta_qre > 0):
         raise ValueError("covert constant and budget must be positive")
 
 

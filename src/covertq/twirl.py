@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError
-from .linops import as_complex_matrix, dagger
+from .linops import dagger, read_only_copy
 from .channels import PAULIS, QuantumChannel, choi
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -34,20 +34,19 @@ _BELL = bell_vectors()
 
 
 class PauliDistribution:
-    """Probability vector over the Pauli labels (I, X, Y, Z), held as one
-    read-only array of four floats."""
+    """Probability vector over the Pauli labels (I, X, Y, Z), held as its
+    own read-only copy of four floats (``linops.read_only_copy``)."""
 
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        v = np.array(weights, dtype=float).reshape(-1)
+        v = read_only_copy(weights, float, ndim=1)
         if v.shape != (4,):
             raise ValueError("need exactly four weights")
         if np.any(v < -1e-12):
             raise ValueError(f"Pauli weights must be nonnegative, got {tuple(v)}")
         if abs(v.sum() - 1.0) > 1e-10:
             raise ValueError(f"Pauli weights must sum to 1, got {v.sum()!r}")
-        v.flags.writeable = False
         self.weights = v
 
 
@@ -59,19 +58,18 @@ def check_failure_probability(p_f: float) -> None:
 
 class ProjectionStats:
     """Projection failure probability and the renormalized conditional Choi
-    matrix of the post-projection qubit map (trace 1, PSD), read-only."""
+    matrix of the post-projection qubit map (trace 1, PSD), held as its own
+    read-only copy (``linops.read_only_copy``)."""
 
     __slots__ = ("p_f", "conditional_choi")
 
     def __init__(self, p_f: float, conditional_choi):
         check_failure_probability(p_f)
-        j = as_complex_matrix(conditional_choi)
+        j = read_only_copy(conditional_choi)
         if j.shape != (4, 4):
             raise ValueError("conditional Choi matrix must be 4x4")
         if abs(np.trace(j).real - 1.0) > 1e-9 or abs(np.trace(j).imag) > 1e-9:
             raise ValueError("conditional Choi matrix must have trace 1")
-        j = j.copy()
-        j.flags.writeable = False
         self.p_f = p_f
         self.conditional_choi = j
 

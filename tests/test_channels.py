@@ -186,6 +186,13 @@ class TestBuilders:
             amplitude_damping(-0.1)
         with pytest.raises(ValueError):
             pauli_channel((0.5, 0.5, 0.5, -0.5))
+        # A NaN weight passes every comparison; dropping it would leave Z.
+        with pytest.raises(ValueError, match="must be finite"):
+            pauli_channel((float("nan"), 0.0, 0.0, 1.0))
+
+    def test_empty_kraus_operator_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            QuantumChannel((np.zeros((2, 0)),))
 
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(TracePreservationError):

@@ -223,6 +223,17 @@ class TestReport:
             assert (code, out) == (cli.EXIT_PARSE, ""), argv
             assert err.startswith("covertq: error code=channel-format "), err
 
+    def test_zero_input_dimension_is_channel_format(self, capsys, tmp_path):
+        spec = tmp_path / "empty.json"
+        spec.write_text(json.dumps({"d_in": 0, "d_out": 2, "kraus": [[[], []]]}))
+        for argv in (["twirl-check", "--channel", spec],
+                     ["report", "--channel", spec, "--innocent", "0", "--delta", "0.05",
+                      "--vartheta", "0.1", "--n", "10"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (cli.EXIT_PARSE, ""), argv
+            assert err.startswith("covertq: error code=channel-format "), err
+            assert "expected a non-empty array, got shape (2, 0)" in err, err
+
     def test_inline_innocent_matrix(self, capsys):
         inline = json.dumps([[0.0, 0.0], [0.0, 1.0]])
         code, out, _ = run_cli(

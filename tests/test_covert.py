@@ -259,6 +259,11 @@ class TestBudget:
     def test_clamped_to_one(self):
         assert q_for_budget(1e9, 0.5, 4) == 1.0
 
+    def test_nan_constant_refused(self):
+        # min(1.0, nan) is 1.0, so a NaN constant would pass as the clamp.
+        with pytest.raises(ValueError, match="covert constant"):
+            q_for_budget(float("nan"), 0.05, 10)
+
 
 def test_mixing_bound_against_chi_square(rng):
     # The single-use mixture divergence never exceeds q^2 chi2 (nats).

@@ -96,6 +96,8 @@ class TestBounds:
             args = (CLEAN,) if bound is unassisted_bound else (CLEAN, 0.1)
             with pytest.raises(ValueError, match="double range"):
                 bound(10**400, 0.1, 0.75, 0.01, *args)
+            with pytest.raises(ValueError, match="covert constant"):
+                bound(100, 0.1, float("nan"), 0.05, *args)
 
 
 def test_distillation_dominates_hashing_on_grid():

@@ -234,6 +234,8 @@ def test_each_rule_is_decided_once():
         "_log2_on" + "_support",
         "kron" + "_into",
         "_block" + "_figures",
+        "as_complex" + "_matrix",
+        "_finite" + "_matrix",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
@@ -328,3 +330,55 @@ def test_records_hold_read_only_arrays_and_no_new_attributes():
         assert not hasattr(rec, "__dict__"), type(rec).__name__
         with pytest.raises(AttributeError):
             rec.extra = None
+
+
+def _sets_writeable(node) -> bool:
+    """Whether ``node`` assigns to some ``<array>.flags.writeable``."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(
+        isinstance(t, ast.Attribute) and t.attr == "writeable"
+        and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+        for t in targets
+    )
+
+
+def test_records_keep_their_own_copy_of_a_callers_array():
+    # A record copies each array it is given, through one helper, whether it
+    # accepts the array or refuses it: the caller's array stays writable and
+    # unchanged, and the record never holds it.
+    from covertq import twirl
+
+    eye2 = np.eye(2, dtype=np.complex128)
+    cases = [
+        (lambda a: channels.QuantumChannel((a,)), eye2, 2 * eye2, lambda r: r.kraus[0]),
+        (lambda a: twirl.ProjectionStats(0.0, a), np.eye(4, dtype=np.complex128) / 4,
+         np.eye(4, dtype=np.complex128) / 2, lambda r: r.conditional_choi),
+        (twirl.PauliDistribution, np.array([0.7, 0.1, 0.1, 0.1]), np.full(4, 0.3),
+         lambda r: r.weights),
+    ]
+    for build, good, bad, held in cases:
+        before = good.copy()
+        assert not np.shares_memory(held(build(good)), good)
+        with pytest.raises(ValueError):
+            build(bad)
+        for a in (good, bad):
+            assert a.flags.writeable
+        np.testing.assert_array_equal(good, before)
+    # Only linops sets an array's write flag: records freeze what they keep
+    # through linops.read_only_copy, and derived states through _frozen.
+    setters = set()
+    for path in (REPO / "src" / "covertq").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(_sets_writeable(node) for node in ast.walk(tree)):
+            setters.add(path.stem)
+    assert setters == {"linops"}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10, but the suite may only ever run
+    # on a newer interpreter; this keeps every file in 3.10's grammar (no
+    # except*).
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((REPO / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

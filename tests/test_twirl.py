@@ -34,6 +34,8 @@ class TestPauliDistribution:
             PauliDistribution((0.3, 0.3, 0.3, 0.3))
         with pytest.raises(ValueError, match="exactly four"):
             PauliDistribution([0.5, 0.5])
+        with pytest.raises(ValueError, match="must be finite"):
+            PauliDistribution([float("nan"), 0.0, 0.0, 1.0])
         p = PauliDistribution([0.7, 0.1, 0.1, 0.1])
         np.testing.assert_allclose(p.weights, [0.7, 0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="read-only"):
