@@ -15,12 +15,11 @@ bound sets q^2 n chi2 = delta (``q_for_budget``).
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .errors import SupportViolationError
-from .linops import SUPPORT_TOL, DensityOperator
+from .linops import SUPPORT_TOL, DensityOperator, check_block_length
 from .channels import WillieModel
 
 LN2 = math.log(2.0)
@@ -136,15 +135,6 @@ def covert_constant(model: WillieModel) -> float:
     if d <= SUPPORT_TOL:
         return math.inf
     return 1.0 / math.sqrt(d)
-
-
-def check_block_length(n: int) -> None:
-    """Refuse a block length below 1 or past the double range, where
-    sqrt(n) has no value."""
-    if n < 1:
-        raise ValueError("need at least one channel use")
-    if n > sys.float_info.max:
-        raise ValueError("block length is past the double range")
 
 
 def check_budget(delta_qre: float) -> None:

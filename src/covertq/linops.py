@@ -8,10 +8,14 @@ spectrum and trace norm here, which runs its eigensolves in real
 arithmetic. Operator sizes are
 capped at 1024 so that exact n-copy computations stay at desk scale.
 Tolerances are chosen for double-precision eigensolvers at these sizes and
-are shared across the package.
+are shared across the package, as are the block-length rules
+(``check_block_length``, ``check_exact_block``) and the one Kronecker
+product (``kron``).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -46,6 +50,15 @@ def max_exact_block(d: int) -> int:
     while size <= DIM_CAP:
         k, size = k + 1, size * d
     return k
+
+
+def check_block_length(n: int) -> None:
+    """Refuse a block length below 1, NaN, or past the double range, where
+    sqrt(n) has no value; the one range test of a block length."""
+    if not n >= 1:
+        raise ValueError("need at least one channel use")
+    if n > sys.float_info.max:
+        raise ValueError("block length is past the double range")
 
 
 def check_exact_block(n: int, d: int) -> None:
@@ -108,9 +121,10 @@ def hermitian_gap(m: np.ndarray) -> float:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` bit for bit, in a new array, as one strided multiply
-    a * b[i, j] per entry of b: for a small b, 2 to 6 times faster than
-    ``np.kron``, whose broadcast runs an inner loop of one row of b."""
+    """The package's one Kronecker product: ``np.kron(a, b)`` bit for bit,
+    in a new array, as one strided multiply a * b[i, j] per entry of b; for
+    a small b, 2 to 6 times faster than ``np.kron``, whose broadcast runs an
+    inner loop of one row of b."""
     (ra, ca), (rb, cb) = a.shape, b.shape
     out = np.empty((ra * rb, ca * cb), dtype=np.result_type(a, b))
     o4 = out.reshape(ra, rb, ca, cb)
@@ -123,9 +137,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_power(m, k: int) -> np.ndarray:
     """k-fold Kronecker power with the dense-size cap enforced, always in a
     new array that the caller may write (at k = 1 a copy of m), in m's dtype
-    (``_as_array``)."""
-    if k < 1:
-        raise ValueError("tensor power needs k >= 1")
+    (``_as_array``); k is a block length (``check_block_length``)."""
+    check_block_length(k)
     a = read_only_copy(m, _as_array(m).dtype)
     check_exact_block(k, a.shape[0])
     out = a.copy()
@@ -175,15 +188,16 @@ class DensityOperator:
     output's is off by as much as the channel misses trace preservation,
     which ``channels.TAU_TP`` bounds entrywise.
 
-    The spectrum is cached, read-only like ``mat``. The eigenvalues that
-    validation computes are kept (``eigvals``, ``kernel``), and the
-    eigenvectors are computed on first use (``eigh``), which only a one-site
-    reference state of a divergence or the frame of ``sparse.WardenStates``
-    needs. ``__slots__`` admits no other attribute. Validation is
-    ``__post_init__``, which perfbench's tracer wraps by name.
+    The spectrum is cached, read-only like ``mat``. Validation's ascending
+    eigenvalues are kept unclipped (``eigvals``) with the mask of those at
+    or below ``SUPPORT_TOL`` (``kernel``), and the eigenvectors are computed
+    on first use (``eigh``), which only a one-site reference state of a
+    divergence or the frame of ``sparse.WardenStates`` needs. ``__slots__``
+    admits no other attribute. Validation is ``__post_init__``, which
+    perfbench's tracer wraps by name.
     """
 
-    __slots__ = ("mat", "_vals", "_vecs", "_kernel")
+    __slots__ = ("mat", "eigvals", "kernel", "_vecs")
 
     def __init__(self, mat, _derived: bool = False):
         self.mat = mat
@@ -212,26 +226,15 @@ class DensityOperator:
         if lo < -TAU_PSD:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
         self.mat = _frozen(a)
-        self._vals = _frozen(vals)
-        self._kernel = _frozen(vals <= SUPPORT_TOL)
-
-    @property
-    def eigvals(self) -> np.ndarray:
-        """Ascending eigenvalues, as validated (not clipped)."""
-        return self._vals
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Mask over ``eigvals`` of the eigenvectors spanning the kernel:
-        eigenvalues at or below ``SUPPORT_TOL``."""
-        return self._kernel
+        self.eigvals = _frozen(vals)
+        self.kernel = _frozen(vals <= SUPPORT_TOL)
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigvals`` and orthonormal eigenvectors (columns) in the same
         order; the eigenvectors are computed on the first call and kept."""
         if self._vecs is None:
             self._vecs = _frozen(np.linalg.eigh(self.mat)[1])
-        return self._vals, self._vecs
+        return self.eigvals, self._vecs
 
     @property
     def dim(self) -> int:

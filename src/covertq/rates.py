@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .covert import check_block_length, check_budget, entropy_bits
+from .covert import check_budget, entropy_bits
+from .linops import check_block_length
 from .twirl import PauliDistribution, check_failure_probability
 
 
@@ -23,9 +24,9 @@ def hashing_rate(p: PauliDistribution) -> float:
 
 def distillation_rate(q_tw: PauliDistribution, p_f: float) -> float:
     """Entanglement distillation rate when failed projections are flagged
-    instead of replaced: (1 - p_f) max(0, 1 - H(q_tw))."""
+    instead of replaced: (1 - p_f) times the hashing rate of q_tw."""
     check_failure_probability(p_f)
-    return (1.0 - p_f) * max(0.0, 1.0 - entropy_bits(q_tw.weights))
+    return (1.0 - p_f) * hashing_rate(q_tw)
 
 
 class ThroughputBound(NamedTuple):

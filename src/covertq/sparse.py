@@ -25,9 +25,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linops import BLOCK, SUPPORT_TOL, DensityOperator, check_exact_block
-from .linops import dagger, kron, tensor_power, trace_norm
+from .linops import check_block_length, dagger, kron, tensor_power, trace_norm
 from .channels import WillieModel
-from .covert import LN2, check_block_length, chi2, entropy_bits, qre, qre_spectral
+from .covert import LN2, chi2, entropy_bits, qre, qre_spectral
 from .covert import require_support
 
 
@@ -433,15 +433,6 @@ def bound_chain(st: WardenStates) -> BoundChain:
     return BoundChain(d_single, d_bound)
 
 
-def binary_entropy(x: float) -> float:
-    """Binary entropy in bits with the 0 log 0 = 0 convention."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"argument must be in [0, 1], got {x}")
-    if x in (0.0, 1.0):
-        return 0.0
-    return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
-
-
 class DecompositionReport(NamedTuple):
     """What the three-term decomposition of the warden divergence adds to
     ``WardenFigures`` (divergences in bits).
@@ -483,7 +474,8 @@ def decomposition_report(st: WardenStates) -> DecompositionReport:
 
     p_abar = 1.0 - weight_set_prob(cfg)
     chern = chernoff_epsilon(cfg)
-    fannes = epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon))
+    e = min(1.0, epsilon)
+    fannes = epsilon * n * math.log2(d) + entropy_bits([e, 1.0 - e])
     lam_min = float(model.rho0.eigvals[0])
     holder = (
         2.0 * epsilon * n * math.log2(1.0 / lam_min)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError
-from .linops import dagger, read_only_copy
-from .channels import PAULIS, QuantumChannel, choi
+from .linops import dagger, kron, read_only_copy
+from .channels import PAULIS, QuantumChannel, apply_mat, choi
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -25,7 +25,7 @@ def bell_vectors() -> np.ndarray:
     phi = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
     rows = []
     for p in PAULIS:
-        op = np.kron(np.eye(2, dtype=np.complex128), p)
+        op = kron(np.eye(2, dtype=np.complex128), p)
         rows.append(op @ phi)
     return np.stack(rows)
 
@@ -151,27 +151,26 @@ def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
 def _twirl_branches(ch: QuantumChannel):
     """Single-shot physics for each of the four Pauli twirl branches.
 
-    For branch j: apply P_j to the channel half of a maximally entangled
-    pair, send it through the channel, project onto the qubit subspace, and
-    undo P_j. Returns the per-branch success probabilities and, conditioned
-    on success, the Bell-basis outcome distributions (rows sum to 1).
+    For branch j: send the Bell state (id x P_j) applied to the maximally
+    entangled pair through id x N, the channel extended by the reference
+    qubit (``channels.apply_mat``), project onto the qubit subspace, and
+    undo P_j. The extension's Kraus operators are id x K, so its
+    trace-preservation residual is the channel's own. Returns the
+    per-branch success probabilities and, conditioned on success, the
+    Bell-basis outcome distributions (rows sum to 1).
     """
     idx = _qubit_block_indices(ch)
-    d = ch.d_out
     eye2 = np.eye(2, dtype=np.complex128)
+    extended = QuantumChannel(tuple(kron(eye2, k) for k in ch.kraus))
     succ = np.zeros(4)
     outcome = np.zeros((4, 4))
     for j, p in enumerate(PAULIS):
-        pre = np.kron(eye2, p) @ np.outer(_BELL[0], _BELL[0].conj()) @ np.kron(eye2, dagger(p))
-        joint = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-        for k in ch.kraus:
-            big = np.kron(eye2, k)
-            joint += big @ pre @ dagger(big)
-        block = joint[np.ix_(idx, idx)]
+        pair = np.outer(_BELL[j], _BELL[j].conj())
+        block = apply_mat(extended, pair)[np.ix_(idx, idx)]
         s = float(np.trace(block).real)
         succ[j] = s
         if s > 0.0:
-            outcome[j] = _bell_diagonal(np.kron(eye2, dagger(p)) @ (block / s) @ np.kron(eye2, p))
+            outcome[j] = _bell_diagonal(kron(eye2, dagger(p)) @ (block / s) @ kron(eye2, p))
     return succ, outcome
 
 

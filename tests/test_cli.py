@@ -96,10 +96,11 @@ def _count_analysis_calls(argv, monkeypatch, capsys) -> Counter:
 class TestReport:
     def test_residual_and_rates_once(self, monkeypatch, capsys):
         # The tp-residual line reads the receiver's validation; R and R_d
-        # are the two rates taken outside the bounds.
+        # are the two rates taken outside the bounds. distillation_rate
+        # scales the hashing rate, so each call of it makes one more.
         calls = _count_analysis_calls(["report"], monkeypatch, capsys)
-        assert calls == Counter({"tp_residual": 2, "hashing_rate": 9, "distillation_rate": 9,
-                                 "hashing_rate outside": 1, "distillation_rate outside": 1,
+        assert calls == Counter({"tp_residual": 2, "hashing_rate": 18, "distillation_rate": 9,
+                                 "hashing_rate outside": 2, "distillation_rate outside": 1,
                                  "unassisted_bound": 9, "assisted_bound": 9})
 
     def test_matches_golden(self, capsys):
@@ -270,9 +271,10 @@ class TestReport:
 class TestSrlCurve:
     def test_computes_only_what_it_prints(self, monkeypatch, capsys):
         # The two residuals are the receiver's and the warden's validation;
-        # every rate is taken inside a bound.
+        # every rate is taken inside a bound, and each distillation rate
+        # takes a hashing rate.
         calls = _count_analysis_calls(["srl-curve"], monkeypatch, capsys)
-        assert calls == Counter(tp_residual=2, hashing_rate=9, distillation_rate=9,
+        assert calls == Counter(tp_residual=2, hashing_rate=18, distillation_rate=9,
                                 unassisted_bound=9, assisted_bound=9)
 
     def test_matches_golden(self, capsys):

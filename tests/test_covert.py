@@ -264,6 +264,11 @@ class TestBudget:
         with pytest.raises(ValueError, match="covert constant"):
             q_for_budget(float("nan"), 0.05, 10)
 
+    def test_nan_block_length_refused(self):
+        # min(1.0, c sqrt(delta / nan)) is 1.0: a NaN n would read as the clamp.
+        with pytest.raises(ValueError, match="at least one channel use"):
+            q_for_budget(1.0, 0.05, float("nan"))
+
 
 def test_mixing_bound_against_chi_square(rng):
     # The single-use mixture divergence never exceeds q^2 chi2 (nats).

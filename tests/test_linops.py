@@ -40,6 +40,12 @@ class TestTensor:
         with pytest.raises(DimensionCapError, match="n <= 6 for d=3"):
             tensor_power(np.eye(3), 7)
 
+    def test_nan_power_refused(self):
+        # Both comparisons of a NaN are false: the block-length rule must
+        # refuse it before range() sees it.
+        with pytest.raises(ValueError, match="at least one channel use"):
+            tensor_power(np.eye(2), float("nan"))
+
     def test_one_dimensional_factor_never_passes_the_cap(self):
         with pytest.raises(ValueError, match="at least 2"):
             max_exact_block(1)

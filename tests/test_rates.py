@@ -98,6 +98,9 @@ class TestBounds:
                 bound(10**400, 0.1, 0.75, 0.01, *args)
             with pytest.raises(ValueError, match="covert constant"):
                 bound(100, 0.1, float("nan"), 0.05, *args)
+            # A NaN n would give m_lower and classical_bits_upper as NaN.
+            with pytest.raises(ValueError, match="at least one channel use"):
+                bound(float("nan"), 0.1, 1.0, 0.05, *args)
 
 
 def test_distillation_dominates_hashing_on_grid():

@@ -15,7 +15,7 @@ from covertq.channels import (
     complementary,
     willie_model,
 )
-from covertq.covert import LN2, chi2, qre, vn_entropy
+from covertq.covert import LN2, chi2, entropy_bits, qre, vn_entropy
 from covertq.errors import DimensionCapError, SupportViolationError
 from covertq import linops, sparse
 from covertq.linops import SUPPORT_TOL, DensityOperator, tensor_power
@@ -26,7 +26,6 @@ from covertq.sparse import (
     _outer_power,
     _willie_state_matrix,
     decomposition_report,
-    binary_entropy,
     bound_chain,
     chernoff_epsilon,
     weight_set_prob,
@@ -62,6 +61,11 @@ class TestConfig:
     def test_empty_weight_set_rejected(self):
         with pytest.raises(ValueError):
             SparseSignalConfig(n=5, q=0.5, vartheta=0.01)
+
+    def test_nan_block_length_rejected(self):
+        # Refused by the block-length rule, not as an empty weight set.
+        with pytest.raises(ValueError, match="at least one channel use"):
+            SparseSignalConfig(float("nan"), 0.3, 0.5)
 
     def test_weight_range_matches_full_scan(self):
         # q and vartheta sit on multiples of 1/n and one ulp off them,
@@ -512,6 +516,13 @@ def _site_marginals(m, n, d):
     return total
 
 
+def _two_outcome_entropy(x):
+    """h(x) in bits by two math.log2 terms, with h(0) = h(1) = 0."""
+    if x in (0.0, 1.0):
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
 def _whole_matrix_figures(model, cfg):
     """Every figure of ``WardenFigures``, ``BoundChain`` and
     ``DecompositionReport``, by name, from whole complex d^n-square matrices
@@ -547,7 +558,7 @@ def _whole_matrix_figures(model, cfg):
         "d_chi2_bound": q**2 * n * chi2(model.rho_pi, model.rho0) / LN2,
         "term_cross": float(np.real(np.trace(delta @ log_n))),
         "chernoff_bound": chernoff_epsilon(cfg),
-        "fannes_bound": epsilon * n * math.log2(d) + binary_entropy(min(1.0, epsilon)),
+        "fannes_bound": epsilon * n * math.log2(d) + _two_outcome_entropy(min(1.0, epsilon)),
         "holder_bound": (
             2.0 * epsilon * n * math.log2(1.0 / vals[0]) if vals[0] > SUPPORT_TOL else None
         ),
@@ -869,12 +880,20 @@ class TestDecompositionReport:
             )
 
 
-def test_binary_entropy_edges():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
+def test_two_outcome_entropy_edges():
+    # The Fannes bound takes h(e) as entropy_bits([e, 1 - e]).
+    assert entropy_bits([0.0, 1.0]) == 0.0
+    assert entropy_bits([1.0, 0.0]) == 0.0
+    assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0)
+
+
+def test_fannes_term_keeps_the_math_log2_digits():
+    # np.log2 and math.log2 may differ in the last ulp, but not at the
+    # golden detect call's epsilon, whose fannes column stays put.
+    e = 0.00161824581551923
+    assert entropy_bits([e, 1.0 - e]) == _two_outcome_entropy(e)
+    for e in np.linspace(0.0, 1.0, 1001):
+        assert entropy_bits([e, 1.0 - e]) == pytest.approx(_two_outcome_entropy(e), rel=1e-15, abs=0)
 
 
 def test_exact_state_agrees_with_qre_paths(rng):

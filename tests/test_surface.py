@@ -195,14 +195,18 @@ def _subtracts_dagger(node) -> bool:
     )
 
 
-def _calls_np_log2(node) -> bool:
-    """A call of ``np.log2``."""
-    func = node.func if isinstance(node, ast.Call) else None
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "log2"
-        and getattr(func.value, "id", None) == "np"
-    )
+def _calls_np(name: str):
+    """A predicate for a call of ``np.<name>``."""
+
+    def pred(node) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == name
+            and getattr(func.value, "id", None) == "np"
+        )
+
+    return pred
 
 
 def test_each_rule_is_decided_once():
@@ -236,13 +240,16 @@ def test_each_rule_is_decided_once():
         "_block" + "_figures",
         "as_complex" + "_matrix",
         "_finite" + "_matrix",
+        "binary" + "_entropy",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
         assert not [name for name in gone if name in text], path
-    # One Shannon entropy: covert.entropy_bits is the one sum of p log2 p;
-    # qre_spectral and the cross term take the logs of a reference spectrum.
-    assert sorted(_owners(_calls_np_log2)) == [
+    # One Shannon entropy: covert.entropy_bits is the one sum of p log2 p,
+    # which the spectra, the Pauli rates and the Fannes bound's two-outcome
+    # term share; qre_spectral and the cross term take the logs of a
+    # reference spectrum.
+    assert sorted(_owners(_calls_np("log2"))) == [
         ("covert", "entropy_bits"),
         ("covert", "qre_spectral"),
         ("sparse", "decomposition_report"),
@@ -276,6 +283,12 @@ def test_both_warden_routes_share_one_block_loop():
 
     assert in_sparse("trace_norm") == {("sparse", "figures")}
     assert len(in_sparse("qre_spectral")) == 1
+
+
+def test_one_kronecker_writer():
+    # Every Kronecker product in the package is linops.kron, which has
+    # np.kron's bits; no function calls np.kron itself.
+    assert _owners(_calls_np("kron")) == []
 
 
 def test_warden_pass_takes_its_dtype_from_the_frame():

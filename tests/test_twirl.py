@@ -11,10 +11,14 @@ from covertq.channels import (
     qubit_leak,
 )
 from covertq.errors import DegenerateChannelError, DimensionCapError
+from covertq.linops import dagger
 from covertq.twirl import (
     PauliDistribution,
     ProjectionStats,
+    _bell_diagonal,
     _categorical_counts,
+    _qubit_block_indices,
+    _twirl_branches,
     bell_vectors,
     compose_with_failure,
     monte_carlo_twirl,
@@ -164,6 +168,39 @@ class TestOperatorIdentity:
         np.testing.assert_allclose(
             twirled_replaced_choi(ch), choi(pauli_channel(p.weights)), atol=1e-9
         )
+
+
+def _branch_loop_reference(ch):
+    """Reference build of ``_twirl_branches``: each branch conjugates the
+    maximally entangled pair by id x P_j and runs its own loop over the
+    Kraus operators id x K, every product a fresh np.kron."""
+    idx = _qubit_block_indices(ch)
+    d = ch.d_out
+    eye2 = np.eye(2, dtype=np.complex128)
+    phi = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
+    succ = np.zeros(4)
+    outcome = np.zeros((4, 4))
+    for j, p in enumerate(PAULIS):
+        pre = np.kron(eye2, p) @ np.outer(phi, phi.conj()) @ np.kron(eye2, dagger(p))
+        joint = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+        for k in ch.kraus:
+            big = np.kron(eye2, k)
+            joint += big @ pre @ dagger(big)
+        block = joint[np.ix_(idx, idx)]
+        s = float(np.trace(block).real)
+        succ[j] = s
+        if s > 0.0:
+            outcome[j] = _bell_diagonal(np.kron(eye2, dagger(p)) @ (block / s) @ np.kron(eye2, p))
+    return succ, outcome
+
+
+def test_branches_match_the_per_kraus_loop_bit_for_bit():
+    # Output levels past 2 leak out of the qubit subspace.
+    rng = np.random.default_rng(2024)
+    drawn = [random_channel(2, 2 + i % 3, 1 + (i // 3) % 4, rng) for i in range(60)]
+    for i, ch in enumerate([*drawn, qubit_leak(0.25), amplitude_damping(0.3), identity_channel(2)]):
+        for got, want in zip(_twirl_branches(ch), _branch_loop_reference(ch)):
+            assert np.array_equal(got, want), (i, got, want)
 
 
 class TestMonteCarlo:
