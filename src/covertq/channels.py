@@ -1,14 +1,16 @@
 """Quantum channels as Kraus-operator lists.
 
 Provides channel application, Choi matrices (trace-1 convention), the
-complementary (environment-side) channel, standard builders, spec-file I/O,
-and the two-output warden model derived from a channel and an innocent input.
+complementary (environment-side) channel, the Pauli probability vector,
+standard builders, spec-file I/O, and the two-output warden model derived
+from a channel and an innocent input.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +25,23 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+
+
+class PauliDistribution:
+    """Probability vector over the Pauli labels (I, X, Y, Z), held as its
+    own read-only copy of four floats (``linops.read_only_copy``)."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        v = read_only_copy(weights, float, ndim=1)
+        if v.shape != (4,):
+            raise ValueError("need exactly four weights")
+        if np.any(v < -1e-12):
+            raise ValueError(f"Pauli weights must be nonnegative, got {tuple(v)}")
+        if abs(v.sum() - 1.0) > 1e-10:
+            raise ValueError(f"Pauli weights must sum to 1, got {v.sum()!r}")
+        self.weights = v
 
 
 class QuantumChannel:
@@ -84,16 +103,19 @@ def apply(ch: QuantumChannel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(apply_mat(ch, rho.mat), _derived=True)
 
 
-def choi(ch: QuantumChannel) -> np.ndarray:
+def choi(ch: QuantumChannel, levels: Optional[int] = None) -> np.ndarray:
     """Trace-1 Choi matrix (id x N) applied to the maximally entangled state.
 
     Index order is (reference, output); with this normalization the
     Bell-diagonal entries of a Pauli channel read off as its probabilities.
+    With ``levels``, the block on the output levels below it alone, summed
+    from those rows of each Kraus operator: the full matrix's entries, in
+    memory that does not grow with d_out.
     """
     d = ch.d_in
-    j = np.zeros((d * ch.d_out,) * 2, dtype=np.complex128)
+    j = np.zeros((d * len(ch.kraus[0][:levels]),) * 2, dtype=np.complex128)
     for k in ch.kraus:
-        v = k.flatten("F")  # v[(i, b)] = K[b, i], reference index first
+        v = k[:levels].flatten("F")  # v[(i, b)] = K[b, i], reference index first
         j += np.outer(v, v.conj())
     return j / d
 
@@ -119,17 +141,10 @@ def identity_channel(d: int = 2) -> QuantumChannel:
 
 
 def pauli_channel(weights) -> QuantumChannel:
-    """Qubit Pauli channel sum_j p_j P_j rho P_j for weights (I, X, Y, Z)."""
-    w = read_only_copy(weights, float, ndim=1)
-    if w.shape != (4,):
-        raise ValueError("Pauli channel needs four weights (I, X, Y, Z)")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must form a distribution, got {w}")
-    w = np.clip(w, 0.0, None)
-    ops = tuple(np.sqrt(p) * P for p, P in zip(w, PAULIS) if p > 0.0)
-    if not ops:
-        raise ValueError("all weights vanish")
-    return QuantumChannel(ops)
+    """Qubit Pauli channel sum_j p_j P_j rho P_j for the weights (I, X, Y, Z)
+    of a ``PauliDistribution``; a weight within round-off below 0 counts as 0."""
+    w = np.clip(PauliDistribution(weights).weights, 0.0, None)
+    return QuantumChannel(tuple(np.sqrt(p) * P for p, P in zip(w, PAULIS) if p > 0.0))
 
 
 def depolarizing(lam: float) -> QuantumChannel:

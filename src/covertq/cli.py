@@ -58,7 +58,7 @@ def _pin_threads() -> None:
 
 _pin_threads()
 
-from typing import TYPE_CHECKING, Optional  # noqa: E402
+from typing import Optional  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -71,9 +71,6 @@ from .errors import (  # noqa: E402
     TracePreservationError,
 )
 from .linops import DensityOperator  # noqa: E402
-
-if TYPE_CHECKING:
-    from . import twirl
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
@@ -219,7 +216,7 @@ def _analyze(args) -> tuple:
     return bob, mode, c_q, stats, q_tw, p_vec, rows
 
 
-def _pauli_line(p: twirl.PauliDistribution) -> str:
+def _pauli_line(p: channels.PauliDistribution) -> str:
     from .twirl import PAULI_LABELS
 
     return " ".join(f"{lbl}={_fmt(x)}" for lbl, x in zip(PAULI_LABELS, p.weights))
@@ -301,7 +298,7 @@ def cmd_detect_sim(args) -> tuple[str, str]:
     # infinite and the model is refused as degenerate.
     linops.check_exact_block(args.n_single, model.dim)
     q = covert.q_for_budget(c_q, args.delta, args.n_single)
-    sparse.check_vartheta(args.vartheta)
+    covert.check_vartheta(args.vartheta)
     if math.isinf(c_q):
         raise DegenerateChannelError(
             "warden outputs are identical (trivially covert); any density is "
@@ -387,9 +384,9 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_budget_args(p: argparse.ArgumentParser, interval: str) -> None:
+def _add_budget_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, required=True, help="divergence budget in nats")
-    half_width = f"weight-set half width in {interval}; the set in force is |w/n - q| <= vartheta"
+    half_width = "weight-set half width in (0, 1]; the set in force is |w/n - q| <= vartheta"
     p.add_argument("--vartheta", type=float, required=True, help=half_width)
 
 
@@ -414,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_model_args(p)
-        _add_budget_args(p, "(0, 1)")
+        _add_budget_args(p)
         p.add_argument(
             "--n", required=True, help="comma-separated block lengths, or log:LO:HI:COUNT"
         )
@@ -425,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         "detect-sim", help="exact warden detection figures and bound chain at one n"
     )
     _add_model_args(p)
-    _add_budget_args(p, "(0, 1]")
+    _add_budget_args(p)
     p.add_argument("--n", dest="n_single", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_detect_sim)

@@ -145,6 +145,12 @@ def check_budget(delta_qre: float) -> None:
         raise ValueError(f"budget must be finite, got {delta_qre}")
 
 
+def check_vartheta(vartheta: float) -> None:
+    """Refuse a weight-set half-width outside (0, 1], NaN included."""
+    if not 0.0 < vartheta <= 1.0:
+        raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
+
+
 def q_for_budget(c_q: float, delta_qre: float, n: int) -> float:
     """Signal density min(1, c_q * sqrt(delta_qre / n)) for a budget
     ``delta_qre`` in nats.

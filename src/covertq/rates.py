@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .covert import check_budget, entropy_bits
+from .channels import PauliDistribution
+from .covert import check_budget, check_vartheta, entropy_bits
 from .linops import check_block_length
-from .twirl import PauliDistribution, check_failure_probability
+from .twirl import check_failure_probability
 
 
 def hashing_rate(p: PauliDistribution) -> float:
@@ -45,8 +46,7 @@ def _m_lower(n: int, vartheta: float, c_q: float, rate: float, delta_qre: float)
 
 def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> None:
     check_block_length(n)
-    if not 0.0 < vartheta < 1.0:
-        raise ValueError(f"weight tolerance must lie in (0, 1), got {vartheta}")
+    check_vartheta(vartheta)
     check_budget(delta_qre)
     if not (c_q > 0 and delta_qre > 0):
         raise ValueError("covert constant and budget must be positive")

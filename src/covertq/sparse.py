@@ -28,13 +28,7 @@ from .linops import BLOCK, SUPPORT_TOL, DensityOperator, check_exact_block
 from .linops import check_block_length, dagger, kron, tensor_power, trace_norm
 from .channels import WillieModel
 from .covert import LN2, chi2, entropy_bits, qre, qre_spectral
-from .covert import require_support
-
-
-def check_vartheta(vartheta: float) -> None:
-    """Refuse a weight-set half-width outside (0, 1]."""
-    if not 0.0 < vartheta <= 1.0:
-        raise ValueError(f"weight tolerance must lie in (0, 1], got {vartheta}")
+from .covert import check_vartheta, require_support
 
 
 class SparseSignalConfig:

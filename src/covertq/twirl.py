@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError
 from .linops import dagger, kron, read_only_copy
-from .channels import PAULIS, QuantumChannel, apply_mat, choi
+from .channels import PAULIS, PauliDistribution, QuantumChannel, apply_mat, choi
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -31,23 +31,6 @@ def bell_vectors() -> np.ndarray:
 
 
 _BELL = bell_vectors()
-
-
-class PauliDistribution:
-    """Probability vector over the Pauli labels (I, X, Y, Z), held as its
-    own read-only copy of four floats (``linops.read_only_copy``)."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        v = read_only_copy(weights, float, ndim=1)
-        if v.shape != (4,):
-            raise ValueError("need exactly four weights")
-        if np.any(v < -1e-12):
-            raise ValueError(f"Pauli weights must be nonnegative, got {tuple(v)}")
-        if abs(v.sum() - 1.0) > 1e-10:
-            raise ValueError(f"Pauli weights must sum to 1, got {v.sum()!r}")
-        self.weights = v
 
 
 def check_failure_probability(p_f: float) -> None:
@@ -99,9 +82,8 @@ def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     input, which is the relevant average once the inputs are twirled. The
     qubit subspace is fixed to the first two output basis vectors.
     """
-    idx = _qubit_block_indices(ch)
-    j = choi(ch)
-    block = j[np.ix_(idx, idx)]
+    _qubit_block_indices(ch)  # refuses a channel with no qubit block
+    block = choi(ch, levels=2)
     succ = float(np.trace(block).real)
     p_f = min(1.0, max(0.0, 1.0 - succ))
     if succ <= 1e-12:

@@ -565,13 +565,41 @@ class TestInlineEntriesAreFiniteNumbers:
 
 
 def test_vartheta_help_names_the_set_and_range():
-    for cmd, interval in [("report", "(0, 1)"), ("srl-curve", "(0, 1)"), ("detect-sim", "(0, 1]")]:
+    for cmd in ("report", "srl-curve", "detect-sim"):
         sub = next(
             a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ).choices[cmd]
         (action,) = [a for a in sub._actions if a.dest == "vartheta"]
-        assert f"in {interval};" in action.help
+        assert "in (0, 1];" in action.help
         assert "set in force is |w/n - q| <= vartheta" in action.help
+
+
+@pytest.mark.parametrize("vartheta", ["1", "0", "-0.1", "1.000000000001", "nan"])
+@pytest.mark.parametrize("cmd", ["report", "srl-curve", "detect-sim"])
+def test_every_subcommand_takes_one_vartheta_range(cmd, vartheta, capsys):
+    # covert.check_vartheta is the one rule: (0, 1] is accepted, and the
+    # rest is refused with one line, whichever subcommand reads the flag.
+    n = "6" if cmd == "detect-sim" else "1000"
+    code, out, err = run_cli([cmd, *BASE, "--vartheta", vartheta, "--n", n], capsys)
+    if vartheta == "1":
+        assert code == 0 and out, err
+    else:
+        msg = f"weight tolerance must lie in (0, 1], got {float(vartheta)}"
+        assert (code, out, err) == (cli.EXIT_PARSE, "", f'covertq: error code=invalid-input msg="{msg}"\n')
+
+
+def test_report_at_full_vartheta_bounds_no_qubits(capsys):
+    # At vartheta = 1 the lower bounds are 0, true but vacuous, and the
+    # classical cost is 2 sqrt(n) c_q (1 + 2 R_d) sqrt(delta).
+    code, out, err = run_cli(["report", *BASE, "--vartheta", "1", "--n", "1000"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    fields = dict(line.split(": ", 1) for line in lines[:-1])
+    c_q, r_d = float(fields["c_q"]), float(fields["R_d"])
+    head, bits = lines[-1].rsplit(" classical_bits_upper=", 1)
+    assert head == "n=1000: m_lower_unassisted=0 m_lower_assisted=0"
+    expect = 2.0 * math.sqrt(1000) * c_q * (1.0 + 2.0 * r_d) * math.sqrt(0.05)
+    assert float(bits) == pytest.approx(expect, rel=1e-15)
 
 
 def _compositions(n, parts):

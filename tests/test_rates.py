@@ -87,8 +87,11 @@ class TestBounds:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             unassisted_bound(0, 0.1, 0.75, 0.01, CLEAN)
-        with pytest.raises(ValueError):
-            unassisted_bound(10, 1.0, 0.75, 0.01, CLEAN)
+        # The weight tolerance lies in (0, 1]: at 1 no qubit is bounded.
+        assert unassisted_bound(10, 1.0, 0.75, 0.01, CLEAN).m_lower == 0.0
+        assert assisted_bound(10, 1.0, 0.75, 0.01, CLEAN, p_f=0.0).m_lower == 0.0
+        with pytest.raises(ValueError, match=r"weight tolerance must lie in \(0, 1\]"):
+            unassisted_bound(10, 1.0 + 1e-12, 0.75, 0.01, CLEAN)
         with pytest.raises(ValueError):
             assisted_bound(10, 0.1, 0.75, 0.01, CLEAN, p_f=2.0)
         # Past the double range: sqrt(n) would raise OverflowError.

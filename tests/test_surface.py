@@ -195,6 +195,28 @@ def _subtracts_dagger(node) -> bool:
     )
 
 
+def _raises_with(text: str):
+    """A predicate for a ``raise`` whose message, a string or an f-string,
+    has ``text`` in its literal part."""
+
+    def pred(node) -> bool:
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        args = exc.args[:1] if isinstance(exc, ast.Call) else []
+        parts = [v for a in args for v in (a.values if isinstance(a, ast.JoinedStr) else [a])]
+        return any(isinstance(v, ast.Constant) and text in str(v.value) for v in parts)
+
+    return pred
+
+
+def _subtracts_one_from_a_sum(node) -> bool:
+    """``<array>.sum() - 1.0``, the test that a weight vector sums to 1."""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Call) and getattr(node.left.func, "attr", None) == "sum"
+        and isinstance(node.right, ast.Constant) and node.right.value == 1.0
+    )
+
+
 def _calls_np(name: str):
     """A predicate for a call of ``np.<name>``."""
 
@@ -219,6 +241,10 @@ def test_each_rule_is_decided_once():
     ]
     sources = [p.read_text(encoding="utf-8") for p in (REPO / "src" / "covertq").glob("*.py")]
     assert sum(s.count("failure probability must be in [0, 1]") for s in sources) == 1
+    # The weight tolerance's range, (0, 1], for every subcommand and config.
+    assert _owners(_raises_with("weight tolerance")) == [("covert", "check_vartheta")]
+    # A Pauli vector's weights are held to sum 1 by PauliDistribution alone.
+    assert _owners(_subtracts_one_from_a_sum) == [("channels", "__init__")]
     # Hermiticity: one blocked scan, whose gap both callers hold to TAU_HERM.
     assert _owners(_subtracts_dagger) == [("linops", "hermitian_gap")]
     # Spelled in two parts so that this file does not name them either.
@@ -241,6 +267,7 @@ def test_each_rule_is_decided_once():
         "as_complex" + "_matrix",
         "_finite" + "_matrix",
         "binary" + "_entropy",
+        "all weights" + " vanish",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")

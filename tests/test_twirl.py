@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,31 @@ class TestProjectionStats:
     def test_total_leak_is_degenerate(self):
         with pytest.raises(DegenerateChannelError):
             projection_stats(qubit_leak(1.0))
+
+    def test_block_matches_the_full_choi_bit_for_bit(self, rng):
+        # The 4x4 block is summed from the two qubit rows of each Kraus
+        # operator, entry for entry the block of the full Choi matrix.
+        for _ in range(100):
+            ch = random_channel(2, int(rng.integers(2, 6)), int(rng.integers(1, 5)), rng)
+            idx = _qubit_block_indices(ch)
+            block = choi(ch)[np.ix_(idx, idx)]
+            assert np.array_equal(choi(ch, levels=2), block)
+            succ = float(np.trace(block).real)
+            stats = projection_stats(ch)
+            assert stats.p_f == min(1.0, max(0.0, 1.0 - succ))
+            assert np.array_equal(stats.conditional_choi, block / succ)
+
+    def test_memory_does_not_grow_with_the_output(self, rng):
+        # One qubit isometry into 1024 levels, whose full Choi matrix is
+        # 32 MiB; only the 4x4 qubit block is formed.
+        ch = random_channel(2, 1024, 1, rng)
+        tracemalloc.start()
+        try:
+            projection_stats(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_needs_qubit_input(self, rng):
         # One check serves the analytic and the sampled route.
