@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionCapError
-from .linops import dagger, kron, read_only_copy
-from .channels import PAULIS, PauliDistribution, QuantumChannel, apply_mat, choi
+from .linops import kron, read_only_copy
+from .channels import PAULIS, PauliDistribution, QuantumChannel, choi
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
 
@@ -65,16 +65,6 @@ def require_qubit_input(ch: QuantumChannel) -> None:
         )
 
 
-def _qubit_block_indices(ch: QuantumChannel) -> list[int]:
-    """Rows of the joint (reference qubit) x (output qudit) space, flattened
-    as r * d_out + b, that keep output levels 0 and 1; the input and output
-    must hold a qubit."""
-    require_qubit_input(ch)
-    if ch.d_out < 2:
-        raise ValueError(f"output dimension {ch.d_out} has no qubit subspace")
-    return [r * ch.d_out + b for r in (0, 1) for b in (0, 1)]
-
-
 def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     """Failure probability and conditional Choi of the projected channel.
 
@@ -82,7 +72,9 @@ def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     input, which is the relevant average once the inputs are twirled. The
     qubit subspace is fixed to the first two output basis vectors.
     """
-    _qubit_block_indices(ch)  # refuses a channel with no qubit block
+    require_qubit_input(ch)
+    if ch.d_out < 2:
+        raise ValueError(f"output dimension {ch.d_out} has no qubit subspace")
     block = choi(ch, levels=2)
     succ = float(np.trace(block).real)
     p_f = min(1.0, max(0.0, 1.0 - succ))
@@ -93,18 +85,13 @@ def projection_stats(ch: QuantumChannel) -> ProjectionStats:
     return ProjectionStats(p_f=p_f, conditional_choi=block / succ)
 
 
-def _bell_diagonal(j: np.ndarray) -> np.ndarray:
-    """Bell-diagonal entries <b|j|b> of a 4x4 two-qubit operator, clipped
-    at 0 and renormalized to sum 1."""
-    q = np.array([float(np.real(b.conj() @ j @ b)) for b in _BELL])
-    q = np.clip(q, 0.0, None)
-    return q / q.sum()
-
-
 def twirl_parameters(stats: ProjectionStats) -> PauliDistribution:
     """Pauli weights of the twirled conditional channel: Bell-diagonal
-    entries of the conditional Choi matrix, renormalized to sum 1."""
-    return PauliDistribution(_bell_diagonal(stats.conditional_choi))
+    entries <b|J|b> of the conditional Choi matrix J, clipped at 0 and
+    renormalized to sum 1."""
+    j = stats.conditional_choi
+    q = np.clip([float(np.real(b.conj() @ j @ b)) for b in _BELL], 0.0, None)
+    return PauliDistribution(q / q.sum())
 
 
 def compose_with_failure(q_tw: PauliDistribution, p_f: float) -> PauliDistribution:
@@ -130,32 +117,6 @@ def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _twirl_branches(ch: QuantumChannel):
-    """Single-shot physics for each of the four Pauli twirl branches.
-
-    For branch j: send the Bell state (id x P_j) applied to the maximally
-    entangled pair through id x N, the channel extended by the reference
-    qubit (``channels.apply_mat``), project onto the qubit subspace, and
-    undo P_j. The extension's Kraus operators are id x K, so its
-    trace-preservation residual is the channel's own. Returns the
-    per-branch success probabilities and, conditioned on success, the
-    Bell-basis outcome distributions (rows sum to 1).
-    """
-    idx = _qubit_block_indices(ch)
-    eye2 = np.eye(2, dtype=np.complex128)
-    extended = QuantumChannel(tuple(kron(eye2, k) for k in ch.kraus))
-    succ = np.zeros(4)
-    outcome = np.zeros((4, 4))
-    for j, p in enumerate(PAULIS):
-        pair = np.outer(_BELL[j], _BELL[j].conj())
-        block = apply_mat(extended, pair)[np.ix_(idx, idx)]
-        s = float(np.trace(block).real)
-        succ[j] = s
-        if s > 0.0:
-            outcome[j] = _bell_diagonal(kron(eye2, dagger(p)) @ (block / s) @ kron(eye2, p))
-    return succ, outcome
-
-
 def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
     """Counts of ``samples`` i.i.d. draws from ``probs`` as one multinomial
     draw, in memory independent of ``samples``; round-off above a total of 1
@@ -173,13 +134,19 @@ def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
 def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
     """Empirical estimate of the twirled Pauli weights.
 
-    Each shot draws one of the four twirl branches uniformly, runs the
-    single-shot projection experiment (discarding failures), and records the
-    Bell-basis outcome. Shots are i.i.d., so their counts are one multinomial
-    draw. Deterministic for a fixed seed.
+    Each shot draws one of the four twirl branches j uniformly, sends
+    (id x P_j)|Phi> through id x N, projects onto the qubit subspace
+    (discarding failures), undoes P_j and records the Bell-basis outcome.
+    The reference marginal of every branch's state is I/2, so each branch
+    succeeds with s = tr(J_2), J_2 = ``choi(ch, levels=2)``; undoing P_j maps
+    each Bell vector to itself up to a phase, so each branch's outcome law is
+    the Bell diagonal of J_2 / s, which is q_tw. A shot thus lands on Pauli j
+    with probability (1 - p_f) q_tw[j] and fails with p_f, the law that
+    ``projection_stats`` and ``twirl_parameters`` give. Shots are i.i.d., so
+    their counts are one multinomial draw. Deterministic for a fixed seed.
     """
-    succ, outcome = _twirl_branches(ch)
-    bell = succ @ outcome / 4.0
+    stats = projection_stats(ch)
+    bell = (1.0 - stats.p_f) * twirl_parameters(stats).weights
     counts = _categorical_counts([*bell, 1.0 - bell.sum()], samples, seed)[:4]
     if counts.sum() == 0:
         raise DegenerateChannelError("every sample failed the qubit projection")

@@ -10,7 +10,7 @@ import pytest
 
 from covertq.channels import PAULIS, QuantumChannel, WillieModel, apply_mat
 from covertq.linops import DensityOperator
-from covertq.twirl import PauliDistribution, _categorical_counts, _twirl_branches
+from covertq.twirl import PauliDistribution, _categorical_counts
 
 
 def random_density(dim: int, rng: np.random.Generator, floor: float = 0.0) -> DensityOperator:
@@ -74,6 +74,39 @@ def twirled_replaced_choi(ch: QuantumChannel) -> np.ndarray:
     return j / 2
 
 
+def branch_loop_reference(ch: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: single-shot physics of each of the four Pauli twirl branches.
+
+    Branch j conjugates the maximally entangled pair by id x P_j, runs its
+    own loop over the Kraus operators id x K (every product a fresh
+    np.kron), keeps the (reference qubit) x (output levels 0 and 1) block
+    and undoes P_j. Returns the per-branch success probabilities and,
+    conditioned on success, the Bell-basis outcome distributions (each
+    overlap clipped at 0, rows renormalized to sum 1).
+    """
+    d = ch.d_out
+    idx = [0, 1, d, d + 1]  # reference r, output b at r * d_out + b
+    eye2 = np.eye(2, dtype=np.complex128)
+    phi = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
+    bell = [np.kron(eye2, p) @ phi for p in PAULIS]
+    succ = np.zeros(4)
+    outcome = np.zeros((4, 4))
+    for j, p in enumerate(PAULIS):
+        pre = np.kron(eye2, p) @ np.outer(phi, phi.conj()) @ np.kron(eye2, p.conj().T)
+        joint = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+        for k in ch.kraus:
+            big = np.kron(eye2, k)
+            joint += big @ pre @ big.conj().T
+        block = joint[np.ix_(idx, idx)]
+        s = float(np.trace(block).real)
+        succ[j] = s
+        if s > 0.0:
+            m = np.kron(eye2, p.conj().T) @ (block / s) @ np.kron(eye2, p)
+            q = np.clip([np.real(b.conj() @ m @ b) for b in bell], 0.0, None)
+            outcome[j] = q / q.sum()
+    return succ, outcome
+
+
 def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
     """Oracle: Monte Carlo estimate of the effective per-slot Pauli error
     vector of the full receiver path: twirl, transmit, project with
@@ -85,7 +118,7 @@ def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDis
     weights are concentrated on the identity. Deterministic for a fixed
     seed.
     """
-    succ, outcome = _twirl_branches(ch)
+    succ, outcome = branch_loop_reference(ch)
     # Replacement with the maximally mixed qubit makes the failure-branch
     # Bell outcome exactly uniform, whatever the reference side holds.
     probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0

@@ -1,13 +1,16 @@
 """A 60-digit reference for the n-use figures that detect-sim prints, on
-commuting qubit pairs.
+qubit pairs.
 
-Both warden states are diagonal in the frame that ``WardenStates`` holds, so
-rho_n, mix^n and rho0^n are diagonal, and each entry depends only on the
-output weight K of its basis string. A string of weight K under a signal
-pattern of weight w has j of its K ones on signal slots and w - j of its
-n - K zeros there, so rho_n's entry is a sum over w and j with exact
-binomials. mpmath carries every sum at 60 digits from the float64 frame, so
-what is measured is the error of the float64 route alone.
+In the frame that ``WardenStates`` holds, a commuting pair has both warden
+states diagonal, so rho_n, mix^n and rho0^n are diagonal, and each entry
+depends only on the output weight K of its basis string. A string of weight
+K under a signal pattern of weight w has j of its K ones on signal slots and
+w - j of its n - K zeros there, so rho_n's entry is a sum over w and j with
+exact binomials. A coherent pair (nonzero frame coherence, the Schur-Weyl
+block route) is checked on whole 2^n-square matrices instead, formed from
+the weight-class sums and diagonalized by ``mpmath.eigsy``. mpmath carries
+every sum at 60 digits from the float64 frame, so what is measured is the
+error of the float64 route alone.
 """
 
 import csv
@@ -21,6 +24,7 @@ import pytest
 from covertq import channels, covert
 from covertq.linops import DensityOperator
 from covertq.sparse import SparseSignalConfig, WardenStates
+from conftest import random_willie_model
 
 TESTS = Path(__file__).resolve().parent
 AD_SPEC = TESTS.parent / "data" / "amplitude_damping.json"
@@ -31,6 +35,11 @@ AD_SPEC = TESTS.parent / "data" / "amplitude_damping.json"
 # (random-diagonal-n8). On the shipped model at n = 6 they are 2.6e-16,
 # 1.5e-14, 2.6e-14 and 3.7e-16.
 BOUNDS = {"d_exact": 5e-12, "d_product": 1e-11, "epsilon": 2e-11, "trace_distance": 1e-14}
+# The coherent pairs' bounds, about ten times the largest error measured on
+# their cases: d_exact 4.3e-15 (coherent-5-n4), d_product 1.3e-14
+# (coherent-6-n5), epsilon 4.1e-15 (coherent-5-n5) and the trace distance
+# 4.9e-16 (coherent-5-n4).
+COHERENT_BOUNDS = {"d_exact": 5e-14, "d_product": 1e-13, "epsilon": 5e-14, "trace_distance": 5e-15}
 
 
 def reference_figures(states: WardenStates) -> dict:
@@ -43,9 +52,7 @@ def reference_figures(states: WardenStates) -> dict:
         n, q = cfg.n, mpmath.mpf(cfg.q)
         a0, a1, b0, b1 = (mpmath.mpf(float(x.real)) for x in (*a, *b))
         m0, m1 = (1 - q) * a0 + q * b0, (1 - q) * a1 + q * b1
-        # The weight set |q - w/n| <= vartheta in exact rationals.
-        ws = [w for w in range(n + 1) if abs(Fraction(cfg.q) - Fraction(w, n)) <= Fraction(cfg.vartheta)]
-        assert ws == list(cfg.weight_range())
+        ws = _weight_set(cfg)
         p_set = mpmath.fsum(mpmath.binomial(n, w) * q**w * (1 - q) ** (n - w) for w in ws)
         d_exact = d_product = epsilon = trace_distance = mpmath.mpf(0)
         for k in range(n + 1):
@@ -65,11 +72,69 @@ def reference_figures(states: WardenStates) -> dict:
                 "trace_distance": trace_distance}
 
 
-def relative_errors(states: WardenStates) -> dict:
+def _weight_set(cfg: SparseSignalConfig) -> list:
+    """The weight set |q - w/n| <= vartheta in exact rationals."""
+    n = cfg.n
+    ws = [w for w in range(n + 1) if abs(Fraction(cfg.q) - Fraction(w, n)) <= Fraction(cfg.vartheta)]
+    assert ws == list(cfg.weight_range())
+    return ws
+
+
+def _kron(a, b):
+    return mpmath.matrix([
+        [a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols] for j in range(a.cols * b.cols)]
+        for i in range(a.rows * b.rows)
+    ])
+
+
+def _bits(vals) -> mpmath.mpf:
+    """The sum of v log2 v over the positive values."""
+    return mpmath.fsum(v * mpmath.log(v, 2) for v in vals if v > 0)
+
+
+def dense_reference_figures(states: WardenStates) -> dict:
+    """d_exact, d_product, epsilon and the trace distance of a coherent qubit
+    pair at 60 digits, on 2^n-square matrices. The class sums S[w] of the
+    n-fold products with w factors rho_pi' and n - w factors rho0' grow one
+    slot at a time; rho_n and mix^n are their weight-set and binomial
+    mixtures, and rho0^n is S[0], diagonal in the frame. d_product is n
+    times the single-use divergence, exact by additivity."""
+    model, cfg = states.model, states.cfg
+    assert model.dim == 2 and model.rho_pi.mat[0, 1] != 0, "a coherent qubit pair"
+    with mpmath.workdps(60):
+        n, q, ws = cfg.n, mpmath.mpf(cfg.q), _weight_set(cfg)
+        r0, r_pi = (mpmath.matrix(rho.mat.real.tolist()) for rho in (model.rho0, model.rho_pi))
+        sums = [mpmath.matrix([[1]])]
+        for _ in range(n):
+            grown = [_kron(s, r0) for s in sums] + [_kron(sums[-1], r_pi)]
+            for w in range(1, len(sums)):
+                grown[w] += _kron(sums[w - 1], r_pi)
+            sums = grown
+        p = [q**w * (1 - q) ** (n - w) for w in range(n + 1)]
+        p_set = mpmath.fsum(mpmath.binomial(n, w) * p[w] for w in ws)
+        rho_n, mix_n = mpmath.zeros(2**n), mpmath.zeros(2**n)
+        for w in range(n + 1):
+            mix_n += p[w] * sums[w]
+            if w in ws:
+                rho_n += p[w] / p_set * sums[w]
+        rho0_n = sums[0]
+        log_ref = [mpmath.log(rho0_n[i, i], 2) for i in range(2**n)]
+        mix = (1 - q) * r0 + q * r_pi
+        return {
+            "d_exact": _bits(mpmath.eigsy(rho_n, eigvals_only=True))
+            - mpmath.fsum(rho_n[i, i] * log_ref[i] for i in range(2**n)),
+            "d_product": n * (_bits(mpmath.eigsy(mix, eigvals_only=True))
+                              - mpmath.fsum(mix[i, i] * mpmath.log(r0[i, i], 2) for i in range(2))),
+            "epsilon": mpmath.fsum(map(abs, mpmath.eigsy(mix_n - rho_n, eigvals_only=True))) / 2,
+            "trace_distance": mpmath.fsum(map(abs, mpmath.eigsy(rho_n - rho0_n, eigvals_only=True))),
+        }
+
+
+def relative_errors(states: WardenStates, reference=reference_figures) -> dict:
     fig = states.figures._asdict()
     return {
         name: float(abs((mpmath.mpf(fig[name]) - ref) / ref))
-        for name, ref in reference_figures(states).items()
+        for name, ref in reference(states).items()
     }
 
 
@@ -90,6 +155,13 @@ def _random_diagonal(seed: int, n: int) -> WardenStates:
     return WardenStates(model, cfg)
 
 
+def _random_coherent(seed: int, n: int) -> WardenStates:
+    rng = np.random.default_rng(seed)
+    model = random_willie_model(rng)
+    cfg = SparseSignalConfig(n=n, q=float(rng.uniform(0.05, 0.4)), vartheta=0.3)
+    return WardenStates(model, cfg)
+
+
 CASES = {
     "shipped-n6": lambda: _shipped(6, 0.5),
     "shipped-n10": lambda: _shipped(10, 0.5),
@@ -102,6 +174,19 @@ CASES = {
 def test_printed_figures_match_the_60_digit_reference(case):
     errors = relative_errors(CASES[case]())
     assert {k: e for k, e in errors.items() if not e <= BOUNDS[k]} == {}, errors
+
+
+COHERENT_CASES = {
+    f"coherent-{seed}-n{n}": (lambda seed=seed, n=n: _random_coherent(seed, n))
+    for seed in (5, 6)
+    for n in (4, 5)
+}
+
+
+@pytest.mark.parametrize("case", COHERENT_CASES)
+def test_block_route_figures_match_the_60_digit_reference(case):
+    errors = relative_errors(COHERENT_CASES[case](), dense_reference_figures)
+    assert {k: e for k, e in errors.items() if not e <= COHERENT_BOUNDS[k]} == {}, errors
 
 
 def test_golden_figures_match_the_60_digit_reference():

@@ -268,6 +268,7 @@ def test_each_rule_is_decided_once():
         "_finite" + "_matrix",
         "binary" + "_entropy",
         "all weights" + " vanish",
+        "_twirl" + "_branches",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
@@ -310,6 +311,19 @@ def test_both_warden_routes_share_one_block_loop():
 
     assert in_sparse("trace_norm") == {("sparse", "figures")}
     assert len(in_sparse("qre_spectral")) == 1
+
+
+def test_one_channel_action():
+    # channels.apply_mat is the one channel action; no other module sends a
+    # state through a channel.
+    assert {owner[0] for owner in _owners(_calls("apply_mat"))} == {"channels"}
+
+
+def test_only_channels_builds_a_channel():
+    # No extended channel is built outside channels, so channels.choi is
+    # the one place a qubit block is formed, never from a (2 d_out)-square
+    # output.
+    assert {owner[0] for owner in _owners(_calls("QuantumChannel"))} == {"channels"}
 
 
 def test_one_kronecker_writer():

@@ -13,21 +13,18 @@ from covertq.channels import (
     qubit_leak,
 )
 from covertq.errors import DegenerateChannelError, DimensionCapError
-from covertq.linops import dagger
+from covertq import twirl
 from covertq.twirl import (
     PauliDistribution,
     ProjectionStats,
-    _bell_diagonal,
     _categorical_counts,
-    _qubit_block_indices,
-    _twirl_branches,
     bell_vectors,
     compose_with_failure,
     monte_carlo_twirl,
     projection_stats,
     twirl_parameters,
 )
-from conftest import random_channel, random_pure, twirled_replaced_choi
+from conftest import branch_loop_reference, random_channel, random_pure, twirled_replaced_choi
 
 BELL_PROJ = np.outer(bell_vectors()[0], bell_vectors()[0].conj())
 
@@ -78,7 +75,7 @@ class TestProjectionStats:
         # operator, entry for entry the block of the full Choi matrix.
         for _ in range(100):
             ch = random_channel(2, int(rng.integers(2, 6)), int(rng.integers(1, 5)), rng)
-            idx = _qubit_block_indices(ch)
+            idx = [0, 1, ch.d_out, ch.d_out + 1]  # output levels 0 and 1 of each reference row
             block = choi(ch)[np.ix_(idx, idx)]
             assert np.array_equal(choi(ch, levels=2), block)
             succ = float(np.trace(block).real)
@@ -197,37 +194,27 @@ class TestOperatorIdentity:
         )
 
 
-def _branch_loop_reference(ch):
-    """Reference build of ``_twirl_branches``: each branch conjugates the
-    maximally entangled pair by id x P_j and runs its own loop over the
-    Kraus operators id x K, every product a fresh np.kron."""
-    idx = _qubit_block_indices(ch)
-    d = ch.d_out
-    eye2 = np.eye(2, dtype=np.complex128)
-    phi = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2)
-    succ = np.zeros(4)
-    outcome = np.zeros((4, 4))
-    for j, p in enumerate(PAULIS):
-        pre = np.kron(eye2, p) @ np.outer(phi, phi.conj()) @ np.kron(eye2, dagger(p))
-        joint = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-        for k in ch.kraus:
-            big = np.kron(eye2, k)
-            joint += big @ pre @ dagger(big)
-        block = joint[np.ix_(idx, idx)]
-        s = float(np.trace(block).real)
-        succ[j] = s
-        if s > 0.0:
-            outcome[j] = _bell_diagonal(np.kron(eye2, dagger(p)) @ (block / s) @ np.kron(eye2, p))
-    return succ, outcome
+def test_shot_law_matches_the_branch_physics(monkeypatch):
+    # The sampler draws from (1 - p_f) q_tw and p_f; the test-side branch
+    # loop gives each branch's success and Bell outcome law, and a uniform
+    # branch choice averages them. Output levels past 2 leak out of the
+    # qubit subspace.
+    drawn_laws = []
 
+    def spy(probs, samples, seed):
+        drawn_laws.append(np.asarray(probs, dtype=float))
+        return _categorical_counts(probs, samples, seed)
 
-def test_branches_match_the_per_kraus_loop_bit_for_bit():
-    # Output levels past 2 leak out of the qubit subspace.
+    monkeypatch.setattr(twirl, "_categorical_counts", spy)
     rng = np.random.default_rng(2024)
     drawn = [random_channel(2, 2 + i % 3, 1 + (i // 3) % 4, rng) for i in range(60)]
     for i, ch in enumerate([*drawn, qubit_leak(0.25), amplitude_damping(0.3), identity_channel(2)]):
-        for got, want in zip(_twirl_branches(ch), _branch_loop_reference(ch)):
-            assert np.array_equal(got, want), (i, got, want)
+        monte_carlo_twirl(ch, 1000, seed=i)
+        succ, outcome = branch_loop_reference(ch)
+        bell = succ @ outcome / 4.0
+        want = np.array([*bell, 1.0 - bell.sum()])
+        np.testing.assert_allclose(drawn_laws[-1], want, rtol=0, atol=1e-15, err_msg=str(i))
+    assert len(drawn_laws) == 63
 
 
 class TestMonteCarlo:
@@ -276,9 +263,25 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             _categorical_counts([1.0], 0, seed=0)
 
+    def test_memory_does_not_grow_with_the_output(self, rng):
+        # One qubit isometry into 1024 levels: the shot law is read from the
+        # 4x4 qubit block, so no (2 d_out)-square output is formed.
+        ch = random_channel(2, 1024, 1, rng)
+        tracemalloc.start()
+        try:
+            monte_carlo_twirl(ch, 10**7, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_all_samples_failing_raises(self):
         with pytest.raises(DegenerateChannelError):
             monte_carlo_twirl(qubit_leak(1.0), 1000, seed=0)
+        # A projection that succeeds, but far more rarely than once in the
+        # draw, fails every sample.
+        with pytest.raises(DegenerateChannelError, match="every sample failed"):
+            monte_carlo_twirl(qubit_leak(1.0 - 1e-9), 1000, seed=0)
 
 
 def test_uniform_twirl_of_any_state_is_maximally_mixed(rng):
