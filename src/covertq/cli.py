@@ -195,9 +195,10 @@ def _build_model(args) -> tuple[channels.QuantumChannel, str, channels.WillieMod
 
 def _analyze(args) -> tuple:
     """The figures that report and srl-curve share, as (receiver channel,
-    warden mode, c_q, projection stats, q_tw, p_vec, bound rows). A bound
-    row is (n, unassisted bound, assisted bound); there are none when c_q
-    is infinite, but each n is checked all the same."""
+    warden mode, c_q, projection stats, q_tw, p_vec, R, R_d, bound rows).
+    R and R_d are the hashing and distillation rates, each taken once. A
+    bound row is (n, unassisted bound, assisted bound); there are none when
+    c_q is infinite, but each n is checked all the same."""
     from . import rates, twirl
 
     bob, mode, model = _build_model(args)
@@ -206,14 +207,15 @@ def _analyze(args) -> tuple:
     stats = twirl.projection_stats(bob)
     q_tw = twirl.twirl_parameters(stats)
     p_vec = twirl.compose_with_failure(q_tw, stats.p_f)
+    r, r_d = rates.hashing_rate(p_vec), rates.distillation_rate(q_tw, stats.p_f)
     rows = []
     for n in _parse_n_list(args.n):
         rates._check_bound_args(n, args.vartheta, c_q, args.delta)
         if not math.isinf(c_q):
-            b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, p_vec)
-            b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, q_tw, stats.p_f)
+            b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, r)
+            b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, r_d)
             rows.append((n, b1, b2))
-    return bob, mode, c_q, stats, q_tw, p_vec, rows
+    return bob, mode, c_q, stats, q_tw, p_vec, r, r_d, rows
 
 
 def _pauli_line(p: channels.PauliDistribution) -> str:
@@ -242,9 +244,7 @@ def _write(text: str, path: Optional[str], stream) -> None:
 
 
 def cmd_report(args) -> tuple[str, str]:
-    from . import rates
-
-    bob, mode, c_q, stats, q_tw, p_vec, rows = _analyze(args)
+    bob, mode, c_q, stats, q_tw, p_vec, r, r_d, rows = _analyze(args)
     trivial = math.isinf(c_q)
     lines = [
         f"channel-id: {_channel_id(bob)}",
@@ -256,8 +256,8 @@ def cmd_report(args) -> tuple[str, str]:
         f"q_tw: {_pauli_line(q_tw)}",
         f"p_vec: {_pauli_line(p_vec)}",
         f"c_q: {'inf' if trivial else _fmt(c_q)}",
-        f"R: {_fmt(rates.hashing_rate(p_vec))}",
-        f"R_d: {_fmt(rates.distillation_rate(q_tw, stats.p_f))}",
+        f"R: {_fmt(r)}",
+        f"R_d: {_fmt(r_d)}",
     ]
     if trivial:
         lines.append(
@@ -274,7 +274,7 @@ def cmd_report(args) -> tuple[str, str]:
 
 
 def cmd_srl_curve(args) -> tuple[str, str]:
-    _, _, c_q, _, _, _, rows = _analyze(args)
+    _, _, c_q, _, _, _, _, _, rows = _analyze(args)
     if math.isinf(c_q):
         raise DegenerateChannelError(
             "trivially covert channel: qubit count bounds are unbounded, "
@@ -354,7 +354,7 @@ def cmd_twirl_check(args) -> tuple[str, str]:
     ch = channels.load_channel(args.channel)
     stats = twirl.projection_stats(ch)
     analytic = twirl.twirl_parameters(stats)
-    empirical = twirl.monte_carlo_twirl(ch, args.samples, args.seed)
+    empirical = twirl.monte_carlo_twirl(analytic, stats.p_f, args.samples, args.seed)
     gap = float(np.max(np.abs(analytic.weights - empirical.weights)))
     lines = [
         f"channel-id: {_channel_id(ch)}",

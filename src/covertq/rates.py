@@ -33,14 +33,16 @@ def distillation_rate(q_tw: PauliDistribution, p_f: float) -> float:
 class ThroughputBound(NamedTuple):
     """A square-root scaling bound: at block length n, at least ``m_lower``
     qubits move covertly and reliably; with classical assistance the two-way
-    classical cost stays below ``classical_bits_upper``."""
+    classical cost stays below ``classical_bits_upper``. It holds no rate:
+    the caller passes one in."""
 
-    rate: float
     m_lower: float
     classical_bits_upper: Optional[float] = None
 
 
 def _m_lower(n: int, vartheta: float, c_q: float, rate: float, delta_qre: float) -> float:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must lie in [0, 1] qubits per channel use, got {rate}")
     return (1.0 - vartheta) * math.sqrt(n) * c_q * rate * math.sqrt(delta_qre)
 
 
@@ -53,38 +55,23 @@ def _check_bound_args(n: int, vartheta: float, c_q: float, delta_qre: float) -> 
 
 
 def unassisted_bound(
-    n: int, vartheta: float, c_q: float, delta_qre: float, p: PauliDistribution
+    n: int, vartheta: float, c_q: float, delta_qre: float, rate: float
 ) -> ThroughputBound:
-    """Covert qubit count bound without classical assistance; the rate is
-    the hashing rate of the combined Pauli error vector."""
+    """Covert qubit count bound without classical assistance, at ``rate``
+    qubits per channel use: the hashing rate of the combined Pauli error
+    vector (``hashing_rate``)."""
     _check_bound_args(n, vartheta, c_q, delta_qre)
-    rate = hashing_rate(p)
-    return ThroughputBound(rate=rate, m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre))
+    return ThroughputBound(m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre))
 
 
 def assisted_bound(
-    n: int,
-    vartheta: float,
-    c_q: float,
-    delta_qre: float,
-    q_tw: PauliDistribution,
-    p_f: float,
+    n: int, vartheta: float, c_q: float, delta_qre: float, rate: float
 ) -> ThroughputBound:
-    """Covert qubit count bound with a two-way covert classical channel; the
-    rate is the distillation rate, and the classical cost is bounded by
+    """Covert qubit count bound with a two-way covert classical channel, at
+    ``rate`` qubits per channel use: the distillation rate
+    (``distillation_rate``). The classical cost is bounded by
     (1 + vartheta) sqrt(n) c_q (1 + 2 rate) sqrt(delta)."""
     _check_bound_args(n, vartheta, c_q, delta_qre)
-    rate = distillation_rate(q_tw, p_f)
-    bits = (
-        (1.0 + vartheta)
-        * math.sqrt(n)
-        * c_q
-        * (1.0 + 2.0 * rate)
-        * math.sqrt(delta_qre)
-    )
-    return ThroughputBound(
-        rate=rate,
-        m_lower=_m_lower(n, vartheta, c_q, rate, delta_qre),
-        classical_bits_upper=bits,
-    )
-
+    m_lower = _m_lower(n, vartheta, c_q, rate, delta_qre)
+    bits = (1.0 + vartheta) * math.sqrt(n) * c_q * (1.0 + 2.0 * rate) * math.sqrt(delta_qre)
+    return ThroughputBound(m_lower=m_lower, classical_bits_upper=bits)

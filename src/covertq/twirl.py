@@ -102,14 +102,9 @@ def compose_with_failure(q_tw: PauliDistribution, p_f: float) -> PauliDistributi
         p_j = (1 - 3/4 p_f) q_j + 1/4 p_f   for j in {X, Y, Z}
     """
     check_failure_probability(p_f)
-    return PauliDistribution(_compose_rows(q_tw.weights[None, :], p_f)[0])
-
-
-def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
-    """Row-wise form of :func:`compose_with_failure` for grid sweeps."""
-    out = (1.0 - 0.75 * p_f) * q_rows
-    out[:, 1:] += 0.25 * p_f
-    return out
+    out = (1.0 - 0.75 * p_f) * q_tw.weights
+    out[1:] += 0.25 * p_f
+    return PauliDistribution(out)
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +112,11 @@ def _compose_rows(q_rows: np.ndarray, p_f: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _categorical_counts(probs, samples: int, seed: int) -> np.ndarray:
-    """Counts of ``samples`` i.i.d. draws from ``probs`` as one multinomial
-    draw, in memory independent of ``samples``; round-off above a total of 1
-    is normalized away. Deterministic for a fixed seed."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if samples > np.iinfo(np.int64).max:
-        raise ValueError(f"sample count {samples} exceeds the multinomial limit 2**63 - 1")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    return np.random.default_rng(seed).multinomial(samples, p / max(1.0, p.sum()))
-
-
-def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistribution:
-    """Empirical estimate of the twirled Pauli weights.
+def monte_carlo_twirl(
+    q_tw: PauliDistribution, p_f: float, samples: int, seed: int
+) -> PauliDistribution:
+    """Empirical estimate of the twirled Pauli weights ``q_tw``, from the
+    projection failure probability ``p_f`` that goes with them.
 
     Each shot draws one of the four twirl branches j uniformly, sends
     (id x P_j)|Phi> through id x N, projects onto the qubit subspace
@@ -141,13 +125,22 @@ def monte_carlo_twirl(ch: QuantumChannel, samples: int, seed: int) -> PauliDistr
     succeeds with s = tr(J_2), J_2 = ``choi(ch, levels=2)``; undoing P_j maps
     each Bell vector to itself up to a phase, so each branch's outcome law is
     the Bell diagonal of J_2 / s, which is q_tw. A shot thus lands on Pauli j
-    with probability (1 - p_f) q_tw[j] and fails with p_f, the law that
-    ``projection_stats`` and ``twirl_parameters`` give. Shots are i.i.d., so
-    their counts are one multinomial draw. Deterministic for a fixed seed.
+    with probability (1 - p_f) q_tw[j] and fails with p_f, where p_f and
+    q_tw are what ``projection_stats`` and ``twirl_parameters`` give. Shots
+    are i.i.d., so their counts are one multinomial draw, in memory
+    independent of ``samples``; round-off above a total of 1 is normalized
+    away. Deterministic for a fixed seed.
     """
-    stats = projection_stats(ch)
-    bell = (1.0 - stats.p_f) * twirl_parameters(stats).weights
-    counts = _categorical_counts([*bell, 1.0 - bell.sum()], samples, seed)[:4]
+    check_failure_probability(p_f)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if samples > np.iinfo(np.int64).max:
+        raise ValueError(f"sample count {samples} exceeds the multinomial limit 2**63 - 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    bell = (1.0 - p_f) * q_tw.weights
+    law = np.clip([*bell, 1.0 - bell.sum()], 0.0, None)
+    counts = np.random.default_rng(seed).multinomial(samples, law / max(1.0, law.sum()))[:4]
     if counts.sum() == 0:
         raise DegenerateChannelError("every sample failed the qubit projection")
     return PauliDistribution(counts / counts.sum())

@@ -10,7 +10,7 @@ import pytest
 
 from covertq.channels import PAULIS, QuantumChannel, WillieModel, apply_mat
 from covertq.linops import DensityOperator
-from covertq.twirl import PauliDistribution, _categorical_counts
+from covertq.twirl import PauliDistribution
 
 
 def random_density(dim: int, rng: np.random.Generator, floor: float = 0.0) -> DensityOperator:
@@ -121,8 +121,8 @@ def pipeline_tomography(ch: QuantumChannel, samples: int, seed: int) -> PauliDis
     succ, outcome = branch_loop_reference(ch)
     # Replacement with the maximally mixed qubit makes the failure-branch
     # Bell outcome exactly uniform, whatever the reference side holds.
-    probs = (succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0
-    counts = _categorical_counts(probs, samples, seed)
+    probs = np.clip((succ @ outcome + np.sum(1.0 - succ) / 4.0) / 4.0, 0.0, None)
+    counts = np.random.default_rng(seed).multinomial(samples, probs / max(1.0, probs.sum()))
     return PauliDistribution(counts / counts.sum())
 
 

@@ -40,7 +40,6 @@ from covertq.sparse import (
 )
 from covertq.twirl import (
     PauliDistribution,
-    _compose_rows,
     compose_with_failure,
     monte_carlo_twirl,
     projection_stats,
@@ -252,8 +251,9 @@ def test_criterion_6_monte_carlo_convergence():
     t0 = time.monotonic()
     worst = 0.0
     for i, (name, ch) in enumerate(CHANNEL_SET):
-        analytic = twirl_parameters(projection_stats(ch))
-        est = monte_carlo_twirl(ch, samples=10**5, seed=1000 + i)
+        stats = projection_stats(ch)
+        analytic = twirl_parameters(stats)
+        est = monte_carlo_twirl(analytic, stats.p_f, samples=10**5, seed=1000 + i)
         gap = float(np.max(np.abs(est.weights - analytic.weights)))
         worst = max(worst, gap)
         assert gap <= 0.01, f"{name}: Monte Carlo gap {gap}"
@@ -283,6 +283,12 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     return entr(rows).sum(axis=-1) / LN2
 
 
+def _rows_with_failure(q_rows: np.ndarray, p_f: float) -> np.ndarray:
+    """Test-side row formula of the composed error vector: each row of twirled
+    weights scaled by 1 - 3/4 p_f, plus p_f / 4 on X, Y and Z."""
+    return (1.0 - 0.75 * p_f) * q_rows + 0.25 * p_f * np.array([0.0, 1.0, 1.0, 1.0])
+
+
 def test_criterion_8_distillation_dominates_hashing():
     t0 = time.monotonic()
     # Exhaustive 0.02-step grid over the weight simplex and failure rate.
@@ -299,11 +305,12 @@ def test_criterion_8_distillation_dominates_hashing():
     for pf100 in range(0, 101, 2):
         p_f = pf100 / 100.0
         r_d = (1.0 - p_f) * r_base
-        r = np.clip(1.0 - _row_entropies(_compose_rows(q_rows.copy(), p_f)), 0.0, None)
+        r = np.clip(1.0 - _row_entropies(_rows_with_failure(q_rows, p_f)), 0.0, None)
         margin = float(np.min(r_d - r))
         worst = min(worst, margin)
         assert margin >= -1e-12
-    # Spot-check the vectorized sweep against the public scalar functions.
+    # Spot-check the vectorized sweep, its row formula included, against
+    # the public scalar functions.
     gen = np.random.default_rng(787878)
     for idx in gen.integers(0, q_rows.shape[0], size=50):
         q = PauliDistribution(q_rows[idx])
@@ -316,7 +323,7 @@ def test_criterion_8_distillation_dominates_hashing():
         )
         np.testing.assert_allclose(
             compose_with_failure(q, p_f).weights,
-            _compose_rows(q_rows[idx : idx + 1].copy(), p_f)[0],
+            _rows_with_failure(q_rows[idx], p_f),
             atol=1e-15,
         )
     _finish(

@@ -65,43 +65,43 @@ def trivial_args(ident_spec, depol_spec):
 BASE = ["--channel", AD_SPEC, "--innocent", "1", "--delta", "0.05"]
 
 
+GRID = ["--vartheta", "0.1", "--n", "log:1e3:1e7:9"]
+
+
 def _count_analysis_calls(argv, monkeypatch, capsys) -> Counter:
-    """Calls of tp_residual and of the rate and bound functions during one
-    CLI call; a rate taken outside the two bounds counts as '<name> outside'."""
-    calls, depth = Counter(), [0]
+    """Calls of tp_residual, of the two twirl readouts and of the rate and
+    bound functions during one CLI call."""
+    calls = Counter()
 
     def wrap(mod, name):
         orig = getattr(mod, name)
-        bound = name.endswith("_bound")
 
         def wrapper(*args, **kwargs):
-            outside = name.endswith("_rate") and not depth[0]
-            calls[name + " outside" if outside else name] += 1
-            depth[0] += bound
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                depth[0] -= bound
+            calls[name] += 1
+            return orig(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, wrapper)
 
     wrap(channels, "tp_residual")
+    for name in ("projection_stats", "twirl_parameters"):
+        wrap(twirl, name)
     for name in ("hashing_rate", "distillation_rate", "unassisted_bound", "assisted_bound"):
         wrap(rates, name)
-    code, _, err = run_cli([*argv, *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e7:9"], capsys)
+    code, _, err = run_cli(argv, capsys)
     assert code == 0, err
     return calls
 
 
 class TestReport:
     def test_residual_and_rates_once(self, monkeypatch, capsys):
-        # The tp-residual line reads the receiver's validation; R and R_d
-        # are the two rates taken outside the bounds. distillation_rate
-        # scales the hashing rate, so each call of it makes one more.
-        calls = _count_analysis_calls(["report"], monkeypatch, capsys)
-        assert calls == Counter({"tp_residual": 2, "hashing_rate": 18, "distillation_rate": 9,
-                                 "hashing_rate outside": 2, "distillation_rate outside": 1,
-                                 "unassisted_bound": 9, "assisted_bound": 9})
+        # The tp-residual line reads the receiver's validation. R and R_d
+        # are taken once, and every bound row and line reads them;
+        # distillation_rate scales the hashing rate, so it makes the second
+        # hashing_rate call.
+        calls = _count_analysis_calls(["report", *BASE, *GRID], monkeypatch, capsys)
+        assert calls == Counter(tp_residual=2, projection_stats=1, twirl_parameters=1,
+                                hashing_rate=2, distillation_rate=1,
+                                unassisted_bound=9, assisted_bound=9)
 
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
@@ -132,7 +132,7 @@ class TestReport:
         assert float(fields["R_d"]) == pytest.approx(
             rates.distillation_rate(q_tw, stats.p_f), rel=1e-15
         )
-        b1 = rates.unassisted_bound(1000, 0.1, c_q, 0.05, p_vec)
+        b1 = rates.unassisted_bound(1000, 0.1, c_q, 0.05, rates.hashing_rate(p_vec))
         tail = out.strip().splitlines()[-1]
         assert f"m_lower_unassisted={b1.m_lower:.17g}" in tail
 
@@ -271,10 +271,11 @@ class TestReport:
 class TestSrlCurve:
     def test_computes_only_what_it_prints(self, monkeypatch, capsys):
         # The two residuals are the receiver's and the warden's validation;
-        # every rate is taken inside a bound, and each distillation rate
-        # takes a hashing rate.
-        calls = _count_analysis_calls(["srl-curve"], monkeypatch, capsys)
-        assert calls == Counter(tp_residual=2, hashing_rate=18, distillation_rate=9,
+        # each rate is taken once and passed to every bound, and the
+        # distillation rate takes the second hashing rate.
+        calls = _count_analysis_calls(["srl-curve", *BASE, *GRID], monkeypatch, capsys)
+        assert calls == Counter(tp_residual=2, projection_stats=1, twirl_parameters=1,
+                                hashing_rate=2, distillation_rate=1,
                                 unassisted_bound=9, assisted_bound=9)
 
     def test_matches_golden(self, capsys):
@@ -811,7 +812,7 @@ class TestRefusedParameters:
         with pytest.raises(ValueError):
             covert.q_for_budget(1.0, float(delta), 4)
         with pytest.raises(ValueError):
-            rates.unassisted_bound(1000, 0.5, 1.0, float(delta), twirl.PauliDistribution((1.0, 0.0, 0.0, 0.0)))
+            rates.unassisted_bound(1000, 0.5, 1.0, float(delta), 1.0)
 
     @pytest.mark.parametrize("spec", [",", " ", "log:1e3:1e7:0", "log:1e3:inf:3"])
     @pytest.mark.parametrize(
@@ -1007,6 +1008,13 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in {absen
 
 
 class TestTwirlCheck:
+    def test_analysis_once(self, monkeypatch, capsys):
+        # The sampler draws from the analytic law the call prints, so the
+        # projection and the Bell-diagonal readout are taken once.
+        argv = ["twirl-check", "--channel", AD_SPEC, "--samples", "1000"]
+        calls = _count_analysis_calls(argv, monkeypatch, capsys)
+        assert calls == Counter(tp_residual=1, projection_stats=1, twirl_parameters=1)
+
     def test_summary_fields(self, capsys):
         code, out, _ = run_cli(
             ["twirl-check", "--channel", AD_SPEC, "--samples", "20000", "--seed", "7"],

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from covertq.covert import entropy_bits
 from covertq.rates import (
+    ThroughputBound,
     assisted_bound,
     distillation_rate,
     hashing_rate,
@@ -55,6 +56,10 @@ class TestDistillationRate:
     def test_always_fails(self):
         assert distillation_rate(CLEAN, 1.0) == 0.0
 
+    def test_failure_probability_range(self):
+        with pytest.raises(ValueError, match=r"failure probability must be in \[0, 1\]"):
+            distillation_rate(CLEAN, 2.0)
+
     def test_direct_formula(self):
         q = PauliDistribution((0.9, 0.05, 0.03, 0.02))
         assert distillation_rate(q, 0.2) == pytest.approx(
@@ -64,46 +69,52 @@ class TestDistillationRate:
 
 class TestBounds:
     def test_zero_rate_gives_zero_count(self):
-        b = unassisted_bound(1000, 0.1, 0.75, 0.01, UNIFORM)
+        b = unassisted_bound(1000, 0.1, 0.75, 0.01, hashing_rate(UNIFORM))
         assert b.m_lower == 0.0
 
     def test_worked_arithmetic(self):
         # rate is exactly 0.5 for a clean twirl with half the projections lost
-        b = assisted_bound(10**6, 0.1, 0.75, 0.01, CLEAN, p_f=0.5)
-        assert b.rate == pytest.approx(0.5)
+        rate = distillation_rate(CLEAN, 0.5)
+        assert rate == pytest.approx(0.5)
+        b = assisted_bound(10**6, 0.1, 0.75, 0.01, rate)
         assert b.m_lower == pytest.approx(0.9 * 1000 * 0.75 * 0.5 * 0.1)
 
+    def test_holds_no_rate(self):
+        # The caller passes the rate in and keeps it.
+        assert "rate" not in ThroughputBound._fields
+
     def test_sqrt_scaling(self):
-        p = compose_with_failure(CLEAN, 0.1)
-        b1 = unassisted_bound(10**4, 0.2, 1.0, 0.04, p)
-        b2 = unassisted_bound(2 * 10**4, 0.2, 1.0, 0.04, p)
+        rate = hashing_rate(compose_with_failure(CLEAN, 0.1))
+        b1 = unassisted_bound(10**4, 0.2, 1.0, 0.04, rate)
+        b2 = unassisted_bound(2 * 10**4, 0.2, 1.0, 0.04, rate)
         assert b2.m_lower == pytest.approx(math.sqrt(2) * b1.m_lower)
 
     def test_classical_budget_with_total_failure(self):
-        b = assisted_bound(10**4, 0.1, 0.75, 0.01, CLEAN, p_f=1.0)
-        assert b.rate == 0.0
+        b = assisted_bound(10**4, 0.1, 0.75, 0.01, distillation_rate(CLEAN, 1.0))
+        assert b.m_lower == 0.0
         assert b.classical_bits_upper == pytest.approx(1.1 * 100 * 0.75 * 0.1)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            unassisted_bound(0, 0.1, 0.75, 0.01, CLEAN)
+            unassisted_bound(0, 0.1, 0.75, 0.01, 1.0)
         # The weight tolerance lies in (0, 1]: at 1 no qubit is bounded.
-        assert unassisted_bound(10, 1.0, 0.75, 0.01, CLEAN).m_lower == 0.0
-        assert assisted_bound(10, 1.0, 0.75, 0.01, CLEAN, p_f=0.0).m_lower == 0.0
+        assert unassisted_bound(10, 1.0, 0.75, 0.01, 1.0).m_lower == 0.0
+        assert assisted_bound(10, 1.0, 0.75, 0.01, 1.0).m_lower == 0.0
         with pytest.raises(ValueError, match=r"weight tolerance must lie in \(0, 1\]"):
-            unassisted_bound(10, 1.0 + 1e-12, 0.75, 0.01, CLEAN)
-        with pytest.raises(ValueError):
-            assisted_bound(10, 0.1, 0.75, 0.01, CLEAN, p_f=2.0)
-        # Past the double range: sqrt(n) would raise OverflowError.
+            unassisted_bound(10, 1.0 + 1e-12, 0.75, 0.01, 1.0)
         for bound in (unassisted_bound, assisted_bound):
-            args = (CLEAN,) if bound is unassisted_bound else (CLEAN, 0.1)
+            # A rate is qubits per use of a qubit channel.
+            for rate in (-1e-12, 1.0 + 1e-12, float("nan")):
+                with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\]"):
+                    bound(10, 0.1, 0.75, 0.01, rate)
+            # Past the double range: sqrt(n) would raise OverflowError.
             with pytest.raises(ValueError, match="double range"):
-                bound(10**400, 0.1, 0.75, 0.01, *args)
+                bound(10**400, 0.1, 0.75, 0.01, 0.5)
             with pytest.raises(ValueError, match="covert constant"):
-                bound(100, 0.1, float("nan"), 0.05, *args)
+                bound(100, 0.1, float("nan"), 0.05, 0.5)
             # A NaN n would give m_lower and classical_bits_upper as NaN.
             with pytest.raises(ValueError, match="at least one channel use"):
-                bound(float("nan"), 0.1, 1.0, 0.05, *args)
+                bound(float("nan"), 0.1, 1.0, 0.05, 0.5)
 
 
 def test_distillation_dominates_hashing_on_grid():
@@ -120,12 +131,12 @@ def test_distillation_dominates_hashing_on_grid():
 
 
 def test_rate_monotonicity_in_bound_inputs():
-    p = compose_with_failure(PauliDistribution((0.95, 0.02, 0.02, 0.01)), 0.0)
-    base = unassisted_bound(10**4, 0.2, 0.8, 0.02, p)
-    assert unassisted_bound(10**5, 0.2, 0.8, 0.02, p).m_lower >= base.m_lower
-    assert unassisted_bound(10**4, 0.1, 0.8, 0.02, p).m_lower >= base.m_lower
-    assert unassisted_bound(10**4, 0.2, 1.2, 0.02, p).m_lower >= base.m_lower
-    assert unassisted_bound(10**4, 0.2, 0.8, 0.05, p).m_lower >= base.m_lower
+    r = hashing_rate(compose_with_failure(PauliDistribution((0.95, 0.02, 0.02, 0.01)), 0.0))
+    base = unassisted_bound(10**4, 0.2, 0.8, 0.02, r)
+    assert unassisted_bound(10**5, 0.2, 0.8, 0.02, r).m_lower >= base.m_lower
+    assert unassisted_bound(10**4, 0.1, 0.8, 0.02, r).m_lower >= base.m_lower
+    assert unassisted_bound(10**4, 0.2, 1.2, 0.02, r).m_lower >= base.m_lower
+    assert unassisted_bound(10**4, 0.2, 0.8, 0.05, r).m_lower >= base.m_lower
 
 
 def test_rates_invariant_under_xyz_permutation():

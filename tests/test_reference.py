@@ -1,11 +1,12 @@
 """A 60-digit reference for the n-use figures that detect-sim prints, on
-qubit pairs.
+qubit pairs and a commuting qutrit pair.
 
 In the frame that ``WardenStates`` holds, a commuting pair has both warden
 states diagonal, so rho_n, mix^n and rho0^n are diagonal, and each entry
-depends only on the output weight K of its basis string. A string of weight
-K under a signal pattern of weight w has j of its K ones on signal slots and
-w - j of its n - K zeros there, so rho_n's entry is a sum over w and j with
+depends only on the type k of its basis string: k_c of its n letters are
+level c. Summed over the signal patterns of weight w, the string's one-site
+products give the t^w coefficient of prod_c (a_c + t b_c)^(k_c), with a and
+b the diagonals of rho0 and rho_pi, so rho_n's entry is a sum over w with
 exact binomials. A coherent pair (nonzero frame coherence, the Schur-Weyl
 block route) is checked on whole 2^n-square matrices instead, formed from
 the weight-class sums and diagonalized by ``mpmath.eigsy``. mpmath carries
@@ -35,6 +36,10 @@ AD_SPEC = TESTS.parent / "data" / "amplitude_damping.json"
 # (random-diagonal-n8). On the shipped model at n = 6 they are 2.6e-16,
 # 1.5e-14, 2.6e-14 and 3.7e-16.
 BOUNDS = {"d_exact": 5e-12, "d_product": 1e-11, "epsilon": 2e-11, "trace_distance": 1e-14}
+# The commuting qutrit's bounds, about ten times its measured errors:
+# d_exact 2.2e-13, d_product 2.1e-13, epsilon 2.1e-14 and the trace
+# distance 1.8e-16.
+QUTRIT_BOUNDS = {"d_exact": 2e-12, "d_product": 2e-12, "epsilon": 2e-13, "trace_distance": 2e-15}
 # The coherent pairs' bounds, about ten times the largest error measured on
 # their cases: d_exact 4.3e-15 (coherent-5-n4), d_product 1.3e-14
 # (coherent-6-n5), epsilon 4.1e-15 (coherent-5-n5) and the trace distance
@@ -43,33 +48,54 @@ COHERENT_BOUNDS = {"d_exact": 5e-14, "d_product": 1e-13, "epsilon": 5e-14, "trac
 
 
 def reference_figures(states: WardenStates) -> dict:
-    """d_exact, d_product, epsilon and the trace distance of ``states`` at
-    60 digits, summed over output weights K and pattern weights w."""
+    """d_exact, d_product, epsilon and the trace distance of a commuting
+    pair of any dimension at 60 digits, summed over output types and
+    pattern weights w."""
     model, cfg = states.model, states.cfg
-    a, b = (np.diagonal(rho.mat) for rho in (model.rho0, model.rho_pi))
-    assert model.dim == 2 and model.rho_pi.mat[0, 1] == 0, "a commuting qubit pair"
+    a, b = (np.diagonal(rho.mat).real for rho in (model.rho0, model.rho_pi))
+    assert np.array_equal(model.rho_pi.mat, np.diag(b)), "a commuting pair"
     with mpmath.workdps(60):
         n, q = cfg.n, mpmath.mpf(cfg.q)
-        a0, a1, b0, b1 = (mpmath.mpf(float(x.real)) for x in (*a, *b))
-        m0, m1 = (1 - q) * a0 + q * b0, (1 - q) * a1 + q * b1
+        a, b = [mpmath.mpf(float(x)) for x in a], [mpmath.mpf(float(x)) for x in b]
+        m = [(1 - q) * x + q * y for x, y in zip(a, b)]
         ws = _weight_set(cfg)
         p_set = mpmath.fsum(mpmath.binomial(n, w) * q**w * (1 - q) ** (n - w) for w in ws)
         d_exact = d_product = epsilon = trace_distance = mpmath.mpf(0)
-        for k in range(n + 1):
-            r = mpmath.fsum(
-                q**w * (1 - q) ** (n - w) * mpmath.binomial(k, j) * mpmath.binomial(n - k, w - j)
-                * b1**j * a1 ** (k - j) * b0 ** (w - j) * a0 ** (n - k - w + j)
-                for w in ws
-                for j in range(max(0, w - (n - k)), min(k, w) + 1)
-            ) / p_set
-            s, m, c = a1**k * a0 ** (n - k), m1**k * m0 ** (n - k), mpmath.binomial(n, k)
+        for k in _output_types(n, len(a)):
+            coeff = _pattern_weight_sums(a, b, k)
+            r = mpmath.fsum(q**w * (1 - q) ** (n - w) * coeff[w] for w in ws) / p_set
+            s = mpmath.fprod(x**kc for x, kc in zip(a, k))
+            mm = mpmath.fprod(x**kc for x, kc in zip(m, k))
+            c = mpmath.factorial(n) / mpmath.fprod(mpmath.factorial(kc) for kc in k)
             if r > 0:
                 d_exact += c * r * mpmath.log(r / s, 2)
-            d_product += c * m * mpmath.log(m / s, 2)
-            epsilon += c * abs(m - r) / 2
+            d_product += c * mm * mpmath.log(mm / s, 2)
+            epsilon += c * abs(mm - r) / 2
             trace_distance += c * abs(r - s)
         return {"d_exact": d_exact, "d_product": d_product, "epsilon": epsilon,
                 "trace_distance": trace_distance}
+
+
+def _output_types(n: int, dim: int) -> list:
+    """Every type (k_0, ..., k_{dim-1}) of an n-letter output string: how
+    many of its letters are each basis level."""
+    if dim == 1:
+        return [(n,)]
+    return [(k, *rest) for k in range(n + 1) for rest in _output_types(n - k, dim - 1)]
+
+
+def _pattern_weight_sums(a: list, b: list, k: tuple) -> list:
+    """For one string of type k, the sum over signal patterns of weight w
+    of the product of its n one-site entries, a_c off the pattern and b_c
+    on it: the t^w coefficient of prod_c (a_c + t b_c)^(k_c), for w = 0..n."""
+    poly = [mpmath.mpf(1)]
+    for ac, bc, kc in zip(a, b, k):
+        factor = [mpmath.binomial(kc, j) * ac ** (kc - j) * bc**j for j in range(kc + 1)]
+        poly = [
+            mpmath.fsum(poly[i] * factor[w - i] for i in range(max(0, w - kc), min(w, len(poly) - 1) + 1))
+            for w in range(len(poly) + kc)
+        ]
+    return poly
 
 
 def _weight_set(cfg: SparseSignalConfig) -> list:
@@ -145,9 +171,9 @@ def _shipped(n: int, vartheta: float) -> WardenStates:
     return WardenStates(model, SparseSignalConfig(n=n, q=q, vartheta=vartheta))
 
 
-def _random_diagonal(seed: int, n: int) -> WardenStates:
+def _random_diagonal(seed: int, n: int, dim: int = 2) -> WardenStates:
     rng = np.random.default_rng(seed)
-    a, b = rng.uniform(0.05, 1.0, size=2), rng.uniform(0.0, 1.0, size=2)
+    a, b = rng.uniform(0.05, 1.0, size=dim), rng.uniform(0.0, 1.0, size=dim)
     model = channels.WillieModel(
         DensityOperator(np.diag(a / a.sum())), DensityOperator(np.diag(b / b.sum()))
     )
@@ -174,6 +200,15 @@ CASES = {
 def test_printed_figures_match_the_60_digit_reference(case):
     errors = relative_errors(CASES[case]())
     assert {k: e for k, e in errors.items() if not e <= BOUNDS[k]} == {}, errors
+
+
+def test_dense_qutrit_figures_match_the_60_digit_reference():
+    # A random diagonal qutrit pair at n = 6 takes the dense route on the
+    # 729-square states; the reference sums over its 28 output types.
+    states = _random_diagonal(7, 6, dim=3)
+    assert len(_output_types(6, 3)) == 28
+    errors = relative_errors(states)
+    assert {k: e for k, e in errors.items() if not e <= QUTRIT_BOUNDS[k]} == {}, errors
 
 
 COHERENT_CASES = {

@@ -269,6 +269,8 @@ def test_each_rule_is_decided_once():
         "binary" + "_entropy",
         "all weights" + " vanish",
         "_twirl" + "_branches",
+        "_categorical" + "_counts",
+        "_compose" + "_rows",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")

@@ -13,11 +13,9 @@ from covertq.channels import (
     qubit_leak,
 )
 from covertq.errors import DegenerateChannelError, DimensionCapError
-from covertq import twirl
 from covertq.twirl import (
     PauliDistribution,
     ProjectionStats,
-    _categorical_counts,
     bell_vectors,
     compose_with_failure,
     monte_carlo_twirl,
@@ -96,12 +94,10 @@ class TestProjectionStats:
         assert peak < 2**20
 
     def test_needs_qubit_input(self, rng):
-        # One check serves the analytic and the sampled route.
-        for fn in (projection_stats, lambda ch: monte_carlo_twirl(ch, 10, seed=0)):
-            with pytest.raises(DimensionCapError, match="qubit-input"):
-                fn(random_channel(3, 3, 2, rng))
-            with pytest.raises(ValueError, match="no qubit subspace"):
-                fn(random_channel(2, 1, 2, rng))
+        with pytest.raises(DimensionCapError, match="qubit-input"):
+            projection_stats(random_channel(3, 3, 2, rng))
+        with pytest.raises(ValueError, match="no qubit subspace"):
+            projection_stats(random_channel(2, 1, 2, rng))
 
 
 class TestTwirlParameters:
@@ -194,94 +190,90 @@ class TestOperatorIdentity:
         )
 
 
-def test_shot_law_matches_the_branch_physics(monkeypatch):
+def _estimate(ch, samples: int, seed: int):
+    """The analytic twirled weights of ``ch`` and the sampler's estimate
+    of them, drawn from the law twirl-check prints."""
+    stats = projection_stats(ch)
+    q_tw = twirl_parameters(stats)
+    return q_tw, monte_carlo_twirl(q_tw, stats.p_f, samples, seed)
+
+
+def test_shot_law_matches_the_branch_physics():
     # The sampler draws from (1 - p_f) q_tw and p_f; the test-side branch
     # loop gives each branch's success and Bell outcome law, and a uniform
     # branch choice averages them. Output levels past 2 leak out of the
     # qubit subspace.
-    drawn_laws = []
-
-    def spy(probs, samples, seed):
-        drawn_laws.append(np.asarray(probs, dtype=float))
-        return _categorical_counts(probs, samples, seed)
-
-    monkeypatch.setattr(twirl, "_categorical_counts", spy)
     rng = np.random.default_rng(2024)
     drawn = [random_channel(2, 2 + i % 3, 1 + (i // 3) % 4, rng) for i in range(60)]
     for i, ch in enumerate([*drawn, qubit_leak(0.25), amplitude_damping(0.3), identity_channel(2)]):
-        monte_carlo_twirl(ch, 1000, seed=i)
+        stats = projection_stats(ch)
+        law = [*(1.0 - stats.p_f) * twirl_parameters(stats).weights, stats.p_f]
         succ, outcome = branch_loop_reference(ch)
         bell = succ @ outcome / 4.0
         want = np.array([*bell, 1.0 - bell.sum()])
-        np.testing.assert_allclose(drawn_laws[-1], want, rtol=0, atol=1e-15, err_msg=str(i))
-    assert len(drawn_laws) == 63
+        np.testing.assert_allclose(law, want, rtol=0, atol=1e-15, err_msg=str(i))
 
 
 class TestMonteCarlo:
     def test_identity_channel_is_exact(self):
         for seed in (0, 1, 12345):
-            est = monte_carlo_twirl(identity_channel(2), 1000, seed)
+            _, est = _estimate(identity_channel(2), 1000, seed)
             np.testing.assert_allclose(est.weights, [1, 0, 0, 0])
 
     def test_depolarizing_converges(self):
-        analytic = twirl_parameters(projection_stats(depolarizing(0.4)))
-        est = monte_carlo_twirl(depolarizing(0.4), 100000, seed=7)
+        analytic, est = _estimate(depolarizing(0.4), 100000, seed=7)
         assert np.max(np.abs(est.weights - analytic.weights)) <= 0.01
 
     def test_amplitude_damping_converges(self):
-        analytic = twirl_parameters(projection_stats(amplitude_damping(0.2)))
-        est = monte_carlo_twirl(amplitude_damping(0.2), 100000, seed=11)
+        analytic, est = _estimate(amplitude_damping(0.2), 100000, seed=11)
         assert np.max(np.abs(est.weights - analytic.weights)) <= 0.01
 
     @pytest.mark.parametrize("samples", [10**4, 10**5, 10**6])
     def test_error_scales_with_samples(self, samples):
-        analytic = twirl_parameters(projection_stats(depolarizing(0.4)))
-        est = monte_carlo_twirl(depolarizing(0.4), samples, seed=3)
+        analytic, est = _estimate(depolarizing(0.4), samples, seed=3)
         gap = np.max(np.abs(est.weights - analytic.weights))
         assert gap <= 3.0 / np.sqrt(samples)
 
     def test_seed_reproducible(self):
-        a = monte_carlo_twirl(amplitude_damping(0.35), 5000, seed=42)
-        b = monte_carlo_twirl(amplitude_damping(0.35), 5000, seed=42)
+        _, a = _estimate(amplitude_damping(0.35), 5000, seed=42)
+        _, b = _estimate(amplitude_damping(0.35), 5000, seed=42)
         assert np.array_equal(a.weights, b.weights)
 
     def test_leak_discards_failures(self):
-        analytic = twirl_parameters(projection_stats(qubit_leak(0.25)))
-        est = monte_carlo_twirl(qubit_leak(0.25), 100000, seed=5)
+        analytic, est = _estimate(qubit_leak(0.25), 100000, seed=5)
         assert np.max(np.abs(est.weights - analytic.weights)) <= 0.01
 
     def test_sample_count_beyond_memory(self):
         # One multinomial draw: 10**12 shots would need terabytes as
         # per-shot arrays.
-        analytic = twirl_parameters(projection_stats(qubit_leak(0.25)))
-        est = monte_carlo_twirl(qubit_leak(0.25), 10**12, seed=5)
+        analytic, est = _estimate(qubit_leak(0.25), 10**12, seed=5)
         assert np.max(np.abs(est.weights - analytic.weights)) <= 1e-5
 
-    def test_counts_keep_round_off_above_one(self):
-        counts = _categorical_counts([0.6, 0.4 + 1e-9, 0.0], 1000, seed=0)
-        assert counts.sum() == 1000 and counts[2] == 0
-        with pytest.raises(ValueError):
-            _categorical_counts([1.0], 0, seed=0)
+    def test_input_refusals(self):
+        q = PauliDistribution((1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="at least one sample"):
+            monte_carlo_twirl(q, 0.0, 0, seed=0)
+        with pytest.raises(ValueError, match="multinomial limit"):
+            monte_carlo_twirl(q, 0.0, 2**63, seed=0)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            monte_carlo_twirl(q, 0.0, 10, seed=-1)
+        with pytest.raises(ValueError, match="failure probability"):
+            monte_carlo_twirl(q, 1.5, 10, seed=0)
 
-    def test_memory_does_not_grow_with_the_output(self, rng):
-        # One qubit isometry into 1024 levels: the shot law is read from the
-        # 4x4 qubit block, so no (2 d_out)-square output is formed.
-        ch = random_channel(2, 1024, 1, rng)
-        tracemalloc.start()
-        try:
-            monte_carlo_twirl(ch, 10**7, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+    def test_counts_keep_round_off_above_one(self):
+        # PauliDistribution admits a sum 1e-11 past 1; numpy's multinomial
+        # would refuse that law unless it is normalized.
+        q = PauliDistribution((0.6, 0.4 + 1e-11, 0.0, 0.0))
+        assert q.weights.sum() > 1.0
+        est = monte_carlo_twirl(q, 0.0, 1000, seed=0)
+        assert est.weights[2:].tolist() == [0.0, 0.0]
+        assert abs(est.weights[1] - 0.4) < 0.1
 
     def test_all_samples_failing_raises(self):
-        with pytest.raises(DegenerateChannelError):
-            monte_carlo_twirl(qubit_leak(1.0), 1000, seed=0)
         # A projection that succeeds, but far more rarely than once in the
         # draw, fails every sample.
         with pytest.raises(DegenerateChannelError, match="every sample failed"):
-            monte_carlo_twirl(qubit_leak(1.0 - 1e-9), 1000, seed=0)
+            _estimate(qubit_leak(1.0 - 1e-9), 1000, seed=0)
 
 
 def test_uniform_twirl_of_any_state_is_maximally_mixed(rng):
