@@ -18,9 +18,12 @@ machine-parseable line ``covertq: error code=<name> msg="..."`` on stderr,
 and never a traceback. Inside the quotes, backslash, double quote, line
 feed and carriage return are escaped as ``\\``, ``\"``, ``\n`` and ``\r``.
 
-The environment variable COVERTQ_THREADS caps the linear-algebra thread
-pool; it must be honored before numpy loads, which is why this module pins
-it at import time and the package __init__ imports nothing eagerly.
+BLAS runs on one thread: a second worker costs CPU in every call, and the
+eigensolve round-off, hence the printed digits, would follow the core
+count. A thread count the caller sets in OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or NUMEXPR_NUM_THREADS wins. The pin
+must precede numpy's load, which is why this module sets it at import time
+and the package __init__ imports nothing eagerly.
 
 Each call imports only what its subcommand needs. Module level holds the
 thread pin, numpy, the layers every call loads to read a channel
@@ -44,16 +47,9 @@ import sys
 
 
 def _pin_threads() -> None:
-    v = os.environ.get("COVERTQ_THREADS")
-    if not v:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, v)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
 
 
 _pin_threads()
@@ -198,7 +194,8 @@ def _analyze(args) -> tuple:
     warden mode, c_q, projection stats, q_tw, p_vec, R, R_d, bound rows).
     R and R_d are the hashing and distillation rates, each taken once. A
     bound row is (n, unassisted bound, assisted bound); there are none when
-    c_q is infinite, but each n is checked all the same."""
+    c_q is infinite, but each n's bounds are taken, and so checked, all the
+    same."""
     from . import rates, twirl
 
     bob, mode, model = _build_model(args)
@@ -210,10 +207,9 @@ def _analyze(args) -> tuple:
     r, r_d = rates.hashing_rate(p_vec), rates.distillation_rate(q_tw, stats.p_f)
     rows = []
     for n in _parse_n_list(args.n):
-        rates._check_bound_args(n, args.vartheta, c_q, args.delta)
+        b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, r)
+        b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, r_d)
         if not math.isinf(c_q):
-            b1 = rates.unassisted_bound(n, args.vartheta, c_q, args.delta, r)
-            b2 = rates.assisted_bound(n, args.vartheta, c_q, args.delta, r_d)
             rows.append((n, b1, b2))
     return bob, mode, c_q, stats, q_tw, p_vec, r, r_d, rows
 

@@ -69,8 +69,8 @@ GRID = ["--vartheta", "0.1", "--n", "log:1e3:1e7:9"]
 
 
 def _count_analysis_calls(argv, monkeypatch, capsys) -> Counter:
-    """Calls of tp_residual, of the two twirl readouts and of the rate and
-    bound functions during one CLI call."""
+    """Calls of tp_residual, of the two twirl readouts and of the rate,
+    bound and bound-argument check functions during one CLI call."""
     calls = Counter()
 
     def wrap(mod, name):
@@ -85,7 +85,8 @@ def _count_analysis_calls(argv, monkeypatch, capsys) -> Counter:
     wrap(channels, "tp_residual")
     for name in ("projection_stats", "twirl_parameters"):
         wrap(twirl, name)
-    for name in ("hashing_rate", "distillation_rate", "unassisted_bound", "assisted_bound"):
+    for name in ("hashing_rate", "distillation_rate", "unassisted_bound", "assisted_bound",
+                 "_check_bound_args"):
         wrap(rates, name)
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
@@ -97,11 +98,18 @@ class TestReport:
         # The tp-residual line reads the receiver's validation. R and R_d
         # are taken once, and every bound row and line reads them;
         # distillation_rate scales the hashing rate, so it makes the second
-        # hashing_rate call.
+        # hashing_rate call. Each n's arguments are checked once per bound.
         calls = _count_analysis_calls(["report", *BASE, *GRID], monkeypatch, capsys)
         assert calls == Counter(tp_residual=2, projection_stats=1, twirl_parameters=1,
                                 hashing_rate=2, distillation_rate=1,
-                                unassisted_bound=9, assisted_bound=9)
+                                unassisted_bound=9, assisted_bound=9, _check_bound_args=18)
+
+    def test_trivial_model_checks_each_n_in_its_bounds(self, trivial_args, monkeypatch, capsys):
+        # No bound row is printed, but every n's bounds are still taken, so
+        # each n is checked twice, as for a finite c_q.
+        argv = ["report", *trivial_args, "--delta", "0.05", *GRID]
+        calls = _count_analysis_calls(argv, monkeypatch, capsys)
+        assert (calls["unassisted_bound"], calls["assisted_bound"], calls["_check_bound_args"]) == (9, 9, 18)
 
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
@@ -272,11 +280,12 @@ class TestSrlCurve:
     def test_computes_only_what_it_prints(self, monkeypatch, capsys):
         # The two residuals are the receiver's and the warden's validation;
         # each rate is taken once and passed to every bound, and the
-        # distillation rate takes the second hashing rate.
+        # distillation rate takes the second hashing rate. Each n's arguments
+        # are checked once per bound.
         calls = _count_analysis_calls(["srl-curve", *BASE, *GRID], monkeypatch, capsys)
         assert calls == Counter(tp_residual=2, projection_stats=1, twirl_parameters=1,
                                 hashing_rate=2, distillation_rate=1,
-                                unassisted_bound=9, assisted_bound=9)
+                                unassisted_bound=9, assisted_bound=9, _check_bound_args=18)
 
     def test_matches_golden(self, capsys):
         code, out, _ = run_cli(
@@ -839,6 +848,23 @@ class TestRefusedParameters:
 
     @pytest.mark.parametrize(
         "delta,vartheta,n",
+        [("nan", "0.1", "1000"), ("-1", "0.1", "1000"), ("0.05", "7", "1000"),
+         ("0.05", "0.1", "1000,0"), ("0.05", "0.1", f"1000,{10**400}")],
+    )
+    @pytest.mark.parametrize("cmd", ["report", "srl-curve"])
+    def test_trivial_model_refuses_each_n_alike(self, ad_args, trivial_args, cmd, delta, vartheta, n,
+                                                capsys):
+        # With c_q infinite no bound is printed, but every n is refused with
+        # the message and exit code it gets on a model with a finite c_q.
+        argv = [f"--delta={delta}", "--vartheta", vartheta, "--n", n]
+        ad = run_cli([cmd, *ad_args, *argv], capsys)
+        trivial = run_cli([cmd, *trivial_args, *argv], capsys)
+        assert ad[:2] == (cli.EXIT_PARSE, "")
+        assert ERROR_LINE.match(ad[2][:-1]), ad[2]
+        assert trivial == ad
+
+    @pytest.mark.parametrize(
+        "delta,vartheta,n",
         [("nan", "0.5", "4"), ("-1", "0.5", "4"), ("0.05", "7", "4"), ("0.05", "0", "4"),
          ("0.05", "0.5", "0"), ("nan", "7", "0")],
     )
@@ -1055,8 +1081,7 @@ class TestDeterminism:
         assert len(a.read_bytes()) > 0
 
 
-def test_console_entry_point_with_thread_cap(tmp_path):
-    env = child_env(COVERTQ_THREADS="1")
+def test_console_entry_point(tmp_path):
     out = subprocess.run(
         [
             sys.executable,
@@ -1075,8 +1100,65 @@ def test_console_entry_point_with_thread_cap(tmp_path):
             "1000",
         ],
         capture_output=True,
-        env=env,
+        env=child_env(),
         cwd=REPO,
     )
     assert out.returncode == 0
     assert out.stdout.decode().startswith("n,m_lower_unassisted")
+
+
+# The BLAS thread variables cli pins, and the variable that once capped them
+# and is now ignored (spelled in two parts so that no test names it).
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+OLD_THREAD_CAP = "COVERTQ" + "_THREADS"
+
+
+def unpinned_env(**extra):
+    """child_env with no thread variable but ``extra``. Importing cli here
+    set the BLAS variables in this process, so they are removed."""
+    env = {k: v for k, v in child_env().items() if k not in (*BLAS_VARS, OLD_THREAD_CAP)}
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize(
+    "extra,expected",
+    [({}, ["1", "1", "1", "1"]),
+     ({OLD_THREAD_CAP: "4"}, ["1", "1", "1", "1"]),
+     ({"OPENBLAS_NUM_THREADS": "2"}, ["1", "2", "1", "1"])],
+    ids=["unset", "old-cap-ignored", "caller-wins"],
+)
+def test_blas_runs_on_one_thread(extra, expected):
+    # Importing cli pins BLAS to one thread before numpy loads, unless the
+    # caller set a thread count; then no BLAS worker thread is running.
+    script = f"""
+import json, os
+import covertq.cli
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([[os.environ.get(v) for v in {BLAS_VARS!r}], tasks]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=unpinned_env(**extra), cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    seen, tasks = json.loads(proc.stdout)
+    assert seen == expected
+    if expected == ["1"] * 4 and tasks is not None:
+        assert tasks == 1
+
+
+def test_output_does_not_follow_the_core_count(tmp_path):
+    # On the dense route at d^n = 729 the eigensolve round-off follows the
+    # BLAS thread count, and epsilon, fannes and holder print other digits
+    # with two threads. A child with no thread variable must print the bytes
+    # of one pinned to one thread by hand. Without the pin this fails only on
+    # a machine with 2 or more cores, where BLAS would start a second thread.
+    spec = tmp_path / "leak.json"
+    channels.save_channel(channels.qubit_leak(0.2), spec)
+    argv = [sys.executable, "-m", "covertq.cli", "detect-sim", "--channel", str(spec),
+            "--innocent", "[[0.7,0.1],[0.1,0.3]]", "--delta", "0.05", "--vartheta", "0.5",
+            "--n", "6"]
+    unset, pinned = (
+        subprocess.run(argv, capture_output=True, env=unpinned_env(**pins), cwd=REPO)
+        for pins in ({}, dict.fromkeys(BLAS_VARS, "1"))
+    )
+    assert unset.returncode == 0, unset.stderr
+    assert (unset.stdout, unset.stderr) == (pinned.stdout, pinned.stderr)

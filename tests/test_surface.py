@@ -271,6 +271,7 @@ def test_each_rule_is_decided_once():
         "_twirl" + "_branches",
         "_categorical" + "_counts",
         "_compose" + "_rows",
+        "COVERTQ" + "_THREADS",
     ]
     for path in [*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")]:
         text = path.read_text(encoding="utf-8")
@@ -326,6 +327,24 @@ def test_only_channels_builds_a_channel():
     # the one place a qubit block is formed, never from a (2 d_out)-square
     # output.
     assert {owner[0] for owner in _owners(_calls("QuantumChannel"))} == {"channels"}
+
+
+def _writes_environ(node) -> bool:
+    """A write to ``os.environ``: an item assignment or deletion, or a call
+    of one of its mutating methods."""
+    def is_environ(x):
+        return isinstance(x, ast.Attribute) and x.attr == "environ" and getattr(x.value, "id", None) == "os"
+
+    if isinstance(node, ast.Subscript):
+        return is_environ(node.value) and not isinstance(node.ctx, ast.Load)
+    mutators = ("setdefault", "update", "pop", "popitem", "clear")
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in mutators and is_environ(node.func.value))
+
+
+def test_only_the_thread_pin_writes_the_environment():
+    # cli._pin_threads is the one place a BLAS thread variable is set.
+    assert _owners(_writes_environ) == [("cli", "_pin_threads")]
 
 
 def test_one_kronecker_writer():
