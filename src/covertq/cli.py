@@ -6,7 +6,9 @@ JSON files (see ``channels.load_channel``); CSV output uses a header row,
 
 Each subcommand returns its output text and a summary; ``main`` alone
 writes them, the output to ``--out`` or stdout and the summary (detect-sim
-only) to stdout when ``--out`` is given and to stderr otherwise.
+only) to stdout when ``--out`` is given and to stderr otherwise. The
+process entry ``run`` then freezes the garbage collector, so the exit skips
+its last collections (~8 ms a call with numpy loaded); ``main`` does not.
 
 Exit codes (their ``code=`` names are tabulated in the README): 0 success,
 2 usage, 3 unreadable or invalid input, or an output that cannot be
@@ -40,6 +42,7 @@ No call loads ``dataclasses`` or ``logging`` (see ``channels.load_channel``).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -285,8 +288,6 @@ def cmd_srl_curve(args) -> tuple[str, str]:
 
 
 def cmd_detect_sim(args) -> tuple[str, str]:
-    from . import detect, sparse
-
     _, mode, model = _build_model(args)
     c_q = covert.covert_constant(model)
     # A past-cap block length is refused before any work on it. The budget,
@@ -310,6 +311,8 @@ def cmd_detect_sim(args) -> tuple[str, str]:
             f"budget {args.delta} leaves no signal density (q=0) at n={args.n_single}; "
             "sparse signaling needs q > 0, raise the budget"
         )
+    from . import detect, sparse
+
     cfg = sparse.SparseSignalConfig(n=args.n_single, q=q, vartheta=args.vartheta)
     states = sparse.WardenStates(model, cfg)
     chain = sparse.bound_chain(states)
@@ -456,5 +459,12 @@ def main(argv=None) -> int:
         return code
 
 
+def run() -> None:
+    """Process entry of the ``covertq`` script and ``python -m covertq.cli``."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import io
 import itertools
 import json
@@ -63,6 +64,11 @@ def trivial_args(ident_spec, depol_spec):
 
 
 BASE = ["--channel", AD_SPEC, "--innocent", "1", "--delta", "0.05"]
+
+# detect-sim refused past the cap (exit 6) and at a saturated density (exit 7).
+DETECT_PAST_CAP = ["detect-sim", *BASE, "--vartheta", "0.5", "--n", "30"]
+DETECT_SATURATED = ["detect-sim", "--channel", AD_SPEC, "--innocent", "1", "--delta", "50",
+                    "--vartheta", "0.5", "--n", "2"]
 
 
 GRID = ["--vartheta", "0.1", "--n", "log:1e3:1e7:9"]
@@ -998,28 +1004,35 @@ def test_detect_sim_error_contract_on_random_channels(capsys, tmp_path):
     assert codes[0] and codes[cli.EXIT_DIM] and codes[cli.EXIT_DEGENERATE]
 
 
+DETECT_ABSENT = ["_hashlib", "covertq.twirl", "covertq.rates", "logging", "dataclasses"]
+
+
 @pytest.mark.parametrize(
-    "argv,absent",
+    "argv,code,absent",
     [
-        (["report", *BASE, "--vartheta", "0.1", "--n", "1000"],
+        (["report", *BASE, "--vartheta", "0.1", "--n", "1000"], 0,
          ["covertq.sparse", "covertq.detect", "logging", "dataclasses"]),
-        (["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"],
+        (["srl-curve", *BASE, "--vartheta", "0.1", "--n", "log:1e3:1e5:3"], 0,
          ["_hashlib", "covertq.sparse", "covertq.detect", "logging", "dataclasses"]),
-        (["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"],
-         ["_hashlib", "covertq.twirl", "covertq.rates", "logging", "dataclasses"]),
-        (["twirl-check", "--channel", AD_SPEC, "--samples", "1000"],
+        (["detect-sim", *BASE, "--vartheta", "0.5", "--n", "6"], 0, DETECT_ABSENT),
+        # A refused detect-sim call needs neither of its own layers.
+        (DETECT_PAST_CAP, cli.EXIT_DIM, [*DETECT_ABSENT, "covertq.sparse", "covertq.detect"]),
+        (DETECT_SATURATED, cli.EXIT_DEGENERATE,
+         [*DETECT_ABSENT, "covertq.sparse", "covertq.detect"]),
+        (["twirl-check", "--channel", AD_SPEC, "--samples", "1000"], 0,
          ["covertq.sparse", "covertq.detect", "covertq.rates", "logging", "dataclasses"]),
     ],
-    ids=["report", "srl-curve", "detect-sim", "twirl-check"],
+    ids=["report", "srl-curve", "detect-sim", "detect-sim-cap", "detect-sim-saturated",
+         "twirl-check"],
 )
-def test_subcommand_loads_only_what_it_needs(argv, absent, tmp_path):
+def test_subcommand_loads_only_what_it_needs(argv, code, absent, tmp_path):
     # One fresh interpreter per subcommand: no scipy module, and none of the
     # layers or the OpenSSL binding that its output does not need. No call
     # loads ``logging`` or ``dataclasses``.
     script = f"""
 import sys
 from covertq import cli
-assert cli.main({[*map(str, argv), "--out", str(tmp_path / "out")]!r}) == 0
+assert cli.main({[*map(str, argv), "--out", str(tmp_path / "out")]!r}) == {code}
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in {absent!r}))
 """
     proc = subprocess.run(
@@ -1105,6 +1118,76 @@ def test_console_entry_point(tmp_path):
     )
     assert out.returncode == 0
     assert out.stdout.decode().startswith("n,m_lower_unassisted")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [(["srl-curve", *BASE, "--vartheta", "0.1", "--n", "1000"], 0),
+     (DETECT_PAST_CAP, cli.EXIT_DIM)],
+    ids=["success", "refusal"],
+)
+def test_process_entry_exits_with_mains_code_on_a_frozen_collector(argv, expected):
+    # run() is main on sys.argv; only once main has returned does it freeze
+    # the collector, so interpreter shutdown skips its last collections.
+    script = f"""
+import gc, json, sys
+from covertq import cli
+argv = {[*map(str, argv)]!r}
+code = cli.main(argv)
+sys.argv = ["covertq", *argv]
+try:
+    cli.run()
+except SystemExit as exc:
+    print(json.dumps([code, exc.code, gc.get_freeze_count()]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=child_env(), cwd=REPO, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, exit_code, frozen = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == code == expected
+    assert frozen > 0
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(["report", *BASE, "--vartheta", "0.1", "--n", "1000"], capsys)[0] == 0
+    assert run_cli(["bogus"], capsys)[0] == cli.EXIT_USAGE
+    assert gc.get_freeze_count() == before
+
+
+def _refusal_argvs(tmp_path) -> dict:
+    """One refused input per exit code 2-7; those for 3-7 are of the kinds
+    that the benchmark's cli-quick workload refuses."""
+    budget = ["--delta", "0.05", "--vartheta", "0.1", "--n", "1000,1000000"]
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"d_in": 2, "d_out": 2, "kraus": [[[1, 0], [0, ', encoding="utf-8")
+    # The gamma = 0.3 damping pair scaled by 1.1, written without the channel
+    # class, which would refuse it.
+    kraus = [1.1 * k for k in channels.amplitude_damping(0.3).kraus]
+    non_tp = tmp_path / "non_tp.json"
+    non_tp.write_text(json.dumps({
+        "d_in": 2, "d_out": 2,
+        "kraus": [[[[e.real, e.imag] for e in row] for row in k] for k in kraus],
+    }), encoding="utf-8")
+    return {
+        cli.EXIT_USAGE: ["bogus"],
+        cli.EXIT_PARSE: ["report", "--channel", truncated, "--innocent", "1", *budget],
+        cli.EXIT_TP: ["srl-curve", "--channel", non_tp, "--innocent", "1", *budget],
+        cli.EXIT_SUPPORT: ["report", "--channel", AD_SPEC, "--innocent", "0", *budget],
+        cli.EXIT_DIM: DETECT_PAST_CAP,
+        cli.EXIT_DEGENERATE: DETECT_SATURATED,
+    }
+
+
+@pytest.mark.parametrize("code", range(cli.EXIT_USAGE, cli.EXIT_DEGENERATE + 1))
+def test_process_entry_refuses_with_one_coded_line(code, tmp_path):
+    argv = _refusal_argvs(tmp_path)[code]
+    proc = subprocess.run([sys.executable, "-m", "covertq.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=child_env(), cwd=REPO, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and ERROR_LINE.match(proc.stderr[:-1]), proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # The BLAS thread variables cli pins, and the variable that once capped them

@@ -449,6 +449,18 @@ def test_records_keep_their_own_copy_of_a_callers_array():
     assert setters == {"linops"}
 
 
+def test_console_script_is_the_main_block_entry():
+    # The installed script and ``python -m covertq.cli`` run one entry.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, entry = pyproject["project"]["scripts"]["covertq"].partition(":")
+    assert module == "covertq.cli"
+    tree = ast.parse((REPO / "src" / "covertq" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{entry}()"]
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml promises Python >= 3.10, but the suite may only ever run
     # on a newer interpreter; this keeps every file in 3.10's grammar (no
